@@ -118,6 +118,18 @@ def _add_mechanism_args(p: argparse.ArgumentParser, multi: bool = False) -> None
                    help="cut-and-paste paste probability (default 0.494)")
 
 
+def _seed(text: str) -> int:
+    """argparse type for a perturbation seed: a non-negative integer."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
+def _seed_list(text: str) -> list[int]:
+    return [_seed(s) for s in text.split(",") if s != ""]
+
+
 def _load_schema_arg(name_or_path: str) -> Schema:
     path = Path(name_or_path)
     if path.suffix in (".yaml", ".yml") or path.exists():
@@ -227,26 +239,21 @@ def cmd_perturb(args) -> int:
         "x": base.x,
         "domain_size": base.n,
     }
-    if args.mechanism == "det-gd":
-        written = out / "perturbed.csv"
-        write_csv(perturb_dataset(data, base, args.seed, args.threads), written)
-    elif args.mechanism == "ran-gd":
-        spec = RandomizedGammaSpec.from_fraction(base, args.alpha_frac)
+    perturbed, spec = _perturb_for(args.mechanism, data, base, args, args.seed)
+    if isinstance(spec, RandomizedGammaSpec):
         meta["alpha_fraction"] = args.alpha_frac
         meta["alpha"] = spec.alpha
-        written = out / "perturbed.csv"
-        write_csv(perturb_dataset(data, spec, args.seed, args.threads), written)
-    elif args.mechanism == "mask":
-        p = _mask_p(args, gamma, schema)
-        meta["mask_p"] = p
-        written = out / "perturbed_bits.csv"
-        write_boolean_csv(mask_dataset(data, MaskSpec(p, schema), args.seed, args.threads), written)
-    else:
-        spec = CutPasteSpec(args.cp_k, args.cp_rho, schema)
+    elif isinstance(spec, MaskSpec):
+        meta["mask_p"] = spec.p
+    elif isinstance(spec, CutPasteSpec):
         meta["cp_k"] = args.cp_k
         meta["cp_rho"] = args.cp_rho
+    if isinstance(perturbed, BooleanDataset):
         written = out / "perturbed_bits.csv"
-        write_boolean_csv(cut_paste_dataset(data, spec, args.seed, args.threads), written)
+        write_boolean_csv(perturbed, written)
+    else:
+        written = out / "perturbed.csv"
+        write_csv(perturbed, written)
     (out / "metadata.json").write_text(json.dumps(meta, indent=2) + "\n")
     print(f"wrote {written} ({data.n_records} records) and metadata.json")
     return EXIT_OK
@@ -352,16 +359,16 @@ def _fmt_pct(value: float | None) -> str:
 def _perturb_for(mechanism: str, data: Dataset, base: GammaDiagonalSpec, args, seed: int):
     """One mechanism run: returns (perturbed data, spec for the miner)."""
     if mechanism == "det-gd":
-        return perturb_dataset(data, base, seed, args.threads), base
+        return perturb_dataset(data, base, seed), base
     if mechanism == "ran-gd":
         spec = RandomizedGammaSpec.from_fraction(base, args.alpha_frac)
-        return perturb_dataset(data, spec, seed, args.threads), spec
+        return perturb_dataset(data, spec, seed), spec
     if mechanism == "mask":
         spec = MaskSpec(_mask_p(args, base.gamma, base.schema), base.schema)
-        return mask_dataset(data, spec, seed, args.threads), spec
+        return mask_dataset(data, spec, seed), spec
     if mechanism == "cut-paste":
         spec = CutPasteSpec(args.cp_k, args.cp_rho, base.schema)
-        return cut_paste_dataset(data, spec, seed, args.threads), spec
+        return cut_paste_dataset(data, spec, seed), spec
     raise ValueError(f"unknown mechanism: {mechanism}")
 
 
@@ -418,7 +425,7 @@ def _condition_numbers(mechanism: str, base: GammaDiagonalSpec, args, schema: Sc
 def cmd_compare(args) -> int:
     schema = _load_schema_arg(args.schema)
     data = _load_dataset(args, schema)
-    seeds = [int(s) for s in str(args.seeds).split(",") if s != ""]
+    seeds = args.seeds
     if not seeds:
         raise ValueError("need at least one seed")
     mechanisms = [m.strip() for m in args.mechanisms.split(",") if m.strip()]
@@ -478,12 +485,8 @@ def cmd_compare(args) -> int:
         for frac in sweep_values:
             reports = []
             for seed in seeds:
-                if frac == 0.0:
-                    perturbed = perturb_dataset(data, base, seed, args.threads)
-                    spec = base
-                else:
-                    spec = RandomizedGammaSpec.from_fraction(base, frac)
-                    perturbed = perturb_dataset(data, spec, seed, args.threads)
+                spec = base if frac == 0.0 else RandomizedGammaSpec.from_fraction(base, frac)
+                perturbed = perturb_dataset(data, spec, seed)
                 result = apriori_reconstructed(perturbed, schema, spec, args.sup_min)
                 reports.append(accuracy_report(result, truth))
             low, high = posterior_range(
@@ -554,8 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_schema_arg(p)
     _add_data_args(p)
     _add_mechanism_args(p)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_perturb)
 
@@ -583,10 +585,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p)
     _add_mechanism_args(p, multi=True)
     p.add_argument("--sup-min", type=float, required=True)
-    p.add_argument("--seeds", required=True, help="comma separated perturbation seeds")
+    p.add_argument("--seeds", type=_seed_list, required=True,
+                   help="comma separated perturbation seeds")
     p.add_argument("--alpha-sweep", default=None,
                    help="comma separated alpha fractions for the randomized sweep table")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)
 

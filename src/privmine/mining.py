@@ -136,119 +136,107 @@ def count_itemset_supports(dataset: Dataset, candidates: list[Itemset],
 
 
 class PlainSupportEstimator:
-    """True relative supports, counted directly (ground-truth miner)."""
+    """True relative supports, counted directly (ground-truth miner). The
+    gamma-diagonal estimators reuse its loop and override only ``_supports``,
+    the map from a subset's relative marginal to support estimates."""
 
-    def __init__(self, dataset: Dataset, max_subset_cells: int = 1 << 20):
+    description = "plain"
+
+    def __init__(self, dataset: Dataset):
         self.dataset = dataset
-        self.max_subset_cells = max_subset_cells
-        self.description = "plain"
+
+    def _supports(self, rel: np.ndarray, subset: tuple[int, ...]) -> np.ndarray:
+        return rel
 
     def estimate(self, candidates: list[Itemset]) -> np.ndarray:
-        marginals = count_itemset_supports(self.dataset, candidates, self.max_subset_cells)
         n = self.dataset.n_records
+        if n == 0:
+            raise ValueError("cannot mine an empty dataset")
+        schema = self.dataset.schema
+        marginals = count_itemset_supports(self.dataset, candidates)
         out = np.empty(len(candidates))
         for subset, positions in _group_by_subset(candidates).items():
-            vec = marginals[subset].counts / n
+            supports = self._supports(marginals[subset].counts / n, subset)
             for pos in positions:
-                out[pos] = vec[_cell_index(candidates[pos], self.dataset.schema)]
+                out[pos] = supports[_cell_index(candidates[pos], schema)]
         return out
 
 
-class GammaDiagonalSupportEstimator:
+class GammaDiagonalSupportEstimator(PlainSupportEstimator):
     """Counts perturbed subset marginals and inverts the induced subset
     matrix in closed form. Used unchanged for the randomized variant: the
     miner reconstructs with the expected matrix and never sees per-client
     draws."""
 
-    def __init__(self, perturbed: Dataset, spec: GammaDiagonalSpec,
-                 max_subset_cells: int = 1 << 20):
+    def __init__(self, perturbed: Dataset, spec: GammaDiagonalSpec):
+        if spec.schema != perturbed.schema:
+            raise ValueError("mechanism schema does not match the perturbed dataset")
+        super().__init__(perturbed)
+        self.spec = spec
+        self.description = f"gamma-diagonal(gamma={spec.gamma:g})"
+
+    def _supports(self, rel: np.ndarray, subset: tuple[int, ...]) -> np.ndarray:
+        return reconstruct_subset(rel, SubsetMarginalSpec.for_subset(self.spec, subset))
+
+
+class NoiselessGammaDiagonalEstimator(PlainSupportEstimator):
+    """Applies the subset matrix to the *true* marginals analytically and
+    reconstructs back; isolates the algebra from sampling noise."""
+
+    def __init__(self, original: Dataset, spec: GammaDiagonalSpec):
+        if spec.schema != original.schema:
+            raise ValueError("mechanism schema does not match the dataset")
+        super().__init__(original)
+        self.spec = spec
+        self.description = f"gamma-diagonal-noiseless(gamma={spec.gamma:g})"
+
+    def _supports(self, rel: np.ndarray, subset: tuple[int, ...]) -> np.ndarray:
+        sub_spec = SubsetMarginalSpec.for_subset(self.spec, subset)
+        expected = (sub_spec.diag - sub_spec.off) * rel + sub_spec.off
+        return reconstruct_subset(expected, sub_spec)
+
+
+class _BitSupportEstimator:
+    """Boolean-mechanism loop: ``_support`` estimates one itemset's support
+    from its bit positions in the boolean expansion."""
+
+    def __init__(self, perturbed: BooleanDataset, spec: MaskSpec | CutPasteSpec):
         if spec.schema != perturbed.schema:
             raise ValueError("mechanism schema does not match the perturbed dataset")
         self.perturbed = perturbed
         self.spec = spec
-        self.max_subset_cells = max_subset_cells
-        self.description = f"gamma-diagonal(gamma={spec.gamma:g})"
 
     def estimate(self, candidates: list[Itemset]) -> np.ndarray:
-        marginals = count_itemset_supports(self.perturbed, candidates, self.max_subset_cells)
-        n = self.perturbed.n_records
+        offsets = self.perturbed.schema.boolean_offsets
         out = np.empty(len(candidates))
-        for subset, positions in _group_by_subset(candidates).items():
-            sub_spec = SubsetMarginalSpec.for_subset(self.spec, subset)
-            estimate = reconstruct_subset(marginals[subset].counts / n, sub_spec)
-            for pos in positions:
-                out[pos] = estimate[_cell_index(candidates[pos], self.perturbed.schema)]
+        for pos, itemset in enumerate(candidates):
+            out[pos] = self._support(tuple(offsets[a] + c for a, c in itemset))
         return out
 
 
-class NoiselessGammaDiagonalEstimator:
-    """Applies the subset matrix to the *true* marginals analytically and
-    reconstructs back; isolates the algebra from sampling noise."""
-
-    def __init__(self, original: Dataset, spec: GammaDiagonalSpec,
-                 max_subset_cells: int = 1 << 20):
-        if spec.schema != original.schema:
-            raise ValueError("mechanism schema does not match the dataset")
-        self.original = original
-        self.spec = spec
-        self.max_subset_cells = max_subset_cells
-        self.description = f"gamma-diagonal-noiseless(gamma={spec.gamma:g})"
-
-    def estimate(self, candidates: list[Itemset]) -> np.ndarray:
-        marginals = count_itemset_supports(self.original, candidates, self.max_subset_cells)
-        n = self.original.n_records
-        out = np.empty(len(candidates))
-        for subset, positions in _group_by_subset(candidates).items():
-            sub_spec = SubsetMarginalSpec.for_subset(self.spec, subset)
-            true_rel = marginals[subset].counts / n
-            expected = (sub_spec.diag - sub_spec.off) * true_rel + sub_spec.off
-            estimate = reconstruct_subset(expected, sub_spec)
-            for pos in positions:
-                out[pos] = estimate[_cell_index(candidates[pos], self.original.schema)]
-        return out
-
-
-class MaskSupportEstimator:
+class MaskSupportEstimator(_BitSupportEstimator):
     """Per-itemset reconstruction over the 2^k on/off patterns of the
     itemset's bits in the boolean cube."""
 
     def __init__(self, perturbed: BooleanDataset, spec: MaskSpec):
-        if spec.schema != perturbed.schema:
-            raise ValueError("mechanism schema does not match the perturbed dataset")
-        self.perturbed = perturbed
-        self.spec = spec
+        super().__init__(perturbed, spec)
         self.description = f"mask(p={spec.p:g})"
 
-    def estimate(self, candidates: list[Itemset]) -> np.ndarray:
-        schema = self.perturbed.schema
-        offsets = schema.boolean_offsets
-        out = np.empty(len(candidates))
-        for pos, itemset in enumerate(candidates):
-            bits = tuple(offsets[a] + c for a, c in itemset)
-            counts = mask_pattern_counts(self.perturbed.bits, bits)
-            out[pos] = reconstruct_mask_support(counts, len(bits), self.spec.p)
-        return out
+    def _support(self, bits: tuple[int, ...]) -> float:
+        counts = mask_pattern_counts(self.perturbed.bits, bits)
+        return reconstruct_mask_support(counts, len(bits), self.spec.p)
 
 
-class CutPasteSupportEstimator:
+class CutPasteSupportEstimator(_BitSupportEstimator):
     """Reconstructs supports from the overlap-class histogram of each
     itemset: how many of its bits each perturbed record carries."""
 
     def __init__(self, perturbed: BooleanDataset, spec: CutPasteSpec):
-        if spec.schema != perturbed.schema:
-            raise ValueError("mechanism schema does not match the perturbed dataset")
-        self.perturbed = perturbed
-        self.spec = spec
+        super().__init__(perturbed, spec)
         self.description = f"cut-paste(K={spec.K}, rho={spec.rho_cp:g})"
 
-    def estimate(self, candidates: list[Itemset]) -> np.ndarray:
-        schema = self.perturbed.schema
-        offsets = schema.boolean_offsets
-        out = np.empty(len(candidates))
-        for pos, itemset in enumerate(candidates):
-            bits = tuple(offsets[a] + c for a, c in itemset)
-            out[pos] = cut_paste_supports(self.perturbed.bits, bits, self.spec)[-1]
-        return out
+    def _support(self, bits: tuple[int, ...]) -> float:
+        return cut_paste_supports(self.perturbed.bits, bits, self.spec)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +342,8 @@ def brute_force_frequent(dataset: Dataset, sup_min: float,
         raise ValueError(f"sup_min must be positive, got {sup_min}")
     schema = dataset.schema
     n = dataset.n_records
+    if n == 0:
+        raise ValueError("cannot mine an empty dataset")
     limit = schema.n_attributes if max_length is None else max_length
     by_length: dict[int, dict[Itemset, float]] = {}
     for k in range(1, limit + 1):

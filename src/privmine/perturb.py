@@ -8,13 +8,12 @@ cut-and-paste operate on the boolean expansion of records.
 
 Randomness contract: dataset-level operations derive one independent stream
 per record from (seed, record index), so results are reproducible and
-independent of record order and thread count.
+independent of record order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -155,12 +154,11 @@ class MaterializedMatrix:
             raise ValueError("matrix entries must be 2-dimensional")
         if (entries < 0).any():
             raise ValueError("matrix entries must be nonnegative")
-        sums = entries.sum(axis=0)
-        bad = np.abs(sums - 1.0) > _ENTRY_TOL
-        if bad.any():
+        deviation = np.abs(entries.sum(axis=0) - 1.0)
+        if not (deviation <= _ENTRY_TOL).all():
             raise ValueError(
                 f"columns must sum to 1 within {_ENTRY_TOL:g}; "
-                f"worst deviation {np.abs(sums - 1.0).max():.3e}"
+                f"worst deviation {deviation.max():.3e}"
             )
         object.__setattr__(self, "entries", entries)
 
@@ -178,21 +176,11 @@ def record_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def _per_record_uniforms(seed: int, n_records: int, width: int, threads: int = 1) -> np.ndarray:
+def _per_record_uniforms(seed: int, n_records: int, width: int) -> np.ndarray:
     """(n_records, width) uniforms; row i comes entirely from record i's stream."""
     out = np.empty((n_records, width))
-
-    def fill(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            out[i] = record_rng(seed, i).random(width)
-
-    if threads <= 1 or n_records < 2048:
-        fill(0, n_records)
-    else:
-        step = -(-n_records // threads)
-        bounds = [(lo, min(lo + step, n_records)) for lo in range(0, n_records, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: fill(*b), bounds))
+    for i in range(n_records):
+        out[i] = record_rng(seed, i).random(width)
     return out
 
 
@@ -323,7 +311,6 @@ def perturb_dataset(
     dataset: Dataset,
     spec: GammaDiagonalSpec | RandomizedGammaSpec,
     seed: int,
-    threads: int = 1,
 ) -> Dataset:
     """Perturb every record through the gamma-diagonal family.
 
@@ -336,7 +323,7 @@ def perturb_dataset(
         raise ValueError("mechanism schema does not match dataset schema")
     n_rec = dataset.n_records
     width = dataset.schema.n_attributes + (1 if randomized else 0)
-    uniforms = _per_record_uniforms(seed, n_rec, width, threads)
+    uniforms = _per_record_uniforms(seed, n_rec, width)
     if randomized:
         r = spec.alpha * (2.0 * uniforms[:, 0] - 1.0)
         d = base.gamma * base.x + r
@@ -409,10 +396,10 @@ def mask_perturb(bits: np.ndarray, p: float, rng: np.random.Generator) -> np.nda
     return bits ^ (rng.random(len(bits)) >= p)
 
 
-def mask_dataset(dataset: Dataset, spec: MaskSpec, seed: int, threads: int = 1) -> BooleanDataset:
+def mask_dataset(dataset: Dataset, spec: MaskSpec, seed: int) -> BooleanDataset:
     """Expand every record to its boolean form and flip bits independently."""
     bits = mask_expand_many(dataset.codes, dataset.schema)
-    uniforms = _per_record_uniforms(seed, dataset.n_records, spec.M_b, threads)
+    uniforms = _per_record_uniforms(seed, dataset.n_records, spec.M_b)
     return BooleanDataset(
         dataset.schema,
         bits ^ (uniforms >= spec.p),
@@ -550,9 +537,7 @@ def cut_paste_perturb(bits: np.ndarray, spec: CutPasteSpec, rng: np.random.Gener
     return out
 
 
-def cut_paste_dataset(dataset: Dataset, spec: CutPasteSpec, seed: int,
-                      threads: int = 1) -> BooleanDataset:
-    del threads  # cut-and-paste draws are variable-length; kept single-threaded
+def cut_paste_dataset(dataset: Dataset, spec: CutPasteSpec, seed: int) -> BooleanDataset:
     bits = mask_expand_many(dataset.codes, dataset.schema)
     out = np.empty_like(bits)
     for i in range(len(bits)):

@@ -179,7 +179,7 @@ def reconstruct_subset(perturbed_supports: FrequencyVector | np.ndarray,
     s = np.asarray(perturbed_supports, dtype=float)
     if len(s) != spec.n_Cs:
         raise ValueError(f"expected length {spec.n_Cs}, got {len(s)}")
-    if abs(s.sum() - 1.0) > _SUM_TOL:
+    if not abs(s.sum() - 1.0) <= _SUM_TOL:
         raise ValueError(f"relative supports must sum to 1, got {s.sum()!r}")
     return (s - spec.off) / ((spec.gamma - 1) * spec.x)
 

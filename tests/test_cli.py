@@ -7,6 +7,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -143,6 +144,32 @@ def test_perturb_ingests_csv_with_column_map(tmp_path, capsys, data_dir):
         assert len(list(csv.reader(fh))) == 8
 
 
+@pytest.mark.parametrize("argv", [
+    ("perturb", "--mechanism", "det-gd", "--seed", "-1"),
+    ("compare", "--sup-min", "0.1", "--seeds", "1,-1"),
+])
+def test_negative_seed_is_rejected(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--schema", "census", "--synthetic", "uniform", "--gamma", "19",
+              "--out", str(tmp_path / "x")])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}:" in err and "-1" in err
+
+
+def test_perturb_seed_past_32_bits(tmp_path, capsys):
+    args = ("perturb", "--schema", "census", "--synthetic", "uniform",
+            "--n-records", "300", "--mechanism", "det-gd", "--gamma", "19")
+    big = str(2 ** 32)
+    a, b, zero = tmp_path / "a", tmp_path / "b", tmp_path / "zero"
+    assert run(capsys, *args, "--seed", big, "--out", str(a))[0] == 0
+    assert run(capsys, *args, "--seed", big, "--out", str(b))[0] == 0
+    assert run(capsys, *args, "--seed", "0", "--out", str(zero))[0] == 0
+    assert (a / "perturbed.csv").read_bytes() == (b / "perturbed.csv").read_bytes()
+    # the seed is not truncated to its low 32 bits
+    assert (a / "perturbed.csv").read_bytes() != (zero / "perturbed.csv").read_bytes()
+
+
 def test_perturb_rejects_bad_record_count(tmp_path, capsys):
     code, _, err = run(capsys, "perturb", "--schema", "census",
                        "--synthetic", "uniform", "--n-records", "0",
@@ -236,6 +263,18 @@ def test_mine_singular_mask_matrix_is_numerical_error(tmp_path, capsys):
                        "--sup-min", "0.05", "--out", str(tmp_path / "out"))
     assert code == 3
     assert "numerical" in err
+
+
+def test_mine_rejects_empty_dataset(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    schema = builtin_schema("census")
+    path.write_text(",".join(a.name for a in schema.attributes) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "mine", "--schema", "census", "--input", str(path),
+                           "--sup-min", "0.1", "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert "empty dataset" in err
 
 
 def test_mine_rejects_foreign_metadata(tmp_path, capsys, plain_csv):

@@ -124,6 +124,28 @@ def test_max_length_caps_passes():
     assert sorted(result.by_length) == [1]
 
 
+def test_empty_dataset_is_rejected():
+    empty = Dataset(make_schema(2, 2, 2), np.empty((0, 3), dtype=np.int64))
+    spec = GammaDiagonalSpec(gamma=19.0, schema=empty.schema)
+    with pytest.raises(ValueError, match="empty"):
+        apriori_plain(empty, 0.5)
+    with pytest.raises(ValueError, match="empty"):
+        apriori_reconstructed(empty, empty.schema, spec, 0.5)
+    with pytest.raises(ValueError, match="empty"):
+        brute_force_frequent(empty, 0.5)
+
+
+def test_one_record_mining():
+    one = Dataset(make_schema(2, 3, 2), np.array([[1, 2, 0]]))
+    supports = PlainSupportEstimator(one).estimate(
+        [((0, 0),), ((0, 1),), ((1, 1), (2, 0)), ((1, 2), (2, 0))])
+    assert supports.tolist() == [0.0, 1.0, 0.0, 1.0]
+    result = apriori_plain(one, 0.5)
+    assert result.counts_per_length() == {1: 3, 2: 3, 3: 1}
+    assert {s for _, s in result.itemsets()} == {1.0}
+    assert result.by_length == brute_force_frequent(one, 0.5).by_length
+
+
 def test_plain_matches_brute_force():
     rng = np.random.default_rng(77)
     for trial in range(8):

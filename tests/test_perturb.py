@@ -279,14 +279,6 @@ def test_perturb_dataset_randomized_streams():
         assert got == tuple(out.codes[i])
 
 
-def test_perturb_dataset_threads_equivalent():
-    sch = make_schema(4, 5)
-    data = generate_synthetic(sch, 3000, "uniform", seed=8)
-    spec = GammaDiagonalSpec(gamma=19.0, schema=sch)
-    assert np.array_equal(perturb_dataset(data, spec, seed=1).codes,
-                          perturb_dataset(data, spec, seed=1, threads=4).codes)
-
-
 def test_perturb_dataset_schema_mismatch():
     data = generate_synthetic(make_schema(4, 5), 10, "uniform", seed=0)
     spec = GammaDiagonalSpec(gamma=19.0, schema=make_schema(5, 4))
@@ -562,3 +554,5 @@ def test_materialized_matrix_validation():
         MaterializedMatrix(np.array([[1.1, 0.0], [-0.1, 1.0]]))
     with pytest.raises(ValueError):
         MaterializedMatrix(np.ones(3))
+    with pytest.raises(ValueError):
+        MaterializedMatrix(np.array([[np.nan, 0.5], [np.nan, 0.5]]))

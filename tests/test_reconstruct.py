@@ -207,6 +207,8 @@ def test_subset_validation(census_schema):
         reconstruct_subset(np.array([0.9, 0.05, 0.04, 0.02]), sub)  # sums past 1
     with pytest.raises(ValueError):
         reconstruct_subset(np.array([0.5, 0.5]), sub)
+    with pytest.raises(ValueError):
+        reconstruct_subset(np.array([np.nan, 0.5, 0.3, 0.2]), sub)
 
 
 # ---------------------------------------------------------------------------
