@@ -6,16 +6,20 @@ materializes A: a dependent per-attribute chain sampler draws from the exact
 column distribution in O(sum of attribute sizes) work per record. MASK and
 cut-and-paste operate on the boolean expansion of records.
 
-Randomness contract: dataset-level operations derive one independent stream
-per record from (seed, record index), so results are reproducible and
-independent of record order.
+Randomness contract: record i of a dataset-level operation draws from numpy's
+PCG64 seeded by SeedSequence(seed, spawn_key=(i,)), so its output depends
+only on (seed, i): results are reproducible and independent of record order.
+``record_rng`` is the scalar definition of that stream. The dataset
+functions derive every record's PCG64 state in bulk with 32-bit-limb array
+arithmetic (``_record_states``) and produce the same bytes.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
@@ -176,11 +180,119 @@ def record_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
+# numpy's SeedSequence hash constants and the PCG64 128-bit multiplier
+_M32 = 0xFFFFFFFF
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT_LIMBS = tuple((0x2360ED051FC65DA44385DF649FCCF645 >> (32 * k)) & _M32 for k in range(4))
+_BLOCK = 4096  # records per bulk derivation; bounds the limb temporaries
+
+
+def _hashmix(value, const: list[int]):
+    """SeedSequence's hashmix on 32-bit words; advances const[0] in place."""
+    value = value ^ const[0]
+    const[0] = const[0] * _SS_MULT_A & _M32
+    value = value * const[0] & _M32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    r = (_SS_MIX_L * x - _SS_MIX_R * y) & _M32
+    return r ^ (r >> 16)
+
+
+def _carry(acc: np.ndarray) -> np.ndarray:
+    """Normalize (4, n) limb sums to 32-bit limbs, dropping bits past 2**128."""
+    for k in range(3):
+        acc[k + 1] += acc[k] >> 32
+    acc &= _M32
+    return acc
+
+
+def _pcg_step(state: np.ndarray, inc: np.ndarray) -> np.ndarray:
+    """One PCG64 LCG step, state * multiplier + inc mod 2**128, on limbs."""
+    acc = inc.copy()
+    for i in range(4):
+        for j in range(4 - i):
+            prod = state[i] * _PCG_MULT_LIMBS[j]
+            acc[i + j] += prod & _M32
+            if i + j < 3:
+                acc[i + j + 1] += prod >> 32
+    return _carry(acc)
+
+
+def _pcg_output(state: np.ndarray) -> np.ndarray:
+    """PCG64's XSL-RR 128 -> 64 output function."""
+    x = ((state[3] << 32) | state[2]) ^ ((state[1] << 32) | state[0])
+    rot = state[3] >> 26
+    return (x >> rot) | (x << ((64 - rot) & 63))
+
+
+def _limbs_to_ints(limbs: np.ndarray) -> list[int]:
+    lo = ((limbs[1] << 32) | limbs[0]).tolist()
+    hi = ((limbs[3] << 32) | limbs[2]).tolist()
+    return [h << 64 | l for h, l in zip(hi, lo)]
+
+
+def _record_states(seed: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """PCG64 ``(state, inc)`` that ``record_rng(seed, i)`` starts from, for
+    i in [start, stop): two (4, stop - start) uint64 arrays of 32-bit limbs,
+    least significant first.
+
+    SeedSequence mixes the seed's 32-bit words (zero-padded to four) and then
+    the index word, so everything before the index is scalar. generate_state
+    yields four uint64 words v; PCG64 seeds with initstate = v0 << 64 | v1
+    and inc = (v2 << 64 | v3) << 1 | 1.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if not 0 <= start <= stop <= 1 << 32:
+        raise ValueError(f"record indices must lie in [0, 2**32), got [{start}, {stop})")
+    words = [(seed >> s) & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    words.append(np.arange(start, stop, dtype=np.uint64))
+    const = [_SS_INIT_A]
+    pool = [_hashmix(w, const) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], const))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hashmix(w, const))
+    const = _SS_INIT_B
+    v = []  # generate_state(4, uint64) as eight little-endian 32-bit words
+    for k in range(8):
+        x = pool[k % 4] ^ const
+        const = const * _SS_MULT_B & _M32
+        x = x * const & _M32
+        v.append(x ^ (x >> 16))
+    init = np.array([v[2], v[3], v[0], v[1]], dtype=np.uint64)
+    seq = np.array([v[6], v[7], v[4], v[5]], dtype=np.uint64)
+    inc = seq << 1
+    inc[1:] |= seq[:-1] >> 31
+    inc[0] |= 1
+    inc &= _M32
+    # srandom: state = 0 -> step -> += initstate -> step
+    return _pcg_step(_carry(inc + init), inc), inc
+
+
+def _record_blocks(seed: int, n_records: int):
+    """(rows, state, inc) for consecutive blocks of records."""
+    for start in range(0, n_records, _BLOCK):
+        stop = min(start + _BLOCK, n_records)
+        yield slice(start, stop), *_record_states(seed, start, stop)
+
+
 def _per_record_uniforms(seed: int, n_records: int, width: int) -> np.ndarray:
-    """(n_records, width) uniforms; row i comes entirely from record i's stream."""
+    """(n_records, width) uniforms; row i equals record_rng(seed, i).random(width)."""
     out = np.empty((n_records, width))
-    for i in range(n_records):
-        out[i] = record_rng(seed, i).random(width)
+    for rows, state, inc in _record_blocks(seed, n_records):
+        for k in range(width):
+            state = _pcg_step(state, inc)
+            out[rows, k] = (_pcg_output(state) >> 11) * 2.0 ** -53
     return out
 
 
@@ -487,13 +599,15 @@ def cut_paste_matrix(spec: CutPasteSpec, max_cells: int = 1 << 22) -> Materializ
     return MaterializedMatrix(entries, col_labels=labels)
 
 
+@lru_cache(maxsize=256)
 def cut_paste_class_matrix(spec: CutPasteSpec, window: int) -> np.ndarray:
     """Transition matrix between overlap classes of a ``window``-bit itemset:
     entry [l_v, l_u] is the probability that a record carrying l_u of the
     window's bits is perturbed into one carrying l_v of them.
 
     Square (window+1) x (window+1); requires window <= M so that every
-    overlap count 0..window is realizable by a valid record.
+    overlap count 0..window is realizable by a valid record. Cached per
+    (spec, window), so the array is read-only.
     """
     M, M_b, rho = spec.M, spec.M_b, spec.rho_cp
     if not 1 <= window <= M:
@@ -523,6 +637,7 @@ def cut_paste_class_matrix(spec: CutPasteSpec, window: int) -> np.ndarray:
     sums = out.sum(axis=0)
     if np.abs(sums - 1.0).max() > 1e-8:
         raise ValueError("cut-and-paste class matrix columns do not sum to 1")
+    out.setflags(write=False)
     return out
 
 
@@ -540,8 +655,14 @@ def cut_paste_perturb(bits: np.ndarray, spec: CutPasteSpec, rng: np.random.Gener
 def cut_paste_dataset(dataset: Dataset, spec: CutPasteSpec, seed: int) -> BooleanDataset:
     bits = mask_expand_many(dataset.codes, dataset.schema)
     out = np.empty_like(bits)
-    for i in range(len(bits)):
-        out[i] = cut_paste_perturb(bits[i], spec, record_rng(seed, i))
+    # the draw count varies per record: one Generator, re-seeded per record
+    rng = np.random.Generator(np.random.PCG64())
+    for rows, state, inc in _record_blocks(seed, len(bits)):
+        states = zip(_limbs_to_ints(state), _limbs_to_ints(inc))
+        for i, (s, c) in enumerate(states, rows.start):
+            rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": s, "inc": c},
+                                       "has_uint32": 0, "uinteger": 0}
+            out[i] = cut_paste_perturb(bits[i], spec, rng)
     return BooleanDataset(
         dataset.schema, out,
         provenance=f"cut-paste(K={spec.K}, rho={spec.rho_cp:g}, seed={seed})",

@@ -13,10 +13,14 @@ import pytest
 
 import privmine
 from privmine import (
+    GammaDiagonalSpec,
     builtin_schema,
     generate_synthetic,
+    ingest_csv,
     mask_p_for_gamma,
+    perturb_chain,
     posterior_range,
+    record_rng,
     write_csv,
 )
 from privmine.cli import main
@@ -168,6 +172,34 @@ def test_perturb_seed_past_32_bits(tmp_path, capsys):
     assert (a / "perturbed.csv").read_bytes() == (b / "perturbed.csv").read_bytes()
     # the seed is not truncated to its low 32 bits
     assert (a / "perturbed.csv").read_bytes() != (zero / "perturbed.csv").read_bytes()
+    # row i comes from record i's stream under the full seed
+    schema = builtin_schema("census")
+    original = generate_synthetic(schema, 300, "uniform", seed=0)
+    perturbed = ingest_csv(str(a / "perturbed.csv"), schema)
+    spec = GammaDiagonalSpec(19.0, schema)
+    for i in (0, 1, 150, 299):
+        expect = perturb_chain(original.record(i), spec.diag, spec.off, schema,
+                               record_rng(2 ** 32, i))
+        assert perturbed.record(i) == expect
+
+
+@pytest.mark.parametrize("mechanism", ["det-gd", "ran-gd", "mask", "cut-paste"])
+def test_perturb_header_only_and_one_record(tmp_path, capsys, mechanism):
+    schema = builtin_schema("census")
+    one = tmp_path / "one.csv"
+    write_csv(generate_synthetic(schema, 1, "uniform", seed=0), str(one))
+    header, row = one.read_text().splitlines()
+    empty = tmp_path / "empty.csv"
+    empty.write_text(header + "\n")
+    for path, n_rows in ((empty, 0), (one, 1)):
+        out = tmp_path / f"out-{n_rows}"
+        code, _, err = run(capsys, "perturb", "--schema", "census", "--input", str(path),
+                           "--mechanism", mechanism, "--gamma", "19", "--seed", "3",
+                           "--out", str(out))
+        assert code == 0, err
+        written = next(out.glob("perturbed*.csv")).read_text().splitlines()
+        assert len(written) == 1 + n_rows
+        assert json.loads((out / "metadata.json").read_text())["n_records"] == n_rows
 
 
 def test_perturb_rejects_bad_record_count(tmp_path, capsys):
@@ -320,6 +352,10 @@ def test_compare_tables(tmp_path, capsys):
 
     summary = json.loads((out / "summary.json").read_text())
     assert summary["gamma"] == 19.0
+    for timing in summary["mechanisms"].values():
+        assert timing["perturb_s_mean"] >= 0 and timing["mine_s_mean"] >= 0
+        assert timing["runtime_s_mean"] == pytest.approx(
+            timing["perturb_s_mean"] + timing["mine_s_mean"], abs=2e-3)
     assert set(summary["mechanisms"]) == {"det-gd", "ran-gd", "mask"}
     assert summary["worst_case_posterior"] == 0.5
     assert "config_hash" in summary

@@ -34,7 +34,14 @@ from privmine import (
     perturb_generic,
     record_rng,
 )
-from privmine.perturb import _bits_to_ints, _chain_bulk, mask_expand_many
+from privmine.perturb import (
+    _BLOCK,
+    _bits_to_ints,
+    _chain_bulk,
+    _limbs_to_ints,
+    _record_states,
+    mask_expand_many,
+)
 
 CHI2_999_DF5 = 20.515006    # tests/oracles/critical_values_oracle.py
 CHI2_999_DF19 = 43.820196
@@ -287,6 +294,67 @@ def test_perturb_dataset_schema_mismatch():
 
 
 # ---------------------------------------------------------------------------
+# bulk per-record streams against the record_rng oracle
+# ---------------------------------------------------------------------------
+
+ORACLE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 3)
+BLOCK_EDGE_ROWS = (0, 1, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 2)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7])
+def test_record_states_match_numpy_seeding(seed):
+    # fails if numpy changes SeedSequence mixing or PCG64 seeding
+    for i in (0, 1, 4097, 2**32 - 1):
+        state, inc = _record_states(seed, i, i + 1)
+        expect = record_rng(seed, i).bit_generator.state["state"]
+        got = {"state": _limbs_to_ints(state)[0], "inc": _limbs_to_ints(inc)[0]}
+        assert got == expect, (
+            f"bulk PCG64 seeding no longer matches numpy's SeedSequence/PCG64 "
+            f"for seed={seed}, index={i}"
+        )
+
+
+def test_record_states_reject_indices_past_32_bits():
+    state, _ = _record_states(0, 2**32 - 1, 2**32)  # the last valid index
+    assert state.shape == (4, 1)
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        _record_states(0, 2**32 - 1, 2**32 + 1)
+    with pytest.raises(ValueError):
+        _record_states(-1, 0, 1)
+
+
+@pytest.fixture(scope="module")
+def block_data(census_schema):
+    # two full blocks plus three records
+    return generate_synthetic(census_schema, 2 * _BLOCK + 3, "uniform", seed=8)
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_bulk_streams_match_record_rng(block_data, seed):
+    sch = block_data.schema
+    base = GammaDiagonalSpec(gamma=19.0, schema=sch)
+    ran = RandomizedGammaSpec.from_fraction(base, 0.5)
+    mask = MaskSpec(p=0.7, schema=sch)
+    cp = CutPasteSpec(K=3, rho_cp=0.494, schema=sch)
+    det_out = perturb_dataset(block_data, base, seed)
+    ran_out = perturb_dataset(block_data, ran, seed)
+    mask_out = mask_dataset(block_data, mask, seed)
+    cp_out = cut_paste_dataset(block_data, cp, seed)
+    bits = mask_expand_many(block_data.codes, sch)
+    for i in BLOCK_EDGE_ROWS:
+        record = block_data.record(i)
+        det = perturb_chain(record, base.diag, base.off, sch, record_rng(seed, i))
+        assert det == tuple(det_out.codes[i])
+        rng = record_rng(seed, i)
+        d, o = draw_client_params(ran, rng)
+        assert perturb_chain(record, d, o, sch, rng) == tuple(ran_out.codes[i])
+        expect = mask_perturb(bits[i], mask.p, record_rng(seed, i))
+        assert np.array_equal(mask_out.bits[i], expect)
+        expect = cut_paste_perturb(bits[i], cp, record_rng(seed, i))
+        assert np.array_equal(cp_out.bits[i], expect)
+
+
+# ---------------------------------------------------------------------------
 # MASK
 # ---------------------------------------------------------------------------
 
@@ -446,6 +514,16 @@ def test_cut_paste_class_matrix_consistent_with_dense():
             assert col[in_window == z].sum() == pytest.approx(classes[z, l_u], abs=1e-12)
 
 
+def test_cut_paste_class_matrix_cached_read_only():
+    spec = _cp_spec()
+    a = cut_paste_class_matrix(spec, window=3)
+    b = cut_paste_class_matrix(CutPasteSpec(K=3, rho_cp=0.494, schema=spec.schema), window=3)
+    assert np.array_equal(a, b)
+    assert not a.flags.writeable and not b.flags.writeable
+    with pytest.raises(ValueError):
+        a[0, 0] = 0.0
+
+
 def test_cut_paste_k_zero_is_product_bernoulli():
     spec = CutPasteSpec(K=0, rho_cp=0.494, schema=make_schema(*CP_SCHEMA_SIZES))
     rho = 0.494
@@ -499,8 +577,9 @@ def test_cut_paste_dataset_deterministic():
     assert np.array_equal(a.bits, b.bits)
     assert a.provenance == "cut-paste(K=3, rho=0.494, seed=6)"
     # row i comes from record i's stream
-    expect = cut_paste_perturb(mask_expand_many(data.codes, sch)[0], spec, record_rng(6, 0))
-    assert np.array_equal(a.bits[0], expect)
+    bits = mask_expand_many(data.codes, sch)
+    for i in range(200):
+        assert np.array_equal(a.bits[i], cut_paste_perturb(bits[i], spec, record_rng(6, i)))
 
 
 def test_cut_paste_spec_validation():
