@@ -317,6 +317,8 @@ def apriori_reconstructed(
         raise ValueError(f"unsupported mechanism spec: {type(spec).__name__}")
     if spec.schema != schema:
         raise ValueError("mechanism schema does not match the mining schema")
+    if perturbed.n_records == 0:
+        raise ValueError("cannot mine an empty dataset")
     if isinstance(spec, GammaDiagonalSpec):
         if not isinstance(perturbed, Dataset):
             raise ValueError("gamma-diagonal mining expects a categorical dataset")

@@ -9,11 +9,11 @@ significant: it fixes the radix order of the encoding.
 from __future__ import annotations
 
 import csv
-import io
+import itertools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 import yaml
@@ -34,7 +34,8 @@ class Attribute:
     Intervals are lower-open/upper-closed, ``(lo, hi]``; if ``open_upper`` is
     set, a final unbounded category ``> last_edge`` follows the closed bins.
     ``default_category`` is a catch-all label for nominal values not listed
-    in ``categories``.
+    in ``categories``. Names and labels are non-empty and unpadded, as
+    ingest strips fields and reads an empty one as missing.
     """
 
     name: str
@@ -44,8 +45,12 @@ class Attribute:
     default_category: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("attribute name must be non-empty")
+        if not self.name or self.name != self.name.strip():
+            raise ValueError(f"attribute name {self.name!r} is empty or has surrounding whitespace")
+        bad = [c for c in self.categories if not c or c != c.strip()]
+        if bad:
+            raise ValueError(f"attribute {self.name!r}: labels {bad!r} are empty "
+                             "or have surrounding whitespace")
         if len(self.categories) < 2:
             raise ValueError(f"attribute {self.name!r}: needs at least 2 categories")
         if len(set(self.categories)) != len(self.categories):
@@ -347,8 +352,11 @@ def decode_indices(indices: np.ndarray, schema: Schema) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# ingestion
+# CSV I/O
 # ---------------------------------------------------------------------------
+
+BLOCK_ROWS = 4096  # rows held in memory at once while reading or writing a CSV
+
 
 def ingest_csv(
     path: str,
@@ -370,31 +378,127 @@ def ingest_csv(
         has_header: force header presence; default autodetects by checking
             whether the first row's mapped fields parse.
         on_error: 'skip' drops rows with missing or unparseable values and
-            logs the count; 'abort' raises on the first bad row.
+            logs the count as a warning; 'abort' raises on the first bad row.
         clamp: clamp out-of-range numeric values to the end bins.
 
     Binned attributes accept either raw numbers or exact bin labels, so
-    datasets written by this package re-ingest cleanly.
+    datasets written by this package re-ingest cleanly. Rows are parsed in
+    blocks of ``BLOCK_ROWS``, one column at a time, each distinct text once.
     """
     if on_error not in ("skip", "abort"):
         raise ValueError(f"on_error must be 'skip' or 'abort', got {on_error!r}")
+    attrs = schema.attributes
     with open(path, newline="") as fh:
-        return _ingest_rows(csv.reader(fh), schema, column_map, has_header, on_error, clamp, path)
+        rows = csv.reader(fh)
+        first = next(rows, None)
+        if first is None:
+            return Dataset(schema, np.empty((0, schema.n_attributes), dtype=np.int32),
+                           provenance=f"csv:{path} (empty)")
+        has_header, cols = _resolve_columns(first, schema, column_map, has_header)
+        if not has_header:
+            rows = itertools.chain([first], rows)
+        tables: list[dict] = [{None: -1} for _ in attrs]  # None: the row is too short
+        out, skipped = bytearray(), 0  # kept rows' codes, grown in place
+        row_no = 2 if has_header else 1
+        while block := list(itertools.islice(rows, BLOCK_ROWS)):
+            codes = _block_codes(block, cols, attrs, tables, clamp)
+            good = (codes >= 0).all(axis=1)
+            for i in np.flatnonzero(~good):
+                row = block[i]
+                if not row or all(not f.strip() for f in row):
+                    continue
+                if on_error == "abort":
+                    try:  # the row's first bad field in schema order raises
+                        [_parse_field(_field(row, c), a, clamp) for c, a in zip(cols, attrs)]
+                    except ValueError as exc:
+                        raise ValueError(f"{path} row {row_no + i}: {exc}") from None
+                skipped += 1
+            out += codes[good].tobytes()
+            row_no += len(block)
+    if skipped:
+        logger.warning("%s: skipped %d rows with missing or unparseable values", path, skipped)
+    codes = np.frombuffer(out, dtype=np.int32).reshape(-1, schema.n_attributes)
+    return Dataset(schema, codes, provenance=f"csv:{path} (rows={len(codes)}, skipped={skipped})")
 
 
-def ingest_csv_text(text: str, schema: Schema, **kwargs) -> Dataset:
-    """ingest_csv over an in-memory string (mainly for tests)."""
-    column_map = kwargs.pop("column_map", None)
-    has_header = kwargs.pop("has_header", None)
-    on_error = kwargs.pop("on_error", "skip")
-    clamp = kwargs.pop("clamp", False)
-    if kwargs:
-        raise TypeError(f"unexpected arguments: {sorted(kwargs)}")
-    return _ingest_rows(csv.reader(io.StringIO(text)), schema, column_map, has_header,
-                        on_error, clamp, "<text>")
+def _resolve_columns(first, schema, column_map, has_header) -> tuple[bool, list[int]]:
+    """Header presence and each attribute's column index, in schema order."""
+    stripped = [f.strip() for f in first]
+    if column_map is None:
+        if has_header is None:
+            has_header = all(a.name in stripped for a in schema.attributes)
+        column_map = {a.name: a.name if has_header else j for j, a in enumerate(schema.attributes)}
+    missing = [a.name for a in schema.attributes if a.name not in column_map]
+    if missing:
+        raise ValueError(f"column_map missing attributes: {missing}")
+    if has_header is None:
+        has_header = any(isinstance(c, str) for c in column_map.values())
+    cols = []
+    for a in schema.attributes:
+        col = column_map[a.name]
+        if has_header and isinstance(col, str):
+            if col not in stripped:
+                raise ValueError(f"column {col!r} not found in header")
+            col = stripped.index(col)
+        cols.append(int(col))
+    return has_header, cols
 
 
-def _parse_field(field_text: str, attribute: Attribute, clamp: bool) -> int:
+def _field(row: list[str], col: int) -> str | None:
+    """The row's field at a column index, or None when the row is too short."""
+    return row[col] if -len(row) <= col < len(row) else None
+
+
+def _block_codes(block, cols, attrs, tables, clamp) -> np.ndarray:
+    """(len(block), M) codes of a block of rows, -1 where a field is bad."""
+    widths = set(map(len, block))
+    if len(widths) == 1:
+        width, columns = widths.pop(), list(zip(*block))
+        fields = [columns[c] if -width <= c < width else (None,) * len(block) for c in cols]
+    else:
+        fields = [[_field(row, c) for row in block] for c in cols]
+    return np.column_stack([_column_codes(*args, clamp) for args in zip(fields, attrs, tables)])
+
+
+def _column_codes(col, attribute: Attribute, table: dict, clamp: bool) -> np.ndarray:
+    """One column's codes, -1 where ``_parse_field`` raises. ``table`` keeps
+    each distinct text's code for the whole file, except raw numbers, which
+    can be as many as the rows: they are discretized per block, vectorized."""
+    numbers: dict[str, float] = {}
+    for raw in set(col).difference(table):
+        text = raw.strip()
+        if attribute.bin_edges is not None and text not in attribute.categories:
+            try:
+                numbers[raw] = float(text)  # no missing token parses as a number
+                continue
+            except ValueError:
+                pass
+        try:
+            table[raw] = _parse_field(raw, attribute, clamp)
+        except ValueError:
+            table[raw] = -1
+    if numbers:
+        codes = _discretize_many(np.fromiter(numbers.values(), np.float64, len(numbers)),
+                                 attribute, clamp)
+        table = {**table, **dict(zip(numbers, codes))}
+    return np.fromiter(map(table.__getitem__, col), np.int32, len(col))
+
+
+def _discretize_many(values: np.ndarray, attribute: Attribute, clamp: bool) -> list[int]:
+    """``discretize`` over many values at once, -1 where it raises."""
+    idx = np.searchsorted(np.asarray(attribute.bin_edges, dtype=np.float64), values) - 1
+    last = attribute.size - 1
+    if attribute.open_upper or clamp:
+        np.minimum(idx, last, out=idx)
+    if clamp:
+        np.maximum(idx, 0, out=idx)
+    idx[~np.isfinite(values) | (idx < 0) | (idx > last)] = -1
+    return idx.tolist()
+
+
+def _parse_field(field_text: str | None, attribute: Attribute, clamp: bool) -> int:
+    if field_text is None:
+        raise ValueError(f"attribute {attribute.name!r}: row too short")
     text = field_text.strip()
     # exact label match first, so bin labels and literal '?' categories win
     if text in attribute.categories:
@@ -410,82 +514,15 @@ def _parse_field(field_text: str, attribute: Attribute, clamp: bool) -> int:
     return attribute.index_of(text)
 
 
-def _ingest_rows(rows, schema, column_map, has_header, on_error, clamp, source) -> Dataset:
-    rows = iter(rows)
-    first = next(rows, None)
-    if first is None:
-        return Dataset(schema, np.empty((0, schema.n_attributes), dtype=np.int32),
-                       provenance=f"csv:{source} (empty)")
-
-    name_by_attr = {a.name: a for a in schema.attributes}
-    if column_map is None:
-        stripped = [f.strip() for f in first]
-        if has_header is None:
-            has_header = all(a.name in stripped for a in schema.attributes)
-        if has_header:
-            col_idx = {a.name: stripped.index(a.name) for a in schema.attributes}
-        else:
-            col_idx = {a.name: j for j, a in enumerate(schema.attributes)}
-    else:
-        missing = [a.name for a in schema.attributes if a.name not in column_map]
-        if missing:
-            raise ValueError(f"column_map missing attributes: {missing}")
-        if has_header is None:
-            has_header = any(isinstance(c, str) for c in column_map.values())
-        if has_header:
-            stripped = [f.strip() for f in first]
-            col_idx = {}
-            for name, col in column_map.items():
-                if isinstance(col, str):
-                    if col not in stripped:
-                        raise ValueError(f"column {col!r} not found in header")
-                    col_idx[name] = stripped.index(col)
-                else:
-                    col_idx[name] = int(col)
-        else:
-            col_idx = {name: int(col) for name, col in column_map.items()}
-
-    data_rows: Iterable[list[str]] = rows if has_header else _chain_first(first, rows)
-    out: list[list[int]] = []
-    skipped = 0
-    for row_no, row in enumerate(data_rows, start=2 if has_header else 1):
-        if not row or all(not f.strip() for f in row):
-            continue
-        try:
-            parsed = [
-                _parse_field(row[col_idx[a.name]], a, clamp) if col_idx[a.name] < len(row)
-                else _raise_short_row(a)
-                for a in schema.attributes
-            ]
-        except ValueError as exc:
-            if on_error == "abort":
-                raise ValueError(f"{source} row {row_no}: {exc}") from None
-            skipped += 1
-            continue
-        out.append(parsed)
-    if skipped:
-        logger.info("%s: skipped %d rows with missing or unparseable values", source, skipped)
-    codes = np.asarray(out, dtype=np.int32).reshape(len(out), schema.n_attributes)
-    return Dataset(schema, codes, provenance=f"csv:{source} (rows={len(out)}, skipped={skipped})")
-
-
-def _raise_short_row(attribute: Attribute) -> int:
-    raise ValueError(f"attribute {attribute.name!r}: row too short")
-
-
-def _chain_first(first, rest):
-    yield first
-    yield from rest
-
-
 def write_csv(dataset: Dataset, path: str) -> None:
     """Write a dataset as a header + category-label CSV."""
+    labels = [np.asarray(a.categories, dtype=object) for a in dataset.schema.attributes]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([a.name for a in dataset.schema.attributes])
-        cats = [a.categories for a in dataset.schema.attributes]
-        for row in dataset.codes:
-            writer.writerow([cats[j][v] for j, v in enumerate(row)])
+        for lo in range(0, dataset.n_records, BLOCK_ROWS):
+            block = dataset.codes[lo:lo + BLOCK_ROWS]
+            writer.writerows(zip(*(lab[block[:, j]].tolist() for j, lab in enumerate(labels))))
 
 
 def write_boolean_csv(data: BooleanDataset, path: str) -> None:
@@ -493,15 +530,47 @@ def write_boolean_csv(data: BooleanDataset, path: str) -> None:
     header = [
         f"{a.name}={c}" for a in data.schema.attributes for c in a.categories
     ]
+    # one row of text is 2 * width bytes: a digit, then ',' or the final '\n'
+    line = np.full(2 * data.schema.boolean_width, ord(","), dtype=np.uint8)
+    line[-1] = ord("\n")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        np.savetxt(fh, data.bits.astype(np.int8), fmt="%d", delimiter=",")
+        csv.writer(fh).writerow(header)
+        for lo in range(0, data.n_records, BLOCK_ROWS):
+            bits = data.bits[lo:lo + BLOCK_ROWS]
+            text = np.tile(line, (len(bits), 1))
+            text[:, 0::2] = bits.view(np.uint8) + ord("0")
+            fh.write(text.tobytes().decode("ascii"))
 
 
 def read_boolean_csv(path: str, schema: Schema) -> BooleanDataset:
-    bits = np.loadtxt(path, dtype=np.int8, delimiter=",", skiprows=1, ndmin=2)
-    return BooleanDataset(schema, bits.astype(bool), provenance=f"csv:{path}")
+    """Read a 0/1 CSV as written by ``write_boolean_csv``. A row that is not
+    one 0 or 1 cell per category bit raises a ValueError naming it."""
+    width = schema.boolean_width
+    line = 2 * width  # characters per row: digits, commas, '\n'
+    blocks = []
+    with open(path, newline="") as fh:
+        header = csv.reader(fh)
+        next(header, None)
+        row_no = header.line_num + 1
+        while chunk := fh.read(BLOCK_ROWS * line):
+            text = np.frombuffer(chunk.encode(), dtype=np.uint8)
+            if text.size % line == 0:
+                text = text.reshape(-1, line)
+                cells = text[:, 0::2]
+                if ((text[:, 1:-1:2] == ord(",")).all() and (text[:, -1] == ord("\n")).all()
+                        and ((cells == ord("0")) | (cells == ord("1"))).all()):
+                    blocks.append(cells == ord("1"))
+                    row_no += len(text)
+                    continue
+            # any other layout: spaces around cells and CRLF line ends still parse
+            for row_no, row_text in enumerate((chunk + fh.read()).splitlines(), start=row_no):
+                row = [c.strip() for c in row_text.split(",")]
+                if len(row) != width or not set(row) <= {"0", "1"}:
+                    raise ValueError(f"{path} row {row_no}: expected {width} cells of 0 or 1, "
+                                     f"got {row_text!r}")
+                blocks.append(np.array([row]) == "1")
+    bits = np.concatenate(blocks) if blocks else np.empty((0, width), dtype=bool)
+    return BooleanDataset(schema, bits, provenance=f"csv:{path}")
 
 
 # ---------------------------------------------------------------------------

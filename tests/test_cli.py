@@ -309,6 +309,64 @@ def test_mine_rejects_empty_dataset(tmp_path, capsys):
     assert "empty dataset" in err
 
 
+
+def _mask_tables(tmp_path, capsys):
+    out = tmp_path / "mask"
+    assert run(capsys, "perturb", "--schema", "census", "--synthetic", "uniform",
+               "--n-records", "50", "--mechanism", "mask", "--gamma", "19",
+               "--seed", "2", "--out", str(out))[0] == 0
+    return out / "perturbed_bits.csv", out / "metadata.json"
+
+
+def test_mine_rejects_header_only_boolean_table(tmp_path, capsys):
+    bits, meta = _mask_tables(tmp_path, capsys)
+    bits.write_text(bits.read_text().splitlines()[0] + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "mine", "--schema", "census", "--input", str(bits),
+                           "--metadata", str(meta), "--sup-min", "0.1",
+                           "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert "empty dataset" in err
+
+
+def test_mine_rejects_boolean_cell_other_than_0_1(tmp_path, capsys):
+    bits, meta = _mask_tables(tmp_path, capsys)
+    lines = bits.read_text().splitlines()
+    lines[3] = "2" + lines[3][1:]
+    bits.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, "mine", "--schema", "census", "--input", str(bits),
+                       "--metadata", str(meta), "--sup-min", "0.1",
+                       "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert "row 4: expected 23 cells of 0 or 1" in err
+
+
+def test_schema_label_with_surrounding_whitespace_is_rejected(tmp_path, capsys):
+    schema = tmp_path / "padded.yaml"
+    schema.write_text("attributes:\n  - name: a\n    categories: [' x', y]\n")
+    code, _, err = run(capsys, "perturb", "--schema", str(schema), "--synthetic", "uniform",
+                       "--n-records", "10", "--mechanism", "det-gd", "--gamma", "19",
+                       "--seed", "1", "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert "surrounding whitespace" in err
+
+
+def test_mine_warns_about_skipped_rows(tmp_path, data_dir):
+    """The skipped-rows count reaches stderr with no logging set up: the
+    adult sample loses rows 6 (missing race) and 9 (age below the bins)."""
+    package_root = str(pathlib.Path(privmine.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [package_root, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "privmine.cli", "mine", "--schema", "census",
+         "--input", str(data_dir / "adult_sample.csv"), "--column-map", ADULT_COLUMN_MAP,
+         "--sup-min", "0.3", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "skipped 2 rows with missing or unparseable values" in proc.stderr
+
 def test_mine_rejects_foreign_metadata(tmp_path, capsys, plain_csv):
     pert = tmp_path / "pert"
     assert run(capsys, "perturb", "--schema", "census", "--input", str(plain_csv),

@@ -1,0 +1,402 @@
+"""Columnar CSV I/O: the block parser against the row-at-a-time reference,
+byte identity of the writers, strict boolean reads, round-trip invariants."""
+
+import csv
+import io
+import logging
+import math
+import string
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from oracles.csv_row_oracle import ingest as row_ingest
+from privmine import (
+    Attribute,
+    Dataset,
+    Schema,
+    ingest_csv,
+    load_schema,
+    read_boolean_csv,
+    write_boolean_csv,
+    write_csv,
+)
+from privmine.schema import BLOCK_ROWS, BooleanDataset
+
+# one profile for every property test here: reproducible, no timing flakes,
+# no example database written next to the checkout
+CSV_PROPERTIES = settings(derandomize=True, deadline=None, database=None, max_examples=200)
+
+# ---------------------------------------------------------------------------
+# differential: block parser vs row parser on a file with edge rows around
+# every block boundary
+# ---------------------------------------------------------------------------
+
+EDGE_SCHEMA = load_schema("""
+name: edge
+attributes:
+  - name: age
+    bins: [15, 35, 55, 75]
+    open_upper: true
+  - name: w
+    bins: [0, 1, 2.5, 10]
+  - name: race
+    categories: [White, Black, Other]
+  - name: country
+    categories: [US, Other]
+    default: Other
+  - name: q
+    categories: ["?", "yes", "no, thanks"]
+""")
+
+# file column order: an unmapped column first, then the attributes shuffled
+FILE_COLUMNS = ("note", "q", "age", "country", "w", "race")
+BY_NAME = {"age": "age", "w": "w", "race": "race", "country": "country", "q": "q"}
+BY_INDEX = {name: FILE_COLUMNS.index(name) for name in BY_NAME}
+N_DATA_ROWS = 9000
+
+
+def _ulps(x):
+    return [repr(math.nextafter(x, -math.inf)), repr(float(x)), repr(math.nextafter(x, math.inf))]
+
+
+# (column -> text) overrides of a valid row; None replaces the whole line
+EDGE_FIELDS = (
+    [{"age": t} for t in ("?", "NA", "N/A", "", "  ", "abc", "1.2.3", "nan", "inf", "-inf",
+                          "1e400", "3", "-1", "1e9", " 42 ", "(35-55]", " >75 ", "1_000",
+                          *_ulps(15), *_ulps(35), *_ulps(75))]
+    + [{"w": t} for t in ("-5", "11", "-0", "1e-320", "0x10", *_ulps(0), *_ulps(1),
+                          *_ulps(2.5), *_ulps(10), "(2.5-10]", "?")]
+    + [{"race": t} for t in ('"White"', '" Black "', "Purple", "", "?", "white")]
+    + [{"country": t} for t in ("Mars", "NA", "", '"US"')]
+    + [{"q": t} for t in ("?", '"no, thanks"', "no", "NA")]
+)
+EDGE_LINES = ("", "   ", " , , , , , ", "1,2", "yes", ",,,,", "\t")
+
+
+def _valid_row(rng):
+    return {
+        "note": f"n{rng.integers(1000)}",
+        "q": ("?", "yes", '"no, thanks"')[rng.integers(3)],
+        "age": str(rng.integers(16, 100)),
+        "country": ("US", "Other", "UK", "Mars")[rng.integers(4)],
+        "w": repr(float(rng.uniform(0.001, 10.0))),
+        "race": ("White", "Black", "Other")[rng.integers(3)],
+    }
+
+
+def _line(fields, columns, crlf=False):
+    return ",".join(fields[c] for c in columns) + ("\r\n" if crlf else "\n")
+
+
+def _edge_positions():
+    """Data-row indices that get edge rows: runs on both sides of each block
+    boundary, so rows 1, 4096, 4097, 8192 and 8193 are edge rows."""
+    return [i for b in (0, BLOCK_ROWS, 2 * BLOCK_ROWS) for i in range(max(0, b - 30), b + 30)]
+
+
+def _edge_file(path, columns, header, seed=0):
+    rng = np.random.default_rng(seed)
+    edges = [*EDGE_FIELDS, *EDGE_LINES]
+    positions = set(_edge_positions())
+    lines = [",".join(columns) + "\n"] if header else []
+    k = 0
+    for i in range(N_DATA_ROWS):
+        row = _valid_row(rng)
+        crlf = i % 7 == 0
+        if i in positions:
+            edge = edges[(k * 5 + i) % len(edges)]
+            k += 1
+            if isinstance(edge, str):
+                lines.append(edge + ("\r\n" if crlf else "\n"))
+                continue
+            row.update(edge)
+        lines.append(_line(row, columns, crlf))
+    path.write_text("".join(lines), newline="")
+
+
+def _assert_same_ingest(path, **kwargs):
+    try:
+        expected = row_ingest(str(path), EDGE_SCHEMA, **kwargs)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            ingest_csv(str(path), EDGE_SCHEMA, **kwargs)
+        assert str(got.value) == str(exc)
+        return None
+    codes, skipped = expected
+    ds = ingest_csv(str(path), EDGE_SCHEMA, **kwargs)
+    assert ds.codes.tolist() == [list(r) for r in codes]
+    assert ds.provenance == f"csv:{path} (rows={len(codes)}, skipped={skipped})"
+    return skipped
+
+
+@pytest.mark.parametrize("on_error", ["skip", "abort"])
+@pytest.mark.parametrize("clamp", [False, True])
+def test_block_ingest_matches_row_ingest(tmp_path, caplog, on_error, clamp):
+    shuffled = tmp_path / "shuffled.csv"
+    _edge_file(shuffled, FILE_COLUMNS, header=True)
+    plain = tmp_path / "plain.csv"
+    _edge_file(plain, ("age", "w", "race", "country", "q", "note"), header=False, seed=1)
+    cases = [
+        (shuffled, {}),
+        (shuffled, {"column_map": BY_NAME}),
+        (shuffled, {"column_map": BY_INDEX}),  # header read as a data row
+        (shuffled, {"column_map": BY_INDEX, "has_header": True}),
+        (plain, {}),
+        (plain, {"column_map": {"age": 0, "w": 1, "race": 2, "country": 3, "q": 4}}),
+    ]
+    for path, kwargs in cases:
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="privmine.schema"):
+            skipped = _assert_same_ingest(path, on_error=on_error, clamp=clamp, **kwargs)
+        if on_error == "skip":
+            assert skipped > 0
+            assert [r.getMessage() for r in caplog.records] == [
+                f"{path}: skipped {skipped} rows with missing or unparseable values"]
+
+
+@pytest.mark.parametrize("clamp", [False, True])
+def test_abort_names_the_row_at_each_block_boundary(tmp_path, clamp):
+    # the fourth row fails in file column 1 (q) and 2 (age): age is first in
+    # schema order, so its message wins
+    bad = ({"age": "?"}, {"w": "nan"}, {"race": "Purple"}, {"q": "no", "age": "x"}, None)
+    rng = np.random.default_rng(2)
+    rows = [_line(_valid_row(rng), FILE_COLUMNS) for _ in range(N_DATA_ROWS)]
+    for n, row_no in enumerate((1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 1)):
+        lines = list(rows)
+        if row_no > 1:
+            lines[row_no - 2] = "\n"  # a blank row before still counts in row numbers
+        if bad[n] is None:
+            lines[row_no - 1] = "1,2\n"  # too short
+        else:
+            lines[row_no - 1] = _line({**_valid_row(rng), **bad[n]}, FILE_COLUMNS)
+        path = tmp_path / f"bad{n}.csv"
+        path.write_text("".join(lines))
+        kwargs = {"column_map": BY_INDEX, "on_error": "abort", "clamp": clamp}
+        with pytest.raises(ValueError) as got:
+            ingest_csv(str(path), EDGE_SCHEMA, **kwargs)
+        with pytest.raises(ValueError) as want:
+            row_ingest(str(path), EDGE_SCHEMA, **kwargs)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"{path} row {row_no}: attribute ")
+
+
+def test_negative_column_index_too_short_is_a_bad_row(tmp_path):
+    sch = Schema("s", (EDGE_SCHEMA.attributes[3],))
+    path = tmp_path / "neg.csv"
+    path.write_text("US,yes\nUK\n")  # ragged block
+    ds = ingest_csv(str(path), sch, column_map={"country": -2})
+    assert ds.codes.tolist() == [[0]]
+    assert "skipped=1" in ds.provenance
+    path.write_text("US,yes\nUK,no\n")  # equal widths
+    ds = ingest_csv(str(path), sch, column_map={"country": -3})
+    assert ds.n_records == 0
+    assert "skipped=2" in ds.provenance
+
+
+# ---------------------------------------------------------------------------
+# writers: byte identity with the row-at-a-time writers, across blocks
+# ---------------------------------------------------------------------------
+
+def _row_write_csv(data):
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow([a.name for a in data.schema.attributes])
+    for row in data.codes:
+        writer.writerow([a.categories[v] for a, v in zip(data.schema.attributes, row)])
+    return buf.getvalue()
+
+
+def _savetxt_boolean_csv(data):
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerow([f"{a.name}={c}" for a in data.schema.attributes
+                              for c in a.categories])
+    np.savetxt(buf, data.bits.astype(np.int8), fmt="%d", delimiter=",")
+    return buf.getvalue()
+
+
+def _text(path):
+    with open(path, newline="") as fh:
+        return fh.read()
+
+
+def test_writers_match_row_writers_across_blocks(tmp_path, health_schema):
+    rng = np.random.default_rng(4)
+    n = 2 * BLOCK_ROWS + 5
+    codes = np.column_stack([rng.integers(0, s, n) for s in health_schema.sizes])
+    data = Dataset(health_schema, codes)
+    write_csv(data, str(tmp_path / "labels.csv"))
+    assert _text(tmp_path / "labels.csv") == _row_write_csv(data)
+    bits = BooleanDataset(health_schema, rng.random((n, health_schema.boolean_width)) < 0.3)
+    write_boolean_csv(bits, str(tmp_path / "bits.csv"))
+    assert _text(tmp_path / "bits.csv") == _savetxt_boolean_csv(bits)
+    assert np.array_equal(read_boolean_csv(str(tmp_path / "bits.csv"), health_schema).bits,
+                          bits.bits)
+
+
+# ---------------------------------------------------------------------------
+# read_boolean_csv is strict
+# ---------------------------------------------------------------------------
+
+def _bits_file(tmp_path, census_schema, body):
+    path = tmp_path / "bits.csv"
+    header = ",".join(f"{a.name}={c}" for a in census_schema.attributes for c in a.categories)
+    path.write_text(header + "\n" + body, newline="")
+    return str(path)
+
+
+def _bit_line(bits):
+    return ",".join(str(int(b)) for b in bits)
+
+
+@pytest.mark.filterwarnings("error")
+def test_read_boolean_csv_header_only_is_empty(tmp_path, census_schema):
+    data = read_boolean_csv(_bits_file(tmp_path, census_schema, ""), census_schema)
+    assert data.bits.shape == (0, census_schema.boolean_width)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cell", ["2", "-1", "1.0", "", "x", "01"])
+def test_read_boolean_csv_rejects_cells_other_than_0_1(tmp_path, census_schema, cell):
+    width = census_schema.boolean_width
+    row = ["0"] * width
+    row[5] = cell
+    body = _bit_line([1] * width) + "\n" + ",".join(row) + "\n"
+    with pytest.raises(ValueError, match=f"row 3: expected {width} cells of 0 or 1"):
+        read_boolean_csv(_bits_file(tmp_path, census_schema, body), census_schema)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad_line", ["short", "long", "blank", "run-on"])
+def test_read_boolean_csv_rejects_wrong_width(tmp_path, census_schema, bad_line):
+    width = census_schema.boolean_width
+    ones = _bit_line([1] * width)
+    line = {"short": _bit_line([1] * (width - 1)), "long": _bit_line([1] * (width + 1)),
+            "blank": "", "run-on": ones + "," + ones}[bad_line]  # run-on: no line end
+    body = _bit_line([0] * width) + "\n" + line + "\n" + _bit_line([0] * width) + "\n"
+    with pytest.raises(ValueError, match=f"row 3: expected {width} cells of 0 or 1"):
+        read_boolean_csv(_bits_file(tmp_path, census_schema, body), census_schema)
+
+
+@pytest.mark.filterwarnings("error")
+def test_read_boolean_csv_past_the_first_block(tmp_path, census_schema):
+    rng = np.random.default_rng(7)
+    bits = rng.random((2 * BLOCK_ROWS + 3, census_schema.boolean_width)) < 0.5
+    path = tmp_path / "bits.csv"
+    write_boolean_csv(BooleanDataset(census_schema, bits), str(path))
+    lines = _text(path).split("\n")
+    k = BLOCK_ROWS + 2  # data row index; file row k + 2
+    loose = list(lines)
+    loose[k + 1] = loose[k + 1].replace(",", " , ") + "\r"
+    path.write_text("\n".join(loose), newline="")
+    assert np.array_equal(read_boolean_csv(str(path), census_schema).bits, bits)
+    lines[k + 1] = "2" + lines[k + 1][1:]
+    path.write_text("\n".join(lines), newline="")
+    with pytest.raises(ValueError, match=f"row {k + 2}: expected"):
+        read_boolean_csv(str(path), census_schema)
+
+
+@pytest.mark.filterwarnings("error")
+def test_read_boolean_csv_accepts_loose_layouts(tmp_path, census_schema):
+    rng = np.random.default_rng(6)
+    bits = rng.random((5, census_schema.boolean_width)) < 0.5
+    lines = [_bit_line(r) for r in bits]
+    for body in ("\r\n".join(lines) + "\r\n",                    # CRLF
+                 "\n".join(lines),                               # no final newline
+                 "\n".join(l.replace(",", ", ") for l in lines)):  # spaces after commas
+        back = read_boolean_csv(_bits_file(tmp_path, census_schema, body), census_schema)
+        assert np.array_equal(back.bits, bits)
+
+
+# ---------------------------------------------------------------------------
+# round-trip invariants over random schemas
+# ---------------------------------------------------------------------------
+
+def _labels(stripped):
+    text = st.text(alphabet=string.printable, max_size=8)
+    return text.map(str.strip).filter(bool) if stripped else text
+
+
+@st.composite
+def schema_specs(draw):
+    """(name, labels, kind) per attribute. Half the specs draw labels from
+    any printable text, which the schema mostly rejects; the other half
+    strip them and drop empty ones, so that many specs reach the round
+    trip."""
+    labels = _labels(draw(st.booleans()))
+    return tuple(
+        (draw(labels), tuple(draw(st.lists(labels, min_size=2, max_size=6, unique=True))),
+         draw(st.sampled_from(["nominal", "closed", "open"])))
+        for _ in range(draw(st.integers(1, 5)))
+    )
+
+
+def _schema_or_none(spec):
+    """The schema a spec describes, or None after checking that the schema
+    refuses it for a reason: an empty or whitespace-padded name or label,
+    which ingest could not read back, or a repeated attribute name."""
+    names = [name for name, _, _ in spec]
+    unreadable = [t for name, labels, _ in spec for t in (name, *labels)
+                  if not t or t != t.strip()]
+    try:
+        return Schema("prop", tuple(
+            Attribute(name, labels,
+                      bin_edges=None if kind == "nominal"
+                      else tuple(float(e) for e in range(len(labels) + (kind == "closed"))),
+                      open_upper=kind == "open")
+            for name, labels, kind in spec))
+    except ValueError:
+        assert unreadable or len(set(names)) < len(names)
+        return None
+
+
+def _codes(schema, n_rows, seed):
+    rng = np.random.default_rng(seed)
+    return np.column_stack([rng.integers(0, s, n_rows) for s in schema.sizes]
+                           ).reshape(n_rows, schema.n_attributes)
+
+
+@CSV_PROPERTIES
+@given(spec=schema_specs(), n_rows=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+@example(spec=(("a0", (" a", "b"), "nominal"),), n_rows=3, seed=0)  # stripped on ingest
+@example(spec=(("a0", ("", "b"), "nominal"),), n_rows=3, seed=0)    # read as missing
+@example(spec=(("a0", ("?", "7"), "closed"), ("a1", ("x\ny", 'q"'), "nominal")),
+         n_rows=40, seed=1)
+def test_write_csv_then_ingest_csv_roundtrip(spec, n_rows, seed):
+    schema = _schema_or_none(spec)
+    if schema is None:
+        return
+    data = Dataset(schema, _codes(schema, n_rows, seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "data.csv")
+        write_csv(data, path)
+        assert _text(path) == _row_write_csv(data)
+        back = ingest_csv(path, schema)
+        assert row_ingest(path, schema) == ([tuple(r) for r in data.codes.tolist()], 0)
+    assert np.array_equal(back.codes, data.codes)
+    assert back.provenance.endswith(f"(rows={n_rows}, skipped=0)")
+
+
+@CSV_PROPERTIES
+@given(spec=schema_specs(), n_rows=st.integers(0, 300), seed=st.integers(0, 2**32 - 1),
+       density=st.floats(0.0, 1.0))
+@example(spec=(("a0", ("x\ny", "b,c"), "nominal"),), n_rows=2, seed=0, density=0.5)
+def test_write_boolean_csv_then_read_roundtrip(spec, n_rows, seed, density):
+    schema = _schema_or_none(spec)
+    if schema is None:
+        return
+    bits = np.random.default_rng(seed).random((n_rows, schema.boolean_width)) < density
+    data = BooleanDataset(schema, bits)
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path = str(Path(tmp) / "bits.csv")
+        write_boolean_csv(data, path)
+        assert _text(path) == _savetxt_boolean_csv(data)
+        back = read_boolean_csv(path, schema)
+    assert back.bits.shape == bits.shape
+    assert np.array_equal(back.bits, bits)

@@ -1,5 +1,7 @@
 """Schema construction, discretization, encoding, ingestion, synthesis."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from privmine import (
     write_boolean_csv,
     write_csv,
 )
-from privmine.schema import BooleanDataset, ingest_csv_text
+from privmine.schema import BooleanDataset
 
 CHI2_999_DF19 = 43.820196  # tests/oracles/critical_values_oracle.py
 
@@ -70,6 +72,26 @@ def test_attribute_validation():
     with pytest.raises(ValueError):
         Attribute(name="a", categories=("x", "y", "z"), bin_edges=(0.0, 1.0))
 
+
+
+@pytest.mark.parametrize("label", [" a", "a ", "\ta", "a\n", "", "  "])
+def test_attribute_rejects_labels_ingest_cannot_read_back(label):
+    # ingest strips fields and reads an empty field as missing, so such a
+    # label would be written and then never matched
+    with pytest.raises(ValueError, match="whitespace"):
+        Attribute(name="a", categories=(label, "b"))
+    with pytest.raises(ValueError, match="whitespace"):
+        Attribute(name=label, categories=("x", "y"))
+    quoted = json.dumps(label)  # a YAML double-quoted scalar
+    with pytest.raises(ValueError, match="whitespace"):
+        load_schema(f"attributes:\n  - name: a\n    categories: [{quoted}, b]\n")
+    with pytest.raises(ValueError, match="whitespace|without a name"):
+        load_schema(f"attributes:\n  - name: {quoted}\n    categories: [x, y]\n")
+
+
+def test_attribute_keeps_inner_whitespace():
+    attr = Attribute(name="health status", categories=("Very Good", "no, thanks"))
+    assert attr.index_of("Very Good") == 0
 
 def test_schema_validation():
     a = Attribute(name="a", categories=("x", "y"))
@@ -231,20 +253,23 @@ def test_ingest_empty_file(tmp_path, census_schema):
     assert ds.n_records == 0
 
 
-def test_ingest_catch_all_category():
+def test_ingest_catch_all_category(tmp_path):
     sch = make_schema(2)
-    text = "a0\nc1\nsomething-else\n"
+    path = tmp_path / "data.csv"
+    path.write_text("a0\nc1\nsomething-else\n")
     with pytest.raises(ValueError):
-        ingest_csv_text(text, sch, on_error="abort")
+        ingest_csv(str(path), sch, on_error="abort")
     sch2 = Schema(name="s", attributes=(
         Attribute(name="a0", categories=("c0", "c1"), default_category="c0"),))
-    ds = ingest_csv_text("a0\nc1\nsomething-else\n", sch2)
+    ds = ingest_csv(str(path), sch2)
     assert [tuple(r) for r in ds.codes] == [(1,), (0,)]
 
 
-def test_ingest_missing_column_map_entry(census_schema):
+def test_ingest_missing_column_map_entry(tmp_path, census_schema):
+    path = tmp_path / "data.csv"
+    path.write_text("1,2\n")
     with pytest.raises(ValueError, match="column_map missing"):
-        ingest_csv_text("1,2\n", census_schema, column_map={"age": 0})
+        ingest_csv(str(path), census_schema, column_map={"age": 0})
 
 
 def test_csv_roundtrip(tmp_path, census_schema):
