@@ -9,9 +9,14 @@ cut-and-paste operate on the boolean expansion of records.
 Randomness contract: record i of a dataset-level operation draws from numpy's
 PCG64 seeded by SeedSequence(seed, spawn_key=(i,)), so its output depends
 only on (seed, i): results are reproducible and independent of record order.
-``record_rng`` is the scalar definition of that stream. The dataset
+``record_rng`` is the scalar definition of that stream. Each mechanism takes
+a fixed number of ``random()`` doubles from it: det-gd M (one per attribute
+for the chain sampler); ran-gd 1 + M (the client's shift r, then the chain);
+MASK M_b (one flip test per bit); cut-and-paste 1 + M_b + M (the cut count,
+one fresh-bit test per bit, one rank per original item). The dataset
 functions derive every record's PCG64 state in bulk with 32-bit-limb array
-arithmetic (``_record_states``) and produce the same bytes.
+arithmetic (``_record_states``), draw the doubles one block of records at a
+time (``_uniform_blocks``) and produce the same bytes as the scalar samplers.
 """
 
 from __future__ import annotations
@@ -229,12 +234,6 @@ def _pcg_output(state: np.ndarray) -> np.ndarray:
     return (x >> rot) | (x << ((64 - rot) & 63))
 
 
-def _limbs_to_ints(limbs: np.ndarray) -> list[int]:
-    lo = ((limbs[1] << 32) | limbs[0]).tolist()
-    hi = ((limbs[3] << 32) | limbs[2]).tolist()
-    return [h << 64 | l for h, l in zip(hi, lo)]
-
-
 def _record_states(seed: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """PCG64 ``(state, inc)`` that ``record_rng(seed, i)`` starts from, for
     i in [start, stop): two (4, stop - start) uint64 arrays of 32-bit limbs,
@@ -279,21 +278,17 @@ def _record_states(seed: int, start: int, stop: int) -> tuple[np.ndarray, np.nda
     return _pcg_step(_carry(inc + init), inc), inc
 
 
-def _record_blocks(seed: int, n_records: int):
-    """(rows, state, inc) for consecutive blocks of records."""
+def _uniform_blocks(seed: int, n_records: int, width: int):
+    """(rows, uniforms) for consecutive blocks of at most _BLOCK records;
+    uniforms[r] equals record_rng(seed, rows.start + r).random(width)."""
     for start in range(0, n_records, _BLOCK):
         stop = min(start + _BLOCK, n_records)
-        yield slice(start, stop), *_record_states(seed, start, stop)
-
-
-def _per_record_uniforms(seed: int, n_records: int, width: int) -> np.ndarray:
-    """(n_records, width) uniforms; row i equals record_rng(seed, i).random(width)."""
-    out = np.empty((n_records, width))
-    for rows, state, inc in _record_blocks(seed, n_records):
+        state, inc = _record_states(seed, start, stop)
+        uniforms = np.empty((stop - start, width))
         for k in range(width):
             state = _pcg_step(state, inc)
-            out[rows, k] = (_pcg_output(state) >> 11) * 2.0 ** -53
-    return out
+            uniforms[:, k] = (_pcg_output(state) >> 11) * 2.0 ** -53
+        yield slice(start, stop), uniforms
 
 
 # ---------------------------------------------------------------------------
@@ -376,30 +371,33 @@ def perturb_chain(
 def chain_column(record: Record, d: float, o: float, schema: Schema) -> np.ndarray:
     """Analytic output distribution of perturb_chain for one input record,
     computed by multiplying the per-attribute conditional probabilities the
-    sampler uses (not by shortcutting to the known column form)."""
+    sampler uses (not by shortcutting to the known column form): keep
+    factors before a cell's first mismatching attribute j, the switch factor
+    at j and 1/s after it make table[j]; table[M] is the record's own cell."""
     n = schema.domain_size
     _check_chain_params(d, o, n)
     values = schema.validate_record(record)
-    digits = schema.domain_digits
     D = d - o
-    probs = np.ones(n)
-    matched = np.ones(n, dtype=bool)
-    m_prev = n
-    for j, s in enumerate(schema.sizes):
-        m_j = m_prev // s
-        eq = digits[:, j] == values[j]
+    table, prefix = [], 1.0  # prefix: product of keep factors so far
+    for j, radix in enumerate(schema.radix_prefix[1:]):
+        m_prev, m_j = n // schema.radix_prefix[j], n // radix
         keep_p = (D + m_j * o) / (D + m_prev * o)
         switch_p = (m_j * o) / (D + m_prev * o)  # (1 - keep_p)/(s - 1)
-        probs *= np.where(matched, np.where(eq, keep_p, switch_p), 1.0 / s)
-        matched &= eq
-        m_prev = m_j
+        table.append(math.prod([prefix * switch_p] + [1.0 / s for s in schema.sizes[j + 1:]]))
+        prefix *= keep_p
+    table.append(prefix)
+    probs = np.full(n, table[0])
+    residue = 0  # flat index of the record's first j + 1 digits
+    for j, (v, radix) in enumerate(zip(values, schema.radix_prefix)):
+        residue += v * radix
+        probs.reshape(-1, schema.radix_prefix[j + 1])[:, residue] = table[j + 1]
     return probs
 
 
-def _chain_bulk(codes: np.ndarray, uniforms: np.ndarray, d: np.ndarray, o: np.ndarray,
-                schema: Schema) -> np.ndarray:
-    """Vectorized chain sampler; row i uses uniforms[i] and (d[i], o[i]).
-    Arithmetic mirrors perturb_chain exactly."""
+def _chain_bulk(codes: np.ndarray, uniforms: np.ndarray, d: np.ndarray | float,
+                o: np.ndarray | float, schema: Schema) -> np.ndarray:
+    """Vectorized chain sampler; row i uses uniforms[i] and (d, o), either
+    shared floats or per-row arrays. Arithmetic mirrors perturb_chain exactly."""
     out = np.empty_like(codes)
     D = d - o
     matched = np.ones(len(codes), dtype=bool)
@@ -433,20 +431,17 @@ def perturb_dataset(
     base = spec.base if randomized else spec
     if base.schema is not dataset.schema and base.schema != dataset.schema:
         raise ValueError("mechanism schema does not match dataset schema")
-    n_rec = dataset.n_records
-    width = dataset.schema.n_attributes + (1 if randomized else 0)
-    uniforms = _per_record_uniforms(seed, n_rec, width)
-    if randomized:
-        r = spec.alpha * (2.0 * uniforms[:, 0] - 1.0)
-        d = base.gamma * base.x + r
-        o = base.x - r / (base.n - 1)
-        uniforms = uniforms[:, 1:]
-        label = f"ran-gd(gamma={base.gamma:g}, alpha={spec.alpha:g}, seed={seed})"
-    else:
-        d = np.full(n_rec, base.diag)
-        o = np.full(n_rec, base.off)
-        label = f"det-gd(gamma={base.gamma:g}, seed={seed})"
-    out = _chain_bulk(dataset.codes, uniforms, d, o, dataset.schema)
+    out = np.empty_like(dataset.codes)
+    width = dataset.schema.n_attributes + randomized
+    d, o = base.diag, base.off
+    for rows, uniforms in _uniform_blocks(seed, dataset.n_records, width):
+        if randomized:
+            r = spec.alpha * (2.0 * uniforms[:, 0] - 1.0)
+            d, o = base.gamma * base.x + r, base.x - r / (base.n - 1)
+        out[rows] = _chain_bulk(dataset.codes[rows], uniforms[:, randomized:], d, o,
+                                dataset.schema)
+    label = (f"ran-gd(gamma={base.gamma:g}, alpha={spec.alpha:g}, seed={seed})" if randomized
+             else f"det-gd(gamma={base.gamma:g}, seed={seed})")
     return Dataset(dataset.schema, out, provenance=label)
 
 
@@ -510,13 +505,10 @@ def mask_perturb(bits: np.ndarray, p: float, rng: np.random.Generator) -> np.nda
 
 def mask_dataset(dataset: Dataset, spec: MaskSpec, seed: int) -> BooleanDataset:
     """Expand every record to its boolean form and flip bits independently."""
-    bits = mask_expand_many(dataset.codes, dataset.schema)
-    uniforms = _per_record_uniforms(seed, dataset.n_records, spec.M_b)
-    return BooleanDataset(
-        dataset.schema,
-        bits ^ (uniforms >= spec.p),
-        provenance=f"mask(p={spec.p:g}, seed={seed})",
-    )
+    out = np.empty((dataset.n_records, spec.M_b), dtype=bool)
+    for rows, uniforms in _uniform_blocks(seed, dataset.n_records, spec.M_b):
+        out[rows] = mask_expand_many(dataset.codes[rows], dataset.schema) ^ (uniforms >= spec.p)
+    return BooleanDataset(dataset.schema, out, provenance=f"mask(p={spec.p:g}, seed={seed})")
 
 
 def mask_p_for_gamma(gamma: float, M: int) -> float:
@@ -642,31 +634,37 @@ def cut_paste_class_matrix(spec: CutPasteSpec, window: int) -> np.ndarray:
 
 
 def cut_paste_perturb(bits: np.ndarray, spec: CutPasteSpec, rng: np.random.Generator) -> np.ndarray:
-    """Direct simulation of the operator on one boolean record."""
-    j = int(rng.integers(0, spec.K + 1))
+    """Direct simulation of the operator on one boolean record with M ones.
+    Draws u = rng.random(1 + M_b + M): j = min(floor(u[0]*(K+1)), K), fresh
+    bits u[1:1+M_b] < rho_cp, and u[1+M_b:] ranks the record's ones in bit
+    order; the w = min(j, M) lowest-ranked are kept. A stable argsort breaks
+    ties (probability about M**2 * 2**-53) toward the lower bit position."""
+    K, M, M_b = spec.K, spec.M, spec.M_b
     ones = np.flatnonzero(bits)
-    w = min(j, len(ones))
-    out = rng.random(spec.M_b) < spec.rho_cp
-    if w:
-        out[rng.choice(ones, size=w, replace=False)] = True
+    if len(bits) != M_b or len(ones) != M:
+        raise ValueError(f"need {M_b} bits with {M} ones, got {len(bits)} with {len(ones)}")
+    u = rng.random(1 + M_b + M)
+    w = min(int(u[0] * (K + 1)), K)  # j; the spec keeps K <= M, so min(j, M) = j
+    out = u[1:1 + M_b] < spec.rho_cp
+    out[ones[np.argsort(u[1 + M_b:], kind="stable")[:w]]] = True
     return out
 
 
 def cut_paste_dataset(dataset: Dataset, spec: CutPasteSpec, seed: int) -> BooleanDataset:
-    bits = mask_expand_many(dataset.codes, dataset.schema)
-    out = np.empty_like(bits)
-    # the draw count varies per record: one Generator, re-seeded per record
-    rng = np.random.Generator(np.random.PCG64())
-    for rows, state, inc in _record_blocks(seed, len(bits)):
-        states = zip(_limbs_to_ints(state), _limbs_to_ints(inc))
-        for i, (s, c) in enumerate(states, rows.start):
-            rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": s, "inc": c},
-                                       "has_uint32": 0, "uinteger": 0}
-            out[i] = cut_paste_perturb(bits[i], spec, rng)
-    return BooleanDataset(
-        dataset.schema, out,
-        provenance=f"cut-paste(K={spec.K}, rho={spec.rho_cp:g}, seed={seed})",
-    )
+    """Cut-and-paste every record; row i equals ``cut_paste_perturb`` on
+    record i's expansion with ``record_rng(seed, i)``."""
+    K, M_b = spec.K, spec.M_b
+    offsets = np.asarray(dataset.schema.boolean_offsets)
+    out = np.empty((dataset.n_records, M_b), dtype=bool)
+    for rows, u in _uniform_blocks(seed, dataset.n_records, 1 + M_b + spec.M):
+        w = np.minimum((u[:, 0] * (K + 1)).astype(np.int64), K)  # K <= M
+        rank = np.argsort(np.argsort(u[:, 1 + M_b:], axis=1, kind="stable"), axis=1)
+        block = out[rows]
+        np.less(u[:, 1:1 + M_b], spec.rho_cp, out=block)
+        ones = offsets + dataset.codes[rows]  # the record's ones, in bit order
+        np.put_along_axis(block, ones, np.take_along_axis(block, ones, 1) | (rank < w[:, None]), 1)
+    return BooleanDataset(dataset.schema, out,
+                          provenance=f"cut-paste(K={spec.K}, rho={spec.rho_cp:g}, seed={seed})")
 
 
 def _bits_to_ints(bits: np.ndarray) -> np.ndarray:

@@ -35,7 +35,8 @@ class Attribute:
     set, a final unbounded category ``> last_edge`` follows the closed bins.
     ``default_category`` is a catch-all label for nominal values not listed
     in ``categories``. Names and labels are non-empty and unpadded, as
-    ingest strips fields and reads an empty one as missing.
+    ingest strips fields and reads an empty one as missing. Itemset labels are
+    ``name=label`` items joined by ``;``: no ``;`` in either, no ``=`` in names.
     """
 
     name: str
@@ -45,12 +46,13 @@ class Attribute:
     default_category: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.name or self.name != self.name.strip():
-            raise ValueError(f"attribute name {self.name!r} is empty or has surrounding whitespace")
-        bad = [c for c in self.categories if not c or c != c.strip()]
+        if not self.name or self.name != self.name.strip() or set(self.name) & set(";="):
+            raise ValueError(f"attribute name {self.name!r} is empty, has surrounding "
+                             "whitespace or contains ';' or '='")
+        bad = [c for c in self.categories if not c or c != c.strip() or ";" in c]
         if bad:
-            raise ValueError(f"attribute {self.name!r}: labels {bad!r} are empty "
-                             "or have surrounding whitespace")
+            raise ValueError(f"attribute {self.name!r}: labels {bad!r} are empty, "
+                             "have surrounding whitespace or contain ';'")
         if len(self.categories) < 2:
             raise ValueError(f"attribute {self.name!r}: needs at least 2 categories")
         if len(set(self.categories)) != len(self.categories):

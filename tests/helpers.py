@@ -1,8 +1,13 @@
 """Shared builders and statistical helpers for the test suite."""
 
 import numpy as np
+from hypothesis import settings
 
 from privmine import Attribute, Schema
+
+# one profile for every property test: reproducible, no timing flakes, no
+# example database written next to the checkout
+PROPERTIES = settings(derandomize=True, deadline=None, database=None, max_examples=200)
 
 
 def make_schema(*sizes: int, name: str = "test") -> Schema:

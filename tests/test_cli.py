@@ -352,6 +352,17 @@ def test_schema_label_with_surrounding_whitespace_is_rejected(tmp_path, capsys):
     assert "surrounding whitespace" in err
 
 
+def test_schema_label_with_itemset_separator_is_rejected(tmp_path, capsys):
+    schema = tmp_path / "separator.yaml"
+    schema.write_text("attributes:\n  - name: a\n    categories: [z, w]\n"
+                      "  - name: b\n    categories: ['p;a=z', q]\n    default: q\n")
+    code, _, err = run(capsys, "perturb", "--schema", str(schema), "--synthetic", "uniform",
+                       "--n-records", "10", "--mechanism", "det-gd", "--gamma", "19",
+                       "--seed", "1", "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert "contain ';'" in err
+
+
 def test_mine_warns_about_skipped_rows(tmp_path, data_dir):
     """The skipped-rows count reaches stderr with no logging set up: the
     adult sample loses rows 6 (missing race) and 9 (age below the bins)."""

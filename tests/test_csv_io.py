@@ -12,25 +12,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from helpers import PROPERTIES
 from oracles.csv_row_oracle import ingest as row_ingest
 from privmine import (
     Attribute,
     Dataset,
     Schema,
     ingest_csv,
+    itemset_label,
     load_schema,
+    parse_itemset,
     read_boolean_csv,
     write_boolean_csv,
     write_csv,
 )
 from privmine.schema import BLOCK_ROWS, BooleanDataset
-
-# one profile for every property test here: reproducible, no timing flakes,
-# no example database written next to the checkout
-CSV_PROPERTIES = settings(derandomize=True, deadline=None, database=None, max_examples=200)
 
 # ---------------------------------------------------------------------------
 # differential: block parser vs row parser on a file with edge rows around
@@ -336,22 +335,28 @@ def schema_specs(draw):
     )
 
 
-def _schema_or_none(spec):
+def _schema_or_none(spec, defaults=False):
     """The schema a spec describes, or None after checking that the schema
     refuses it for a reason: an empty or whitespace-padded name or label,
-    which ingest could not read back, or a repeated attribute name."""
+    which ingest could not read back; a ';' in a name or label or a '=' in a
+    name, which would make itemset labels ambiguous; or a repeated attribute
+    name. With ``defaults``, each nominal attribute's last label is its
+    default category."""
     names = [name for name, _, _ in spec]
     unreadable = [t for name, labels, _ in spec for t in (name, *labels)
                   if not t or t != t.strip()]
+    ambiguous = [t for name, labels, _ in spec for t in (name, *labels) if ";" in t]
+    ambiguous += [name for name in names if "=" in name]
     try:
         return Schema("prop", tuple(
             Attribute(name, labels,
                       bin_edges=None if kind == "nominal"
                       else tuple(float(e) for e in range(len(labels) + (kind == "closed"))),
-                      open_upper=kind == "open")
+                      open_upper=kind == "open",
+                      default_category=labels[-1] if defaults and kind == "nominal" else None)
             for name, labels, kind in spec))
     except ValueError:
-        assert unreadable or len(set(names)) < len(names)
+        assert unreadable or ambiguous or len(set(names)) < len(names)
         return None
 
 
@@ -361,7 +366,7 @@ def _codes(schema, n_rows, seed):
                            ).reshape(n_rows, schema.n_attributes)
 
 
-@CSV_PROPERTIES
+@PROPERTIES
 @given(spec=schema_specs(), n_rows=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
 @example(spec=(("a0", (" a", "b"), "nominal"),), n_rows=3, seed=0)  # stripped on ingest
 @example(spec=(("a0", ("", "b"), "nominal"),), n_rows=3, seed=0)    # read as missing
@@ -382,7 +387,7 @@ def test_write_csv_then_ingest_csv_roundtrip(spec, n_rows, seed):
     assert back.provenance.endswith(f"(rows={n_rows}, skipped=0)")
 
 
-@CSV_PROPERTIES
+@PROPERTIES
 @given(spec=schema_specs(), n_rows=st.integers(0, 300), seed=st.integers(0, 2**32 - 1),
        density=st.floats(0.0, 1.0))
 @example(spec=(("a0", ("x\ny", "b,c"), "nominal"),), n_rows=2, seed=0, density=0.5)
@@ -400,3 +405,17 @@ def test_write_boolean_csv_then_read_roundtrip(spec, n_rows, seed, density):
         back = read_boolean_csv(path, schema)
     assert back.bits.shape == bits.shape
     assert np.array_equal(back.bits, bits)
+
+
+@PROPERTIES
+@given(spec=schema_specs(), defaults=st.booleans(),
+       picks=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 5)), min_size=1, max_size=5))
+@example(spec=(("a", ("z", "w"), "nominal"), ("b", ("p;a=z", "q"), "nominal")),
+         defaults=True, picks=[(1, 0)])  # was written as b=p;a=z and read back as {a=z, b=q}
+def test_itemset_label_then_parse_itemset_roundtrip(spec, defaults, picks):
+    schema = _schema_or_none(spec, defaults)
+    if schema is None:
+        return
+    items = {a % schema.n_attributes: c for a, c in picks}
+    itemset = tuple(sorted((a, c % schema.sizes[a]) for a, c in items.items()))
+    assert parse_itemset(itemset_label(itemset, schema), schema) == itemset

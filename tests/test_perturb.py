@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import FixedUniformRng, gof_chisq, make_schema, two_sample_chisq
+from helpers import PROPERTIES, FixedUniformRng, gof_chisq, make_schema, two_sample_chisq
 from privmine import (
     CutPasteSpec,
+    Dataset,
     GammaDiagonalSpec,
     MaskSpec,
     MaterializedMatrix,
@@ -38,7 +41,6 @@ from privmine.perturb import (
     _BLOCK,
     _bits_to_ints,
     _chain_bulk,
-    _limbs_to_ints,
     _record_states,
     mask_expand_many,
 )
@@ -301,6 +303,12 @@ ORACLE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 3)
 BLOCK_EDGE_ROWS = (0, 1, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 2)
 
 
+def _limbs_to_ints(limbs):
+    lo = ((limbs[1] << 32) | limbs[0]).tolist()
+    hi = ((limbs[3] << 32) | limbs[2]).tolist()
+    return [h << 64 | l for h, l in zip(hi, lo)]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7])
 def test_record_states_match_numpy_seeding(seed):
     # fails if numpy changes SeedSequence mixing or PCG64 seeding
@@ -352,6 +360,38 @@ def test_bulk_streams_match_record_rng(block_data, seed):
         assert np.array_equal(mask_out.bits[i], expect)
         expect = cut_paste_perturb(bits[i], cp, record_rng(seed, i))
         assert np.array_equal(cp_out.bits[i], expect)
+
+
+@settings(PROPERTIES, max_examples=100)
+@given(sizes=st.lists(st.integers(2, 6), min_size=1, max_size=5), n_rows=st.integers(0, 300),
+       seed=st.integers(0, 2**70), gamma=st.floats(1.01, 100.0),
+       alpha_fraction=st.floats(0.0, 1.0), p=st.floats(0.5, 1.0, exclude_max=True),
+       rho_cp=st.floats(0.0, 1.0), k_pick=st.integers(0, 5))
+def test_dataset_streams_match_record_rng_property(sizes, n_rows, seed, gamma, alpha_fraction,
+                                                   p, rho_cp, k_pick):
+    sch = make_schema(*sizes)
+    rng = np.random.default_rng(n_rows)
+    data = Dataset(sch, np.column_stack([rng.integers(0, s, n_rows) for s in sizes]))
+    base = GammaDiagonalSpec(gamma=gamma, schema=sch)
+    ran = RandomizedGammaSpec(base, alpha_fraction * RandomizedGammaSpec.max_alpha(base))
+    mask = MaskSpec(p=p, schema=sch)
+    cp = CutPasteSpec(K=k_pick % (len(sizes) + 1), rho_cp=rho_cp, schema=sch)
+    det_out = perturb_dataset(data, base, seed).codes
+    ran_out = perturb_dataset(data, ran, seed).codes
+    mask_out = mask_dataset(data, mask, seed).bits
+    cp_out = cut_paste_dataset(data, cp, seed).bits
+    assert det_out.shape == ran_out.shape == (n_rows, len(sizes))
+    assert mask_out.shape == cp_out.shape == (n_rows, sch.boolean_width)
+    bits = mask_expand_many(data.codes, sch)
+    for i in range(n_rows):
+        record = data.record(i)
+        assert perturb_chain(record, base.diag, base.off, sch,
+                             record_rng(seed, i)) == tuple(det_out[i])
+        stream = record_rng(seed, i)
+        d, o = draw_client_params(ran, stream)
+        assert perturb_chain(record, d, o, sch, stream) == tuple(ran_out[i])
+        assert np.array_equal(mask_perturb(bits[i], p, record_rng(seed, i)), mask_out[i])
+        assert np.array_equal(cut_paste_perturb(bits[i], cp, record_rng(seed, i)), cp_out[i])
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +620,16 @@ def test_cut_paste_dataset_deterministic():
     bits = mask_expand_many(data.codes, sch)
     for i in range(200):
         assert np.array_equal(a.bits[i], cut_paste_perturb(bits[i], spec, record_rng(6, i)))
+
+
+def test_cut_paste_perturb_needs_one_item_per_attribute():
+    spec = _cp_spec()
+    bits = mask_expand(CP_RECORD, spec.schema)
+    bits[np.flatnonzero(bits)[0]] = False
+    with pytest.raises(ValueError, match="got 6 with 2"):
+        cut_paste_perturb(bits, spec, record_rng(0, 0))
+    with pytest.raises(ValueError, match="need 6 bits"):
+        cut_paste_perturb(np.ones(5, dtype=bool), spec, record_rng(0, 0))
 
 
 def test_cut_paste_spec_validation():

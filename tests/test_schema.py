@@ -89,6 +89,18 @@ def test_attribute_rejects_labels_ingest_cannot_read_back(label):
         load_schema(f"attributes:\n  - name: {quoted}\n    categories: [x, y]\n")
 
 
+def test_attribute_rejects_itemset_separators():
+    # itemsets.csv writes name=label items joined by ';' and splits each on
+    # its first '=': with a default category, label 'p;a=z' on b read back
+    # as the itemset {a=z, b=q}
+    with pytest.raises(ValueError, match="';'"):
+        Attribute(name="b", categories=("p;a=z", "q"), default_category="q")
+    for name in ("a;b", "a=b"):
+        with pytest.raises(ValueError, match="';' or '='"):
+            Attribute(name=name, categories=("x", "y"))
+    assert Attribute(name="a", categories=("<=50K", ">50K")).index_of("<=50K") == 0
+
+
 def test_attribute_keeps_inner_whitespace():
     attr = Attribute(name="health status", categories=("Very Good", "no, thanks"))
     assert attr.index_of("Very Good") == 0
