@@ -8,17 +8,12 @@ reconstructed supports.
 
 from .metrics import AccuracyReport, LengthAccuracy, accuracy_report, identity_errors, support_error
 from .mining import (
-    CutPasteSupportEstimator,
-    GammaDiagonalSupportEstimator,
     Itemset,
-    MaskSupportEstimator,
     MiningResult,
-    NoiselessGammaDiagonalEstimator,
-    PlainSupportEstimator,
+    SupportEstimator,
     apriori_plain,
     apriori_reconstructed,
     brute_force_frequent,
-    count_itemset_supports,
     itemset_label,
     mine,
     parse_itemset,

@@ -1,10 +1,13 @@
 """Frequent-itemset mining with per-pass support reconstruction.
 
-The miner never sees original records. Each Apriori pass counts marginals
-over the perturbed database and converts them to estimates of the original
-supports through the mechanism's reconstruction: closed-form subset inverses
-for the gamma-diagonal family, per-itemset pattern solves for the boolean
-mechanisms. A plain estimator with no reconstruction provides ground truth.
+The miner never sees original records. Every mechanism's estimate for an
+itemset I is a function of the all-present counts c(S), for S a subset of I,
+in the perturbed table's boolean expansion. One estimator keeps those counts
+(the count lattice), and a small map per mechanism turns them into a
+support: c(I)/N for ground truth, the closed-form subset inverse for the
+gamma-diagonal family, and for MASK and cut-and-paste the exact pattern and
+overlap-class histograms, Moebius-inverted from the lattice, fed to the
+per-itemset solves.
 
 An itemset is a tuple of (attribute index, category index) pairs, sorted by
 attribute, attributes distinct. Estimated supports may leave [0, 1]; negative
@@ -14,20 +17,24 @@ estimates simply fail the threshold and are tallied as a diagnostic.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .perturb import CutPasteSpec, GammaDiagonalSpec, MaskSpec, RandomizedGammaSpec
-from .reconstruct import (
-    SubsetMarginalSpec,
-    count_subset,
-    cut_paste_supports,
-    mask_pattern_counts,
-    reconstruct_mask_support,
-    reconstruct_subset,
+from .perturb import (
+    CutPasteSpec,
+    GammaDiagonalSpec,
+    MaskSpec,
+    RandomizedGammaSpec,
+    mask_expand_many,
 )
+from .reconstruct import SubsetMarginalSpec, count_subset, reconstruct_mask_support
+
+# Unused here since supports come from the count lattice: perfbench's tracer
+# wraps these names in this module, and drops them once its metrics are
+# renamed (ROADMAP item 8).
+from .reconstruct import cut_paste_supports, mask_pattern_counts, reconstruct_subset  # noqa: F401
 from .schema import BooleanDataset, Dataset, Schema
 
 Item = tuple[int, int]
@@ -101,151 +108,106 @@ class MiningResult:
 
 
 # ---------------------------------------------------------------------------
-# support estimators (one per mechanism)
+# support estimation from the count lattice
 # ---------------------------------------------------------------------------
 
-def _group_by_subset(candidates: list[Itemset]) -> dict[tuple[int, ...], list[int]]:
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for pos, itemset in enumerate(candidates):
-        groups.setdefault(tuple(a for a, _ in itemset), []).append(pos)
-    return groups
+class SupportEstimator:
+    """Support estimates for every mechanism from one count lattice.
 
+    A mechanism's support estimate for an itemset I is a function of the
+    all-present counts c(S), for S a subset of I, of I's positions in the boolean
+    expansion (the one-hot expansion of a categorical table). The table is
+    kept as packed bit columns and the counts in a dict keyed by bit
+    positions, with c(()) = N; a missing count is one AND of its columns and
+    a popcount. Apriori makes every proper subset of a candidate an earlier
+    candidate, so within ``mine`` each candidate costs one new count.
 
-def _cell_index(itemset: Itemset, schema: Schema) -> int:
-    code, weight = 0, 1
-    for a, c in itemset:
-        code += c * weight
-        weight *= schema.sizes[a]
-    return code
+    ``support(estimator, itemset, bits)`` is the mechanism's map from these
+    counts to one estimate; the default gives the true relative support."""
 
-
-def count_itemset_supports(dataset: Dataset, candidates: list[Itemset],
-                           max_subset_cells: int = 1 << 20):
-    """Marginal count vectors for every attribute subset touched by the
-    candidates; the reconstruction step needs whole marginals, not just the
-    candidate cells. One pass over the data per subset."""
-    out = {}
-    for subset in _group_by_subset(candidates):
-        n_cells = math.prod(dataset.schema.sizes[a] for a in subset)
-        if n_cells > max_subset_cells:
-            raise ValueError(
-                f"subset {subset} spans {n_cells} cells, above the cap {max_subset_cells}"
-            )
-        out[subset] = count_subset(dataset, subset)
-    return out
-
-
-class PlainSupportEstimator:
-    """True relative supports, counted directly (ground-truth miner). The
-    gamma-diagonal estimators reuse its loop and override only ``_supports``,
-    the map from a subset's relative marginal to support estimates."""
-
-    description = "plain"
-
-    def __init__(self, dataset: Dataset):
-        self.dataset = dataset
-
-    def _supports(self, rel: np.ndarray, subset: tuple[int, ...]) -> np.ndarray:
-        return rel
-
-    def estimate(self, candidates: list[Itemset]) -> np.ndarray:
-        n = self.dataset.n_records
-        if n == 0:
+    def __init__(self, data: Dataset | BooleanDataset, support=None, description: str = "plain"):
+        if data.n_records == 0:
             raise ValueError("cannot mine an empty dataset")
-        schema = self.dataset.schema
-        marginals = count_itemset_supports(self.dataset, candidates)
-        out = np.empty(len(candidates))
-        for subset, positions in _group_by_subset(candidates).items():
-            supports = self._supports(marginals[subset].counts / n, subset)
-            for pos in positions:
-                out[pos] = supports[_cell_index(candidates[pos], schema)]
-        return out
+        bits = data.bits if isinstance(data, BooleanDataset) else mask_expand_many(
+            data.codes, data.schema)
+        self.columns = np.ascontiguousarray(np.packbits(bits, axis=0).T)
+        self.n = data.n_records
+        self.offsets = data.schema.boolean_offsets
+        self.counts: dict[tuple[int, ...], int] = {(): self.n}
+        self.support = support or _plain
+        self.description = description
 
+    def count(self, bits: tuple[int, ...]) -> int:
+        """Records carrying every one of ``bits`` (ascending positions)."""
+        c = self.counts.get(bits)
+        if c is None:
+            both = np.bitwise_and.reduce(self.columns[list(bits)], axis=0)
+            c = self.counts[bits] = int(np.bitwise_count(both).sum())
+        return c
 
-class GammaDiagonalSupportEstimator(PlainSupportEstimator):
-    """Counts perturbed subset marginals and inverts the induced subset
-    matrix in closed form. Used unchanged for the randomized variant: the
-    miner reconstructs with the expected matrix and never sees per-client
-    draws."""
+    def pattern_counts(self, bits: tuple[int, ...]) -> np.ndarray:
+        """Exact counts of the 2^k on/off patterns of ``bits`` (position j at
+        bit j of the pattern code), Moebius-inverted from c(S) for every subset S."""
+        keys = [()]
+        for b in bits:
+            keys += [key + (b,) for key in keys]
+        counts = np.array([self.count(key) for key in keys], dtype=np.int64)
+        for j in range(len(bits)):  # patterns without bit j lose those with it
+            pairs = counts.reshape(-1, 2, 1 << j)
+            pairs[:, 0] -= pairs[:, 1]
+        return counts
 
-    def __init__(self, perturbed: Dataset, spec: GammaDiagonalSpec):
-        if spec.schema != perturbed.schema:
-            raise ValueError("mechanism schema does not match the perturbed dataset")
-        super().__init__(perturbed)
-        self.spec = spec
-        self.description = f"gamma-diagonal(gamma={spec.gamma:g})"
-
-    def _supports(self, rel: np.ndarray, subset: tuple[int, ...]) -> np.ndarray:
-        return reconstruct_subset(rel, SubsetMarginalSpec.for_subset(self.spec, subset))
-
-
-class NoiselessGammaDiagonalEstimator(PlainSupportEstimator):
-    """Applies the subset matrix to the *true* marginals analytically and
-    reconstructs back; isolates the algebra from sampling noise."""
-
-    def __init__(self, original: Dataset, spec: GammaDiagonalSpec):
-        if spec.schema != original.schema:
-            raise ValueError("mechanism schema does not match the dataset")
-        super().__init__(original)
-        self.spec = spec
-        self.description = f"gamma-diagonal-noiseless(gamma={spec.gamma:g})"
-
-    def _supports(self, rel: np.ndarray, subset: tuple[int, ...]) -> np.ndarray:
-        sub_spec = SubsetMarginalSpec.for_subset(self.spec, subset)
-        expected = (sub_spec.diag - sub_spec.off) * rel + sub_spec.off
-        return reconstruct_subset(expected, sub_spec)
-
-
-class _BitSupportEstimator:
-    """Boolean-mechanism loop: ``_support`` estimates one itemset's support
-    from its bit positions in the boolean expansion."""
-
-    def __init__(self, perturbed: BooleanDataset, spec: MaskSpec | CutPasteSpec):
-        if spec.schema != perturbed.schema:
-            raise ValueError("mechanism schema does not match the perturbed dataset")
-        self.perturbed = perturbed
-        self.spec = spec
+    def class_counts(self, bits: tuple[int, ...]) -> np.ndarray:
+        """Overlap-class histogram: records carrying exactly l of ``bits``."""
+        k = len(bits)
+        return np.bincount(np.bitwise_count(np.arange(1 << k)),
+                           weights=self.pattern_counts(bits), minlength=k + 1)
 
     def estimate(self, candidates: list[Itemset]) -> np.ndarray:
-        offsets = self.perturbed.schema.boolean_offsets
+        offsets = self.offsets
         out = np.empty(len(candidates))
         for pos, itemset in enumerate(candidates):
-            out[pos] = self._support(tuple(offsets[a] + c for a, c in itemset))
+            out[pos] = self.support(self, itemset, tuple(offsets[a] + c for a, c in itemset))
         return out
 
 
-class MaskSupportEstimator(_BitSupportEstimator):
-    """Per-itemset reconstruction over the 2^k on/off patterns of the
-    itemset's bits in the boolean cube."""
-
-    def __init__(self, perturbed: BooleanDataset, spec: MaskSpec):
-        super().__init__(perturbed, spec)
-        self.description = f"mask(p={spec.p:g})"
-
-    def _support(self, bits: tuple[int, ...]) -> float:
-        counts = mask_pattern_counts(self.perturbed.bits, bits)
-        return reconstruct_mask_support(counts, len(bits), self.spec.p)
+def _plain(est: SupportEstimator, itemset: Itemset, bits: tuple[int, ...]) -> float:
+    return est.count(bits) / est.n
 
 
-class CutPasteSupportEstimator(_BitSupportEstimator):
-    """Reconstructs supports from the overlap-class histogram of each
-    itemset: how many of its bits each perturbed record carries."""
+def _gamma_diagonal(spec: GammaDiagonalSpec, est: SupportEstimator, itemset: Itemset,
+                    bits: tuple[int, ...]) -> float:
+    """The closed-form subset inverse of ``reconstruct_subset``, for one cell."""
+    sub = SubsetMarginalSpec.for_subset(spec, tuple(a for a, _ in itemset))
+    return (est.count(bits) / est.n - sub.off) / ((sub.gamma - 1) * sub.x)
 
-    def __init__(self, perturbed: BooleanDataset, spec: CutPasteSpec):
-        super().__init__(perturbed, spec)
-        self.description = f"cut-paste(K={spec.K}, rho={spec.rho_cp:g})"
 
-    def _support(self, bits: tuple[int, ...]) -> float:
-        return cut_paste_supports(self.perturbed.bits, bits, self.spec)[-1]
+def _mask(spec: MaskSpec, est: SupportEstimator, itemset: Itemset,
+          bits: tuple[int, ...]) -> float:
+    return reconstruct_mask_support(est.pattern_counts(bits), len(bits), spec.p)
+
+
+def _cut_paste(spec: CutPasteSpec, est: SupportEstimator, itemset: Itemset,
+               bits: tuple[int, ...]) -> float:
+    # looked up at call time, like cut_paste_supports, so that a wrapper put on
+    # privmine.perturb's binding (perfbench's tracer) sees the call
+    from .perturb import cut_paste_class_matrix
+
+    matrix = cut_paste_class_matrix(spec, len(bits))
+    return np.linalg.solve(matrix, est.class_counts(bits) / est.n)[-1]
 
 
 # ---------------------------------------------------------------------------
 # Apriori driver
 # ---------------------------------------------------------------------------
 
+MAX_CANDIDATES = 10**6  # per level; a memory backstop when noise passes most items
+
+
 def _join_and_prune(prev_frequent: list[Itemset]) -> list[Itemset]:
     """Standard candidate generation: join pairs sharing all but the last
-    item, then drop candidates with an infrequent subset."""
+    item, then drop candidates with an infrequent subset. Raises past
+    ``MAX_CANDIDATES`` instead of exhausting memory."""
     prev_set = set(prev_frequent)
     ordered = sorted(prev_frequent)
     out = []
@@ -258,6 +220,11 @@ def _join_and_prune(prev_frequent: list[Itemset]) -> list[Itemset]:
             cand = left + (right[-1],)
             if all(cand[:t] + cand[t + 1:] in prev_set for t in range(len(cand))):
                 out.append(cand)
+                if len(out) > MAX_CANDIDATES:
+                    raise ValueError(
+                        f"{len(out)} candidates of length {len(cand)} exceed the ceiling of "
+                        f"{MAX_CANDIDATES} per level"
+                    )
     return out
 
 
@@ -297,7 +264,7 @@ def mine(estimator, schema: Schema, sup_min: float, max_length: int | None = Non
 def apriori_plain(dataset: Dataset, sup_min: float,
                   max_length: int | None = None) -> MiningResult:
     """Reference miner on unperturbed data; ground truth for accuracy metrics."""
-    return mine(PlainSupportEstimator(dataset), dataset.schema, sup_min, max_length)
+    return mine(SupportEstimator(dataset), dataset.schema, sup_min, max_length)
 
 
 def apriori_reconstructed(
@@ -322,17 +289,18 @@ def apriori_reconstructed(
     if isinstance(spec, GammaDiagonalSpec):
         if not isinstance(perturbed, Dataset):
             raise ValueError("gamma-diagonal mining expects a categorical dataset")
-        estimator = GammaDiagonalSupportEstimator(perturbed, spec)
+        support, description = _gamma_diagonal, f"gamma-diagonal(gamma={spec.gamma:g})"
     elif isinstance(spec, MaskSpec):
         if not isinstance(perturbed, BooleanDataset):
             raise ValueError("mask mining expects a boolean dataset")
-        estimator = MaskSupportEstimator(perturbed, spec)
+        support, description = _mask, f"mask(p={spec.p:g})"
     else:
         if not isinstance(perturbed, BooleanDataset):
             raise ValueError("cut-and-paste mining expects a boolean dataset")
-        estimator = CutPasteSupportEstimator(perturbed, spec)
+        support, description = _cut_paste, f"cut-paste(K={spec.K}, rho={spec.rho_cp:g})"
     if perturbed.schema != schema:
         raise ValueError("perturbed data schema does not match the mining schema")
+    estimator = SupportEstimator(perturbed, partial(support, spec), description)
     return mine(estimator, schema, sup_min, max_length)
 
 

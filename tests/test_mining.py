@@ -1,30 +1,44 @@
 """Level-wise mining with reconstructed supports."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import make_schema
+from helpers import PROPERTIES, make_schema
 from privmine import (
+    BooleanDataset,
     CutPasteSpec,
     GammaDiagonalSpec,
     MaskSpec,
     MiningResult,
-    NoiselessGammaDiagonalEstimator,
-    PlainSupportEstimator,
+    SubsetMarginalSpec,
+    SupportEstimator,
     apriori_plain,
     apriori_reconstructed,
     brute_force_frequent,
     builtin_distribution,
-    count_itemset_supports,
+    builtin_schema,
+    count_subset,
+    cut_paste_class_counts,
     cut_paste_dataset,
+    cut_paste_supports,
     generate_synthetic,
     itemset_label,
     mask_dataset,
+    mask_pattern_counts,
     mine,
     parse_itemset,
     perturb_dataset,
+    reconstruct_mask_support,
+    reconstruct_subset,
     validate_itemset,
+    write_csv,
 )
+from privmine import mining
+from privmine.cli import main
 from privmine.schema import Dataset
 
 # tests/oracles/mining_toy_oracle.py
@@ -108,7 +122,7 @@ def test_sup_min_must_be_positive():
     with pytest.raises(ValueError):
         apriori_plain(toy_dataset(), 0.0)
     with pytest.raises(ValueError):
-        mine(PlainSupportEstimator(toy_dataset()), make_schema(2, 2, 2), -0.1)
+        mine(SupportEstimator(toy_dataset()), make_schema(2, 2, 2), -0.1)
     with pytest.raises(ValueError):
         brute_force_frequent(toy_dataset(), 0.0)
 
@@ -137,7 +151,7 @@ def test_empty_dataset_is_rejected():
 
 def test_one_record_mining():
     one = Dataset(make_schema(2, 3, 2), np.array([[1, 2, 0]]))
-    supports = PlainSupportEstimator(one).estimate(
+    supports = SupportEstimator(one).estimate(
         [((0, 0),), ((0, 1),), ((1, 1), (2, 0)), ((1, 2), (2, 0))])
     assert supports.tolist() == [0.0, 1.0, 0.0, 1.0]
     result = apriori_plain(one, 0.5)
@@ -199,7 +213,14 @@ def test_noiseless_estimator_is_support_neutral():
     # threshold between multiples of 1/500 so roundtrip epsilon cannot flip
     # an exact-tie itemset
     plain = apriori_plain(data, 0.0415)
-    noiseless = mine(NoiselessGammaDiagonalEstimator(data, spec), sch, 0.0415)
+
+    def noiseless_support(est, itemset, bits):
+        # apply the subset matrix to the true support analytically, then invert
+        sub = SubsetMarginalSpec.for_subset(spec, tuple(a for a, _ in itemset))
+        expected = (sub.diag - sub.off) * (est.count(bits) / est.n) + sub.off
+        return (expected - sub.off) / ((sub.gamma - 1) * sub.x)
+
+    noiseless = mine(SupportEstimator(data, noiseless_support), sch, 0.0415)
     assert plain.by_length.keys() == noiseless.by_length.keys()
     for length in plain.by_length:
         assert plain.by_length[length].keys() == noiseless.by_length[length].keys()
@@ -274,10 +295,73 @@ def test_apriori_reconstructed_type_checks(census_schema):
         apriori_reconstructed(data, sch, "not-a-spec", 0.1)
 
 
-def test_count_itemset_supports_cell_cap():
-    data = generate_synthetic(make_schema(4, 5), 10, "uniform", seed=0)
-    with pytest.raises(ValueError):
-        count_itemset_supports(data, [((0, 0), (1, 0))], max_subset_cells=10)
+def test_candidate_ceiling_is_validation_error(monkeypatch, tmp_path, capsys):
+    # a small ceiling on a toy schema stands in for a noise-driven explosion
+    monkeypatch.setattr(mining, "MAX_CANDIDATES", 5)
+    data = generate_synthetic(make_schema(3, 3, 3), 200, "uniform", seed=0)
+    with pytest.raises(ValueError, match="6 candidates of length 2 exceed the ceiling of 5"):
+        apriori_plain(data, 0.01)
+    assert apriori_plain(data, 0.01, max_length=1).counts_per_length() == {1: 9}
+    census = generate_synthetic(builtin_schema("census"), 200, "uniform", seed=0)
+    write_csv(census, str(tmp_path / "plain.csv"))
+    code = main(["mine", "--schema", "census", "--input", str(tmp_path / "plain.csv"),
+                 "--sup-min", "0.01", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "exceed the ceiling of 5 per level" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the count lattice against the per-itemset reference paths
+# ---------------------------------------------------------------------------
+
+@PROPERTIES
+@given(sizes=st.lists(st.integers(2, 6), min_size=1, max_size=5), n_rows=st.integers(1, 300),
+       seed=st.integers(0, 2**32 - 1), gamma=st.floats(1.01, 100.0), p=st.floats(0.55, 0.95),
+       rho_cp=st.floats(0.05, 0.95), k_pick=st.integers(0, 4), density=st.floats(0.0, 1.0))
+def test_lattice_matches_reference_paths_property(sizes, n_rows, seed, gamma, p, rho_cp,
+                                                  k_pick, density):
+    sch = make_schema(*sizes)
+    rng = np.random.default_rng(seed)
+    data = Dataset(sch, np.column_stack([rng.integers(0, s, n_rows) for s in sizes]))
+    bits = BooleanDataset(sch, rng.random((n_rows, sch.boolean_width)) < density)
+    gd = GammaDiagonalSpec(gamma=gamma, schema=sch)
+    mask = MaskSpec(p=p, schema=sch)
+    cp = CutPasteSpec(K=1 + k_pick % len(sizes), rho_cp=rho_cp, schema=sch)
+    on_codes = SupportEstimator(data)
+    on_bits = SupportEstimator(bits)
+    for k in range(1, len(sizes) + 1):
+        for attrs in itertools.combinations(range(len(sizes)), k):
+            cats = tuple(int(rng.integers(0, sizes[a])) for a in attrs)
+            itemset = tuple(zip(attrs, cats))
+            positions = tuple(sch.boolean_offsets[a] + c for a, c in itemset)
+            assert np.array_equal(on_bits.pattern_counts(positions),
+                                  mask_pattern_counts(bits.bits, positions))
+            assert np.array_equal(on_bits.class_counts(positions),
+                                  cut_paste_class_counts(bits.bits, positions))
+            rel = count_subset(data, attrs).counts / n_rows
+            cell = np.ravel_multi_index(cats, [sizes[a] for a in attrs], order="F")
+            gd_rel = reconstruct_subset(rel, SubsetMarginalSpec.for_subset(gd, attrs))
+            assert on_codes.estimate([itemset])[0] == rel[cell]
+            assert mining._gamma_diagonal(gd, on_codes, itemset, positions) == gd_rel[cell]
+            assert mining._mask(mask, on_bits, itemset, positions) == reconstruct_mask_support(
+                mask_pattern_counts(bits.bits, positions), k, p)
+            if k <= cp.K:  # wider class matrices may be singular (ROADMAP item 1)
+                assert mining._cut_paste(cp, on_bits, itemset, positions) == cut_paste_supports(
+                    bits.bits, positions, cp)[-1]
+
+
+@PROPERTIES
+@given(sizes=st.lists(st.integers(2, 6), min_size=1, max_size=5), n_rows=st.integers(0, 300),
+       seed=st.integers(0, 2**32 - 1), sup_min=st.floats(0.005, 1.0))
+def test_plain_matches_brute_force_property(sizes, n_rows, seed, sup_min):
+    rng = np.random.default_rng(seed)
+    data = Dataset(make_schema(*sizes),
+                   np.column_stack([rng.integers(0, s, n_rows) for s in sizes]))
+    if n_rows == 0:
+        with pytest.raises(ValueError, match="empty"):
+            apriori_plain(data, sup_min)
+        return
+    assert apriori_plain(data, sup_min).by_length == brute_force_frequent(data, sup_min).by_length
 
 
 # ---------------------------------------------------------------------------
