@@ -14,9 +14,10 @@ a fixed number of ``random()`` doubles from it: det-gd M (one per attribute
 for the chain sampler); ran-gd 1 + M (the client's shift r, then the chain);
 MASK M_b (one flip test per bit); cut-and-paste 1 + M_b + M (the cut count,
 one fresh-bit test per bit, one rank per original item). The dataset
-functions derive every record's PCG64 state in bulk with 32-bit-limb array
-arithmetic (``_record_states``), draw the doubles one block of records at a
-time (``_uniform_blocks``) and produce the same bytes as the scalar samplers.
+functions derive every record's PCG64 state and increment in bulk as two
+uint64 arrays, the high and the low 64-bit half (``_record_states``), step
+them one block of records at a time (``_uniform_blocks``) and produce the
+same bytes as the scalar samplers.
 """
 
 from __future__ import annotations
@@ -185,19 +186,22 @@ def record_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-# numpy's SeedSequence hash constants and the PCG64 128-bit multiplier
+# numpy's SeedSequence hash constants; PCG64's multiplier as halves MH, ML
 _M32 = 0xFFFFFFFF
 _SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
 _SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
 _SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT_LIMBS = tuple((0x2360ED051FC65DA44385DF649FCCF645 >> (32 * k)) & _M32 for k in range(4))
-_BLOCK = 4096  # records per bulk derivation; bounds the limb temporaries
+_MH, _ML = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_ML1, _ML0 = np.uint64(0x4385DF64), np.uint64(0x9FCCF645)  # ML's 32-bit halves
+_U32, _S1, _S11, _S32, _S58, _S63 = map(np.uint64, (_M32, 1, 11, 32, 58, 63))
+_BLOCK = 4096  # records per bulk derivation; bounds the per-block temporaries
 
 
-def _hashmix(value, const: list[int]):
-    """SeedSequence's hashmix on 32-bit words; advances const[0] in place."""
+def _hashmix(value, const: list[int], mult: int):
+    """SeedSequence's hashmix on 32-bit words (mult _SS_MULT_A; generate_state
+    mixes its output words the same way with _SS_MULT_B); advances const[0]."""
     value = value ^ const[0]
-    const[0] = const[0] * _SS_MULT_A & _M32
+    const[0] = const[0] * mult & _M32
     value = value * const[0] & _M32
     return value ^ (value >> 16)
 
@@ -207,42 +211,30 @@ def _mix(x, y):
     return r ^ (r >> 16)
 
 
-def _carry(acc: np.ndarray) -> np.ndarray:
-    """Normalize (4, n) limb sums to 32-bit limbs, dropping bits past 2**128."""
-    for k in range(3):
-        acc[k + 1] += acc[k] >> 32
-    acc &= _M32
-    return acc
-
-
-def _pcg_step(state: np.ndarray, inc: np.ndarray) -> np.ndarray:
-    """One PCG64 LCG step, state * multiplier + inc mod 2**128, on limbs."""
-    acc = inc.copy()
-    for i in range(4):
-        for j in range(4 - i):
-            prod = state[i] * _PCG_MULT_LIMBS[j]
-            acc[i + j] += prod & _M32
-            if i + j < 3:
-                acc[i + j + 1] += prod >> 32
-    return _carry(acc)
-
-
-def _pcg_output(state: np.ndarray) -> np.ndarray:
-    """PCG64's XSL-RR 128 -> 64 output function."""
-    x = ((state[3] << 32) | state[2]) ^ ((state[1] << 32) | state[0])
-    rot = state[3] >> 26
-    return (x >> rot) | (x << ((64 - rot) & 63))
+def _pcg_step(state: np.ndarray, inc: np.ndarray) -> None:
+    """One PCG64 step in place, state = state * MULT + inc mod 2**128, on (2, n)
+    uint64 (hi, lo) halves. lo * ML wraps in one multiply; only its high word,
+    mulhi(lo, ML), goes through 32-bit parts (four products)."""
+    hi, lo = state
+    lo0, lo1 = lo & _U32, lo >> _S32
+    t = lo1 * _ML0 + (lo0 * _ML0 >> _S32)
+    w = lo0 * _ML1 + (t & _U32)
+    hi *= _ML
+    hi += lo * _MH + lo1 * _ML1 + (t >> _S32) + (w >> _S32) + inc[0]
+    lo *= _ML
+    lo += inc[1]
+    hi += lo < inc[1]  # carry out of the low half
 
 
 def _record_states(seed: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """PCG64 ``(state, inc)`` that ``record_rng(seed, i)`` starts from, for
-    i in [start, stop): two (4, stop - start) uint64 arrays of 32-bit limbs,
-    least significant first.
+    i in [start, stop): two (2, stop - start) uint64 arrays, rows (hi, lo).
 
     SeedSequence mixes the seed's 32-bit words (zero-padded to four) and then
     the index word, so everything before the index is scalar. generate_state
-    yields four uint64 words v; PCG64 seeds with initstate = v0 << 64 | v1
-    and inc = (v2 << 64 | v3) << 1 | 1.
+    yields four uint64 words g; PCG64's srandom takes initstate = g0 << 64 | g1
+    and inc = (g2 << 64 | g3) << 1 | 1, steps once from state 0 (giving inc),
+    adds initstate with a carry between the halves and steps once more.
     """
     seed = operator.index(seed)
     if seed < 0:
@@ -253,42 +245,48 @@ def _record_states(seed: int, start: int, stop: int) -> tuple[np.ndarray, np.nda
     words += [0] * (4 - len(words))
     words.append(np.arange(start, stop, dtype=np.uint64))
     const = [_SS_INIT_A]
-    pool = [_hashmix(w, const) for w in words[:4]]
+    pool = [_hashmix(w, const, _SS_MULT_A) for w in words[:4]]
     for src in range(4):
         for dst in range(4):
             if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], const))
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], const, _SS_MULT_A))
     for w in words[4:]:
         for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hashmix(w, const))
-    const = _SS_INIT_B
-    v = []  # generate_state(4, uint64) as eight little-endian 32-bit words
-    for k in range(8):
-        x = pool[k % 4] ^ const
-        const = const * _SS_MULT_B & _M32
-        x = x * const & _M32
-        v.append(x ^ (x >> 16))
-    init = np.array([v[2], v[3], v[0], v[1]], dtype=np.uint64)
-    seq = np.array([v[6], v[7], v[4], v[5]], dtype=np.uint64)
-    inc = seq << 1
-    inc[1:] |= seq[:-1] >> 31
-    inc[0] |= 1
-    inc &= _M32
-    # srandom: state = 0 -> step -> += initstate -> step
-    return _pcg_step(_carry(inc + init), inc), inc
+            pool[dst] = _mix(pool[dst], _hashmix(w, const, _SS_MULT_A))
+    const = [_SS_INIT_B]
+    v = np.stack([_hashmix(pool[k % 4], const, _SS_MULT_B) for k in range(8)])
+    g = v[::2] | v[1::2] << _S32  # generate_state(4, uint64) from its 32-bit words
+    inc = g[2:] << _S1
+    inc[0] |= g[3] >> _S63
+    inc[1] |= _S1
+    state = g[:2] + inc
+    state[0] += state[1] < inc[1]
+    _pcg_step(state, inc)
+    return state, inc
 
 
 def _uniform_blocks(seed: int, n_records: int, width: int):
     """(rows, uniforms) for consecutive blocks of at most _BLOCK records;
-    uniforms[r] equals record_rng(seed, rows.start + r).random(width)."""
+    uniforms[r] equals record_rng(seed, rows.start + r).random(width). It is
+    the transposed view of a (width, n) array filled one draw (row) at a time."""
     for start in range(0, n_records, _BLOCK):
         stop = min(start + _BLOCK, n_records)
         state, inc = _record_states(seed, start, stop)
-        uniforms = np.empty((stop - start, width))
+        hi, lo = state
+        x, rot, y = np.empty((3, stop - start), dtype=np.uint64)
+        draws = np.empty((width, stop - start))
         for k in range(width):
-            state = _pcg_step(state, inc)
-            uniforms[:, k] = (_pcg_output(state) >> 11) * 2.0 ** -53
-        yield slice(start, stop), uniforms
+            _pcg_step(state, inc)
+            np.bitwise_xor(hi, lo, out=x)  # XSL-RR: hi ^ lo rotated right by hi >> 58
+            np.right_shift(hi, _S58, out=rot)
+            np.right_shift(x, rot, out=y)
+            np.negative(rot, out=rot)
+            rot &= _S63
+            x <<= rot
+            x |= y
+            x >>= _S11  # random(): the top 53 bits times 2**-53
+            np.multiply(x, 2.0 ** -53, out=draws[k])
+        yield slice(start, stop), draws.T
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from privmine.perturb import (
     _bits_to_ints,
     _chain_bulk,
     _record_states,
+    _uniform_blocks,
     mask_expand_many,
 )
 
@@ -304,9 +305,8 @@ BLOCK_EDGE_ROWS = (0, 1, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BL
 
 
 def _limbs_to_ints(limbs):
-    lo = ((limbs[1] << 32) | limbs[0]).tolist()
-    hi = ((limbs[3] << 32) | limbs[2]).tolist()
-    return [h << 64 | l for h, l in zip(hi, lo)]
+    """128-bit ints from a (2, n) array of 64-bit limbs, high half first."""
+    return [h << 64 | l for h, l in zip(limbs[0].tolist(), limbs[1].tolist())]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7])
@@ -324,11 +324,26 @@ def test_record_states_match_numpy_seeding(seed):
 
 def test_record_states_reject_indices_past_32_bits():
     state, _ = _record_states(0, 2**32 - 1, 2**32)  # the last valid index
-    assert state.shape == (4, 1)
+    assert state.shape == (2, 1)
     with pytest.raises(ValueError, match="2\\*\\*32"):
         _record_states(0, 2**32 - 1, 2**32 + 1)
     with pytest.raises(ValueError):
         _record_states(-1, 0, 1)
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+@pytest.mark.parametrize("width", [1, 7, 35])  # 35: cut-paste's health width
+def test_uniform_blocks_match_record_rng(seed, width):
+    n = max(BLOCK_EDGE_ROWS) + 1
+    for start, stop in ((0, n), (2**32 - 3, 2**32)):
+        for halves in _record_states(seed, start, stop):
+            assert halves.dtype == np.uint64 and halves.shape == (2, stop - start)
+    blocks = list(_uniform_blocks(seed, n, width))
+    assert [rows.start for rows, _ in blocks] == list(range(0, n, _BLOCK))
+    uniforms = np.concatenate([u for _, u in blocks])
+    assert uniforms.dtype == np.float64 and uniforms.shape == (n, width)
+    for r in BLOCK_EDGE_ROWS:
+        assert np.array_equal(uniforms[r], record_rng(seed, r).random(width)), r
 
 
 @pytest.fixture(scope="module")
