@@ -29,21 +29,14 @@ from .perturb import (
     condition_number,
     cut_paste_class_matrix,
     cut_paste_dataset,
-    cut_paste_entry,
-    cut_paste_matrix,
     cut_paste_perturb,
     draw_client_params,
-    gd_entry,
-    gd_matrix,
-    mask_collapse,
     mask_dataset,
     mask_expand,
-    mask_matrix,
     mask_p_for_gamma,
     mask_perturb,
     perturb_chain,
     perturb_dataset,
-    perturb_generic,
     record_rng,
 )
 from .privacy import (

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -29,22 +30,21 @@ from .mining import (
     apriori_plain,
     apriori_reconstructed,
     itemset_label,
+    length_condition,
     parse_itemset,
+    validate_itemset,
 )
 from .perturb import (
     CutPasteSpec,
     GammaDiagonalSpec,
     MaskSpec,
     RandomizedGammaSpec,
-    condition_number,
-    cut_paste_class_matrix,
     cut_paste_dataset,
     mask_dataset,
     mask_p_for_gamma,
     perturb_dataset,
 )
 from .privacy import PrivacyTarget, gamma_for, posterior_range, worst_case_posterior
-from .reconstruct import SubsetMarginalSpec, mask_itemset_condition
 from .schema import (
     BooleanDataset,
     Dataset,
@@ -288,6 +288,9 @@ def _write_mining_result(out: Path, result: MiningResult, schema: Schema, runtim
         "counts_per_length": result.counts_per_length(),
         "n_itemsets": result.n_itemsets,
         "negative_estimates": result.negative_estimates,
+        "stop_length": result.stop_length,
+        "stop_reason": result.stop_reason,
+        "levels": [dataclasses.asdict(level) for level in result.levels],
         "runtime_s": round(runtime, 3),
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
@@ -295,12 +298,20 @@ def _write_mining_result(out: Path, result: MiningResult, schema: Schema, runtim
 
 def _read_mining_result(directory: Path, schema: Schema) -> MiningResult:
     summary = json.loads((directory / "summary.json").read_text())
+    # each distinct item label parses once; parse_itemset handles the rest
+    # (default categories) and words the errors
+    items = {f"{a.name}={label}": (j, c) for j, a in enumerate(schema.attributes)
+             for c, label in enumerate(a.categories)}
     by_length: dict[int, dict] = {}
     with open(directory / "itemsets.csv", newline="") as fh:
         reader = csv.reader(fh)
         next(reader)  # header
         for label, length, support in reader:
-            itemset = parse_itemset(label, schema)
+            try:
+                itemset = tuple(sorted(items[part] for part in label.split(";")))
+                validate_itemset(itemset, schema)
+            except KeyError:
+                itemset = parse_itemset(label, schema)
             by_length.setdefault(int(length), {})[itemset] = float(support)
     return MiningResult(
         by_length=by_length,
@@ -329,6 +340,7 @@ def cmd_mine(args) -> int:
     counts = result.counts_per_length()
     print(f"{result.mechanism}: frequent itemsets per length {counts or '{}'} "
           f"({result.negative_estimates} negative estimates)")
+    print(f"stopped after length {result.stop_length}: {result.stop_reason}")
     return EXIT_OK
 
 
@@ -407,21 +419,6 @@ def _aggregate_reports(reports: list, lengths: list[int]) -> list[dict]:
     return rows
 
 
-def _condition_numbers(mechanism: str, base: GammaDiagonalSpec, args, schema: Schema) -> list[float]:
-    """Reconstruction condition number per itemset length 1..M."""
-    out = []
-    for length in range(1, schema.n_attributes + 1):
-        if mechanism in ("det-gd", "ran-gd"):
-            sub = SubsetMarginalSpec.for_subset(base, tuple(range(length)))
-            out.append(sub.condition_number())
-        elif mechanism == "mask":
-            out.append(mask_itemset_condition(length, _mask_p(args, base.gamma, schema)))
-        else:
-            spec = CutPasteSpec(args.cp_k, args.cp_rho, schema)
-            out.append(condition_number(cut_paste_class_matrix(spec, length)))
-    return out
-
-
 def cmd_compare(args) -> int:
     schema = _load_schema_arg(args.schema)
     data = _load_dataset(args, schema)
@@ -442,7 +439,7 @@ def cmd_compare(args) -> int:
     support_rows, identity_rows, cond_rows = [], [], []
     summary_mechs = {}
     for mechanism in mechanisms:
-        reports, negatives, perturb_s, mine_s = [], [], [], []
+        reports, negatives, stops, perturb_s, mine_s = [], [], [], [], []
         for seed in seeds:
             started = time.perf_counter()
             perturbed, spec = _perturb_for(mechanism, data, base, args, seed)
@@ -451,6 +448,7 @@ def cmd_compare(args) -> int:
             perturb_s.append(perturbed_at - started)
             mine_s.append(time.perf_counter() - perturbed_at)
             negatives.append(result.negative_estimates)
+            stops.append((result.stop_length, result.stop_reason))
             reports.append(accuracy_report(result, truth))
         rows = _aggregate_reports(reports, lengths)
         for row in rows:
@@ -458,9 +456,8 @@ def cmd_compare(args) -> int:
                                  row["support_error_vs_true_pct"], row["seeds_defined"]))
             identity_rows.append((mechanism, row["length"], row["false_positive_pct"],
                                   row["false_negative_pct"], row["n_found_mean"]))
-        for length, cond in zip(range(1, schema.n_attributes + 1),
-                                _condition_numbers(mechanism, base, args, schema)):
-            cond_rows.append((mechanism, length, cond))
+        for length in range(1, schema.n_attributes + 1):
+            cond_rows.append((mechanism, length, length_condition(spec, length)))
         summary_mechs[mechanism] = {
             "support_error_pct": _mean(
                 [r.overall.support_error_pct for r in reports
@@ -470,10 +467,14 @@ def cmd_compare(args) -> int:
             "false_negative_pct": _mean([r.overall.false_negative_pct for r in reports]),
             "stray_found_mean": _mean([float(r.stray_found) for r in reports]),
             "negative_estimates_mean": _mean([float(v) for v in negatives]),
+            "stop_length": [length for length, _ in stops],
+            "stop_reason": [reason for _, reason in stops],
             "perturb_s_mean": round(_mean(perturb_s), 3),
             "mine_s_mean": round(_mean(mine_s), 3),
             "runtime_s_mean": round(_mean(perturb_s) + _mean(mine_s), 3),
         }
+        for length, reason in sorted(set(stops)):
+            print(f"{mechanism}: stopped after length {length}: {reason}")
 
     _write_rows(out / "support_error.csv",
                 ("mechanism", "length", "support_error_pct", "support_error_vs_true_pct",

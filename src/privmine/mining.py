@@ -1,13 +1,16 @@
-"""Frequent-itemset mining with per-pass support reconstruction.
+"""Frequent-itemset mining with per-level support reconstruction.
 
 The miner never sees original records. Every mechanism's estimate for an
 itemset I is a function of the all-present counts c(S), for S a subset of I,
-in the perturbed table's boolean expansion. One estimator keeps those counts
-(the count lattice), and a small map per mechanism turns them into a
-support: c(I)/N for ground truth, the closed-form subset inverse for the
-gamma-diagonal family, and for MASK and cut-and-paste the exact pattern and
-overlap-class histograms, Moebius-inverted from the lattice, fed to the
-per-itemset solves.
+in the perturbed table's boolean expansion, and all itemsets of one length
+share one transition matrix. So one estimator keeps those counts (the count
+lattice) and maps a whole Apriori level at once: c(I)/N for ground truth, the
+closed-form subset inverse for the gamma-diagonal family, the closed-form
+Kronecker inverse for MASK, and one overlap-class solve per length for
+cut-and-paste.
+
+The level loop stops before a length whose reconstruction condition number
+exceeds ``COND_CEILING``: estimates there are amplified rounding noise.
 
 An itemset is a tuple of (attribute index, category index) pairs, sorted by
 attribute, attributes distinct. Estimated supports may leave [0, 1]; negative
@@ -17,8 +20,8 @@ estimates simply fail the threshold and are tallied as a diagnostic.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -29,12 +32,17 @@ from .perturb import (
     RandomizedGammaSpec,
     mask_expand_many,
 )
-from .reconstruct import SubsetMarginalSpec, count_subset, reconstruct_mask_support
+from .reconstruct import count_subset
 
 # Unused here since supports come from the count lattice: perfbench's tracer
 # wraps these names in this module, and drops them once its metrics are
-# renamed (ROADMAP item 8).
-from .reconstruct import cut_paste_supports, mask_pattern_counts, reconstruct_subset  # noqa: F401
+# renamed (ROADMAP item 7).
+from .reconstruct import (  # noqa: F401
+    cut_paste_supports,
+    mask_pattern_counts,
+    reconstruct_mask_support,
+    reconstruct_subset,
+)
 from .schema import BooleanDataset, Dataset, Schema
 
 Item = tuple[int, int]
@@ -72,13 +80,28 @@ def parse_itemset(label: str, schema: Schema) -> Itemset:
 
 
 @dataclass(frozen=True)
+class Level:
+    """One Apriori pass, with the reconstruction condition number at its length."""
+
+    length: int
+    candidates: int
+    frequent: int
+    negatives: int
+    condition: float
+
+
+@dataclass(frozen=True)
 class MiningResult:
-    """Frequent itemsets grouped by length, with the supports the miner used."""
+    """Frequent itemsets grouped by length, with the supports the miner used;
+    ``stop_reason`` says why the search went no further than ``stop_length``."""
 
     by_length: dict[int, dict[Itemset, float]]
     sup_min: float
     mechanism: str
     negative_estimates: int = 0
+    levels: tuple[Level, ...] = ()
+    stop_length: int = 0
+    stop_reason: str = ""
 
     def __post_init__(self) -> None:
         for length, level in self.by_length.items():
@@ -111,8 +134,40 @@ class MiningResult:
 # support estimation from the count lattice
 # ---------------------------------------------------------------------------
 
+COND_CEILING = 1e12  # a length whose reconstruction is worse conditioned is not mined
+_BLOCK_BYTES = 1 << 16  # column bytes gathered per counting block
+
+
+def length_condition(spec, length: int) -> float:
+    """Condition number of support reconstruction at one itemset length: 1 on
+    plain data (``spec`` None), (gamma + n - 1)/(gamma - 1) at every length
+    for the gamma-diagonal family, (2p - 1)^-length for MASK (infinite at
+    p = 0.5), and the overlap-class matrix's for cut-and-paste."""
+    if spec is None:
+        return 1.0
+    if isinstance(spec, MaskSpec):
+        try:
+            return (2 * spec.p - 1) ** -length
+        except (ZeroDivisionError, OverflowError):  # p = 0.5, or within ulps of it
+            return math.inf
+    # looked up at call time, so that a wrapper put on privmine.perturb's
+    # binding (perfbench's tracer) sees the call
+    from .perturb import condition_number, cut_paste_class_matrix
+
+    if isinstance(spec, CutPasteSpec):
+        return condition_number(cut_paste_class_matrix(spec, length))
+    return condition_number(spec)
+
+
+def _overlap_transform(k: int) -> np.ndarray:
+    """(2^k, k+1) integer map from subset counts c(S) to overlap classes:
+    records carrying exactly l of k bits number sum_S (-1)^(|S|-l) C(|S|, l) c(S)."""
+    sizes = np.bitwise_count(np.arange(1 << k)).tolist()
+    return np.array([[(-1) ** (s + l) * math.comb(s, l) for l in range(k + 1)] for s in sizes])
+
+
 class SupportEstimator:
-    """Support estimates for every mechanism from one count lattice.
+    """Support estimates for one mechanism from one count lattice.
 
     A mechanism's support estimate for an itemset I is a function of the
     all-present counts c(S), for S a subset of I, of I's positions in the boolean
@@ -122,19 +177,23 @@ class SupportEstimator:
     a popcount. Apriori makes every proper subset of a candidate an earlier
     candidate, so within ``mine`` each candidate costs one new count.
 
-    ``support(estimator, itemset, bits)`` is the mechanism's map from these
-    counts to one estimate; the default gives the true relative support."""
+    ``spec`` is the mechanism whose reconstruction ``level`` applies (None:
+    the true relative support)."""
 
-    def __init__(self, data: Dataset | BooleanDataset, support=None, description: str = "plain"):
+    def __init__(self, data: Dataset | BooleanDataset, spec=None, description: str = "plain"):
         if data.n_records == 0:
             raise ValueError("cannot mine an empty dataset")
         bits = data.bits if isinstance(data, BooleanDataset) else mask_expand_many(
             data.codes, data.schema)
-        self.columns = np.ascontiguousarray(np.packbits(bits, axis=0).T)
+        packed = np.packbits(bits, axis=0)
+        self.columns = np.zeros((packed.shape[1], -(-len(packed) // 8)), np.uint64)
+        self.columns.view(np.uint8)[:, :len(packed)] = packed.T  # 64 records per word
         self.n = data.n_records
+        sizes = data.schema.sizes
         self.offsets = data.schema.boolean_offsets
+        self.bit_sizes = np.repeat(sizes, sizes)  # category count of each bit's attribute
         self.counts: dict[tuple[int, ...], int] = {(): self.n}
-        self.support = support or _plain
+        self.spec = spec
         self.description = description
 
     def count(self, bits: tuple[int, ...]) -> int:
@@ -145,56 +204,58 @@ class SupportEstimator:
             c = self.counts[bits] = int(np.bitwise_count(both).sum())
         return c
 
-    def pattern_counts(self, bits: tuple[int, ...]) -> np.ndarray:
-        """Exact counts of the 2^k on/off patterns of ``bits`` (position j at
-        bit j of the pattern code), Moebius-inverted from c(S) for every subset S."""
-        keys = [()]
-        for b in bits:
-            keys += [key + (b,) for key in keys]
-        counts = np.array([self.count(key) for key in keys], dtype=np.int64)
-        for j in range(len(bits)):  # patterns without bit j lose those with it
-            pairs = counts.reshape(-1, 2, 1 << j)
-            pairs[:, 0] -= pairs[:, 1]
-        return counts
+    def full_counts(self, bits: np.ndarray) -> np.ndarray:
+        """c(I) for every row of ``bits`` (candidates x ascending positions),
+        counted in blocks and added to the lattice."""
+        m, k = bits.shape
+        out = np.empty(m, dtype=np.int64)
+        step = max(1, _BLOCK_BYTES // (k * self.columns[0].nbytes))
+        for start in range(0, m, step):
+            both = np.bitwise_and.reduce(self.columns[bits[start:start + step]], axis=1)
+            out[start:start + step] = np.bitwise_count(both).sum(axis=1)
+        self.counts.update(zip(map(tuple, bits.tolist()), out.tolist()))
+        return out
 
-    def class_counts(self, bits: tuple[int, ...]) -> np.ndarray:
-        """Overlap-class histogram: records carrying exactly l of ``bits``."""
-        k = len(bits)
-        return np.bincount(np.bitwise_count(np.arange(1 << k)),
-                           weights=self.pattern_counts(bits), minlength=k + 1)
+    def lattice(self, bits: np.ndarray) -> np.ndarray:
+        """(candidates, 2^k) counts c(S) of every subset S of each row's
+        positions, the row's j-th position at bit j of the column: column 0
+        holds N and the last column c(I)."""
+        self.full_counts(bits)
+        count, out = self.count, np.empty((len(bits), 1 << bits.shape[1]), dtype=np.int64)
+        for i, row in enumerate(bits.tolist()):
+            keys = [()]
+            for b in row:
+                keys += [key + (b,) for key in keys]
+            out[i] = [count(key) for key in keys]
+        return out
 
     def estimate(self, candidates: list[Itemset]) -> np.ndarray:
         offsets = self.offsets
         out = np.empty(len(candidates))
-        for pos, itemset in enumerate(candidates):
-            out[pos] = self.support(self, itemset, tuple(offsets[a] + c for a, c in itemset))
+        for k in sorted({len(itemset) for itemset in candidates}):
+            pos = [i for i, itemset in enumerate(candidates) if len(itemset) == k]
+            bits = np.array([[offsets[a] + c for a, c in candidates[i]] for i in pos], np.intp)
+            out[pos] = self.level([candidates[i] for i in pos], bits)
         return out
 
+    def level(self, candidates: list[Itemset], bits: np.ndarray) -> np.ndarray:
+        """Support estimates for candidates of one length k, in one step."""
+        spec, n, k = self.spec, self.n, bits.shape[1]
+        if spec is None:
+            return self.full_counts(bits) / n
+        if isinstance(spec, GammaDiagonalSpec):
+            # the closed-form subset inverse of reconstruct_subset, per cell
+            off = (spec.n // self.bit_sizes[bits].prod(axis=1)) * spec.x
+            return (self.full_counts(bits) / n - off) / ((spec.gamma - 1) * spec.x)
+        if isinstance(spec, MaskSpec):
+            # the all-present row of the inverse Kronecker power, over c(S):
+            # sum_S (-(1-p))^(k-|S|) c(S) / (N (2p-1)^k)
+            coef = (-(1 - spec.p)) ** (k - np.bitwise_count(np.arange(1 << k)))
+            return self.lattice(bits) @ coef / n / (2 * spec.p - 1) ** k
+        from .perturb import cut_paste_class_matrix
 
-def _plain(est: SupportEstimator, itemset: Itemset, bits: tuple[int, ...]) -> float:
-    return est.count(bits) / est.n
-
-
-def _gamma_diagonal(spec: GammaDiagonalSpec, est: SupportEstimator, itemset: Itemset,
-                    bits: tuple[int, ...]) -> float:
-    """The closed-form subset inverse of ``reconstruct_subset``, for one cell."""
-    sub = SubsetMarginalSpec.for_subset(spec, tuple(a for a, _ in itemset))
-    return (est.count(bits) / est.n - sub.off) / ((sub.gamma - 1) * sub.x)
-
-
-def _mask(spec: MaskSpec, est: SupportEstimator, itemset: Itemset,
-          bits: tuple[int, ...]) -> float:
-    return reconstruct_mask_support(est.pattern_counts(bits), len(bits), spec.p)
-
-
-def _cut_paste(spec: CutPasteSpec, est: SupportEstimator, itemset: Itemset,
-               bits: tuple[int, ...]) -> float:
-    # looked up at call time, like cut_paste_supports, so that a wrapper put on
-    # privmine.perturb's binding (perfbench's tracer) sees the call
-    from .perturb import cut_paste_class_matrix
-
-    matrix = cut_paste_class_matrix(spec, len(bits))
-    return np.linalg.solve(matrix, est.class_counts(bits) / est.n)[-1]
+        classes = self.lattice(bits) @ _overlap_transform(k)
+        return np.linalg.solve(cut_paste_class_matrix(spec, k), classes.T / n)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -230,34 +291,49 @@ def _join_and_prune(prev_frequent: list[Itemset]) -> list[Itemset]:
 
 def mine(estimator, schema: Schema, sup_min: float, max_length: int | None = None) -> MiningResult:
     """Level-wise mining loop; the estimator supplies support estimates for
-    each pass's candidates."""
+    each pass's candidates. The search stops before a length whose
+    reconstruction condition number exceeds ``COND_CEILING``, and raises
+    ``LinAlgError`` if that is already length 1."""
     if not sup_min > 0:
         raise ValueError(f"sup_min must be positive, got {sup_min}")
     limit = schema.n_attributes if max_length is None else min(max_length, schema.n_attributes)
     by_length: dict[int, dict[Itemset, float]] = {}
-    negatives = 0
+    levels: list[Level] = []
     candidates: list[Itemset] = [
         ((a, c),) for a in range(schema.n_attributes) for c in range(schema.sizes[a])
     ]
-    length = 1
-    while candidates and length <= limit:
+    stop = f"length limit {limit} reached"
+    for length in range(1, limit + 1):
+        if not candidates:
+            stop = f"no candidates of length {length}"
+            break
+        cond = length_condition(estimator.spec, length)
+        if not cond <= COND_CEILING:
+            stop = f"condition number {cond:.3g} at length {length} exceeds {COND_CEILING:g}"
+            if length == 1:
+                raise np.linalg.LinAlgError(f"cannot reconstruct supports: {stop}")
+            break
         supports = estimator.estimate(candidates)
-        negatives += int((supports < 0).sum())
         level = {
             itemset: float(s)
             for itemset, s in zip(candidates, supports)
             if s >= sup_min
         }
+        levels.append(Level(length, len(candidates), len(level), int((supports < 0).sum()), cond))
         if not level:
+            stop = f"no frequent itemsets of length {length}"
             break
         by_length[length] = level
-        length += 1
-        candidates = _join_and_prune(list(level)) if length <= limit else []
+        if length < limit:
+            candidates = _join_and_prune(list(level))
     return MiningResult(
         by_length=by_length,
         sup_min=sup_min,
         mechanism=estimator.description,
-        negative_estimates=negatives,
+        negative_estimates=sum(lv.negatives for lv in levels),
+        levels=tuple(levels),
+        stop_length=len(levels),
+        stop_reason=stop,
     )
 
 
@@ -289,19 +365,18 @@ def apriori_reconstructed(
     if isinstance(spec, GammaDiagonalSpec):
         if not isinstance(perturbed, Dataset):
             raise ValueError("gamma-diagonal mining expects a categorical dataset")
-        support, description = _gamma_diagonal, f"gamma-diagonal(gamma={spec.gamma:g})"
+        description = f"gamma-diagonal(gamma={spec.gamma:g})"
     elif isinstance(spec, MaskSpec):
         if not isinstance(perturbed, BooleanDataset):
             raise ValueError("mask mining expects a boolean dataset")
-        support, description = _mask, f"mask(p={spec.p:g})"
+        description = f"mask(p={spec.p:g})"
     else:
         if not isinstance(perturbed, BooleanDataset):
             raise ValueError("cut-and-paste mining expects a boolean dataset")
-        support, description = _cut_paste, f"cut-paste(K={spec.K}, rho={spec.rho_cp:g})"
+        description = f"cut-paste(K={spec.K}, rho={spec.rho_cp:g})"
     if perturbed.schema != schema:
         raise ValueError("perturbed data schema does not match the mining schema")
-    estimator = SupportEstimator(perturbed, partial(support, spec), description)
-    return mine(estimator, schema, sup_min, max_length)
+    return mine(SupportEstimator(perturbed, spec, description), schema, sup_min, max_length)
 
 
 def brute_force_frequent(dataset: Dataset, sup_min: float,

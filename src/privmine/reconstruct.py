@@ -3,13 +3,14 @@
 The miner observes perturbed counts Y with E(Y) = A X. For the
 gamma-diagonal family, A and its attribute-subset analogues have the
 structure a*I + b*J, so the inverse is closed-form and reconstruction costs
-O(n) instead of O(n^3). MASK reconstruction happens per itemset over the
-2^k bit-pattern space, cut-and-paste over the k+1 overlap classes. The miner
-takes both histograms from its count lattice (mining.SupportEstimator); the
-per-itemset scans here (mask_pattern_counts, cut_paste_class_counts,
-cut_paste_supports) stay as its test references. Estimates are intentionally
-unclamped: negative entries are estimator artifacts that downstream
-consumers may count but must not silently zero out.
+O(n) instead of O(n^3). MASK reconstruction works over the 2^k bit-pattern
+space of a k-itemset, cut-and-paste over its k+1 overlap classes. The miner
+reconstructs a whole Apriori level at once from its count lattice
+(mining.SupportEstimator); the per-itemset paths here (mask_pattern_counts,
+reconstruct_mask_support, cut_paste_class_counts, cut_paste_supports) stay
+as its test references. Estimates are intentionally unclamped: negative
+entries are estimator artifacts that downstream consumers may count but
+must not silently zero out.
 """
 
 from __future__ import annotations

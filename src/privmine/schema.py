@@ -20,6 +20,16 @@ import yaml
 
 logger = logging.getLogger(__name__)
 
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml when built with it
+
+
+def _parse_yaml(config_text: str):
+    try:
+        return yaml.load(config_text, Loader=_YAML_LOADER)
+    except yaml.YAMLError as exc:
+        raise ValueError(f"malformed YAML config: {exc}") from None
+
+
 # A record is one category index per attribute, in schema order.
 Record = tuple[int, ...]
 
@@ -226,7 +236,7 @@ def load_schema(config_text: str) -> Schema:
     optional ``default`` catch-all) or ``bins`` (numeric edges, with optional
     ``open_upper`` flag adding a final unbounded category).
     """
-    doc = yaml.safe_load(config_text)
+    doc = _parse_yaml(config_text)
     if not isinstance(doc, dict) or "attributes" not in doc:
         raise ValueError("schema config must be a mapping with an 'attributes' list")
     attributes = []
@@ -639,7 +649,7 @@ def load_reference_distribution(config_text: str, schema: Schema) -> np.ndarray:
     deterministic joint over the schema's domain, suitable as a stand-in when
     the original survey data is unavailable.
     """
-    doc = yaml.safe_load(config_text)
+    doc = _parse_yaml(config_text)
     section = (doc or {}).get("reference_distribution")
     if section is None:
         raise ValueError("config has no reference_distribution section")

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from helpers import make_schema
+from oracles.dense_matrices import gd_matrix
 from privmine import (
     GammaDiagonalSpec,
     MaskSpec,
@@ -33,7 +34,6 @@ from privmine import (
     condition_number,
     decode,
     gamma_for,
-    gd_matrix,
     generate_synthetic,
     ingest_csv,
     mask_dataset,

@@ -7,6 +7,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -297,6 +298,87 @@ def test_mine_singular_mask_matrix_is_numerical_error(tmp_path, capsys):
     assert "numerical" in err
 
 
+def test_mine_cut_paste_stops_at_k_and_records_why(tmp_path, capsys):
+    pert = tmp_path / "pert"
+    assert run(capsys, "perturb", "--schema", "census", "--synthetic", "reference",
+               "--n-records", "3000", "--mechanism", "cut-paste", "--gamma", "19",
+               "--seed", "4", "--out", str(pert))[0] == 0
+    mined = tmp_path / "mined"
+    code, stdout, _ = run(capsys, "mine", "--schema", "census",
+                          "--input", str(pert / "perturbed_bits.csv"),
+                          "--metadata", str(pert / "metadata.json"),
+                          "--sup-min", "0.02", "--out", str(mined))
+    assert code == 0
+    summary = json.loads((mined / "summary.json").read_text())
+    assert summary["stop_length"] == 3
+    assert "condition number" in summary["stop_reason"]
+    assert "at length 4" in summary["stop_reason"]
+    assert [level["length"] for level in summary["levels"]] == [1, 2, 3]
+    assert f"stopped after length 3: {summary['stop_reason']}" in stdout
+    with open(mined / "itemsets.csv") as fh:
+        assert max(int(row["length"]) for row in csv.DictReader(fh)) == 3
+
+
+def test_mine_unidentifiable_domain_exits_numerical_fast(tmp_path, capsys):
+    # 20 attributes of 10 categories: the gamma-diagonal condition number is
+    # (19 + 10**20 - 1)/18, so no length can be reconstructed
+    schema = tmp_path / "wide.yaml"
+    schema.write_text("attributes:\n" + "".join(
+        f"  - name: a{j}\n    categories: [{', '.join(f'c{v}' for v in range(10))}]\n"
+        for j in range(20)))
+    pert = tmp_path / "pert"
+    assert run(capsys, "perturb", "--schema", str(schema), "--synthetic", "uniform",
+               "--n-records", "200", "--mechanism", "det-gd", "--gamma", "19",
+               "--seed", "1", "--out", str(pert))[0] == 0
+    started = time.perf_counter()
+    code, _, err = run(capsys, "mine", "--schema", str(schema),
+                       "--input", str(pert / "perturbed.csv"),
+                       "--metadata", str(pert / "metadata.json"),
+                       "--sup-min", "0.02", "--out", str(tmp_path / "out"))
+    assert time.perf_counter() - started < 1.0
+    assert code == 3
+    assert "condition number 5.56e+18 at length 1 exceeds 1e+12" in err
+
+
+def test_malformed_schema_yaml_is_validation_error(tmp_path, capsys):
+    schema = tmp_path / "broken.yaml"
+    schema.write_text("attributes:\n  - name: a\n    categories: [x, y\n")
+    code, _, err = run(capsys, "perturb", "--schema", str(schema), "--synthetic", "uniform",
+                       "--n-records", "10", "--mechanism", "det-gd", "--gamma", "19",
+                       "--seed", "1", "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err.startswith("error: malformed YAML config")
+
+
+def test_evaluate_reads_reordered_and_default_labels(tmp_path, capsys, plain_csv):
+    # labels in another attribute order, and a category only the default maps
+    truth = tmp_path / "truth"
+    assert run(capsys, "mine", "--schema", "census", "--input", str(plain_csv),
+               "--sup-min", "0.05", "--out", str(truth))[0] == 0
+    found = tmp_path / "found"
+    shutil.copytree(truth, found)
+    with open(truth / "itemsets.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    relabelled = [rows[0]]
+    for label, length, support in rows[1:]:
+        parts = label.split(";")[::-1]
+        parts = ["native-country=Atlantis" if p == "native-country=Other" else p for p in parts]
+        relabelled.append([";".join(parts), length, support])
+    with open(found / "itemsets.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(relabelled)
+    assert any("Atlantis" in row[0] for row in relabelled)
+    code, stdout, _ = run(capsys, "evaluate", "--schema", "census", "--found", str(found),
+                          "--truth", str(truth), "--out", str(tmp_path / "report"))
+    assert code == 0
+    assert "support error 0.00%, false positives 0.00%, false negatives 0.00%" in stdout
+    with open(found / "itemsets.csv", "a", newline="") as fh:
+        csv.writer(fh).writerow(["sex=Female;colour=blue", "2", "0.5"])
+    code, _, err = run(capsys, "evaluate", "--schema", "census", "--found", str(found),
+                       "--truth", str(truth), "--out", str(tmp_path / "report"))
+    assert code == 1
+    assert "no attribute 'colour'" in err
+
+
 def test_mine_rejects_empty_dataset(tmp_path, capsys):
     path = tmp_path / "empty.csv"
     schema = builtin_schema("census")
@@ -426,6 +508,8 @@ def test_compare_tables(tmp_path, capsys):
         assert timing["runtime_s_mean"] == pytest.approx(
             timing["perturb_s_mean"] + timing["mine_s_mean"], abs=2e-3)
     assert set(summary["mechanisms"]) == {"det-gd", "ran-gd", "mask"}
+    for stats in summary["mechanisms"].values():
+        assert len(stats["stop_length"]) == len(stats["stop_reason"]) == 2
     assert summary["worst_case_posterior"] == 0.5
     assert "config_hash" in summary
     low, high = summary["ran_gd_posterior_range"]
@@ -435,6 +519,24 @@ def test_compare_tables(tmp_path, capsys):
     for name in ("support_error.csv", "identity_error.csv", "alpha_sweep.csv"):
         with open(out / name) as fh:
             assert len(list(csv.reader(fh))) > 1
+
+
+def test_compare_records_where_cut_paste_stops(tmp_path, capsys):
+    out = tmp_path / "cmp"
+    code, stdout, _ = run(
+        capsys, "compare", "--schema", "census", "--synthetic", "reference",
+        "--n-records", "2000", "--gamma", "19", "--sup-min", "0.02",
+        "--mechanisms", "cut-paste", "--seeds", "1,2", "--out", str(out),
+    )
+    assert code == 0
+    stats = json.loads((out / "summary.json").read_text())["mechanisms"]["cut-paste"]
+    assert stats["stop_length"] == [3, 3]
+    assert all("at length 4 exceeds 1e+12" in reason for reason in stats["stop_reason"])
+    assert f"cut-paste: stopped after length 3: {stats['stop_reason'][0]}" in stdout
+    with open(out / "cond_number.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [int(length) for _, length, _ in rows] == [1, 2, 3, 4, 5, 6]
+    assert float(rows[2][2]) <= 1e12 < float(rows[3][2])
 
 
 def test_compare_rejects_unknown_mechanism(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Level-wise mining with reconstructed supports."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -214,13 +215,17 @@ def test_noiseless_estimator_is_support_neutral():
     # an exact-tie itemset
     plain = apriori_plain(data, 0.0415)
 
-    def noiseless_support(est, itemset, bits):
-        # apply the subset matrix to the true support analytically, then invert
-        sub = SubsetMarginalSpec.for_subset(spec, tuple(a for a, _ in itemset))
-        expected = (sub.diag - sub.off) * (est.count(bits) / est.n) + sub.off
-        return (expected - sub.off) / ((sub.gamma - 1) * sub.x)
+    class Noiseless(SupportEstimator):
+        def level(self, candidates, bits):
+            # apply the subset matrix to the true support analytically, then invert
+            out = []
+            for itemset, count in zip(candidates, self.full_counts(bits)):
+                sub = SubsetMarginalSpec.for_subset(spec, tuple(a for a, _ in itemset))
+                expected = (sub.diag - sub.off) * (count / self.n) + sub.off
+                out.append((expected - sub.off) / ((sub.gamma - 1) * sub.x))
+            return np.array(out)
 
-    noiseless = mine(SupportEstimator(data, noiseless_support), sch, 0.0415)
+    noiseless = mine(Noiseless(data), sch, 0.0415)
     assert plain.by_length.keys() == noiseless.by_length.keys()
     for length in plain.by_length:
         assert plain.by_length[length].keys() == noiseless.by_length[length].keys()
@@ -311,8 +316,111 @@ def test_candidate_ceiling_is_validation_error(monkeypatch, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# the stop at lengths the mechanism cannot identify
+# ---------------------------------------------------------------------------
+
+def test_cut_paste_census_stops_at_k(census_schema):
+    data = generate_synthetic(census_schema, 5000, builtin_distribution("census"), seed=4)
+    spec = CutPasteSpec(K=3, rho_cp=0.494, schema=census_schema)
+    result = apriori_reconstructed(cut_paste_dataset(data, spec, seed=1), census_schema, spec,
+                                   0.02)
+    assert sorted(result.by_length) == [1, 2, 3]
+    assert result.stop_length == 3
+    assert result.stop_reason.startswith("condition number 5.")
+    assert "at length 4 exceeds 1e+12" in result.stop_reason
+    assert [lv.length for lv in result.levels] == [1, 2, 3]
+    assert all(lv.condition <= mining.COND_CEILING for lv in result.levels)
+    assert result.negative_estimates == sum(lv.negatives for lv in result.levels)
+
+
+def test_singular_cut_paste_window_keeps_shorter_itemsets():
+    # K = 1, rho = 0.5 on two binary attributes: the window-2 class matrix is
+    # singular up to rounding, so mining returns length 1 instead of raising
+    sch = make_schema(2, 2)
+    spec = CutPasteSpec(K=1, rho_cp=0.5, schema=sch)
+    data = generate_synthetic(sch, 2000, np.array([0.45, 0.05, 0.05, 0.45]), seed=3)
+    result = apriori_reconstructed(cut_paste_dataset(data, spec, seed=5), sch, spec, 0.02)
+    assert sorted(result.by_length) == [1]
+    assert result.stop_length == 1
+    assert "at length 2 exceeds" in result.stop_reason
+
+
+@pytest.mark.parametrize("gamma_excess, mines", [(4.0001e-12, True), (3.9999e-12, False)])
+def test_condition_ceiling_boundary(gamma_excess, mines):
+    # on a 2x2 domain the gamma-diagonal condition number is 1 + 4/(gamma - 1):
+    # just under 1e12 at the first gamma, just over it at the second
+    sch = make_schema(2, 2)
+    spec = GammaDiagonalSpec(gamma=1 + gamma_excess, schema=sch)
+    perturbed = perturb_dataset(generate_synthetic(sch, 200, "uniform", seed=1), spec, seed=2)
+    if not mines:
+        with pytest.raises(np.linalg.LinAlgError, match="at length 1 exceeds 1e\\+12"):
+            apriori_reconstructed(perturbed, sch, spec, 0.02)
+        return
+    result = apriori_reconstructed(perturbed, sch, spec, 0.02)
+    assert result.levels[0].condition == pytest.approx(0.99997e12, rel=1e-4)
+    assert result.stop_length >= 1
+    assert all(np.isfinite(s) for _, s in result.itemsets())
+
+
+@PROPERTIES
+@given(sizes=st.lists(st.integers(2, 5), min_size=1, max_size=4), n_rows=st.integers(1, 200),
+       seed=st.integers(0, 2**32 - 1), mechanism=st.sampled_from(["gd", "mask", "cut-paste"]),
+       gamma=st.floats(1.0001, 100.0), p=st.floats(0.5, 0.95), k_pick=st.integers(0, 4),
+       rho_cp=st.floats(0.0, 1.0), sup_min=st.floats(0.005, 1.0))
+def test_emitted_supports_are_finite_property(sizes, n_rows, seed, mechanism, gamma, p, k_pick,
+                                              rho_cp, sup_min):
+    sch = make_schema(*sizes)
+    rng = np.random.default_rng(seed)
+    if mechanism == "gd":
+        spec = GammaDiagonalSpec(gamma=gamma, schema=sch)
+        table = Dataset(sch, np.column_stack([rng.integers(0, s, n_rows) for s in sizes]))
+    else:
+        spec = (MaskSpec(p=p, schema=sch) if mechanism == "mask"
+                else CutPasteSpec(K=k_pick % (len(sizes) + 1), rho_cp=rho_cp, schema=sch))
+        table = BooleanDataset(sch, rng.random((n_rows, sch.boolean_width)) < rng.random())
+    try:
+        result = apriori_reconstructed(table, sch, spec, sup_min)
+    except np.linalg.LinAlgError:
+        assert mining.length_condition(spec, 1) > mining.COND_CEILING
+        return
+    assert all(np.isfinite(s) for _, s in result.itemsets())
+    assert all(lv.condition <= mining.COND_CEILING for lv in result.levels)
+
+
+def test_mask_closed_form_matches_exact_kronecker_inverse():
+    # the dense 2^k pattern system solved in exact rational arithmetic
+    sch = make_schema(2, 3, 2)
+    rng = np.random.default_rng(8)
+    bits = BooleanDataset(sch, rng.random((97, sch.boolean_width)) < 0.4)
+    p = 0.8
+    level = [((1, 2),), ((0, 1), (2, 0)), ((0, 1), (1, 2), (2, 0)), ((0, 0), (1, 1), (2, 1))]
+    found = SupportEstimator(bits, MaskSpec(p=p, schema=sch)).estimate(level)
+    for itemset, estimate in zip(level, found):
+        k = len(itemset)
+        positions = [sch.boolean_offsets[a] + c for a, c in itemset]
+        codes = bits.bits[:, positions].astype(int) @ (1 << np.arange(k))
+        y = [Fraction(int(c), len(codes)) for c in np.bincount(codes, minlength=1 << k)]
+        fp = Fraction(p)
+        rows = []
+        for v in range(1 << k):
+            flips = [bin(u ^ v).count("1") for u in range(1 << k)]
+            rows.append([fp ** (k - f) * (1 - fp) ** f for f in flips] + [y[v]])
+        for col in range(1 << k):  # Gauss-Jordan on [A | y]
+            rows[col] = [value / rows[col][col] for value in rows[col]]
+            for r in range(1 << k):
+                factor = rows[r][col]
+                if r != col and factor:
+                    rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+        assert abs(estimate - float(rows[-1][-1])) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # the count lattice against the per-itemset reference paths
 # ---------------------------------------------------------------------------
+
+def _close(found: float, expected: float, tol: float) -> bool:
+    return abs(found - expected) <= tol * max(1.0, abs(expected))
+
 
 @PROPERTIES
 @given(sizes=st.lists(st.integers(2, 6), min_size=1, max_size=5), n_rows=st.integers(1, 300),
@@ -320,6 +428,7 @@ def test_candidate_ceiling_is_validation_error(monkeypatch, tmp_path, capsys):
        rho_cp=st.floats(0.05, 0.95), k_pick=st.integers(0, 4), density=st.floats(0.0, 1.0))
 def test_lattice_matches_reference_paths_property(sizes, n_rows, seed, gamma, p, rho_cp,
                                                   k_pick, density):
+    # one level per length: an itemset on every attribute subset, random categories
     sch = make_schema(*sizes)
     rng = np.random.default_rng(seed)
     data = Dataset(sch, np.column_stack([rng.integers(0, s, n_rows) for s in sizes]))
@@ -327,27 +436,35 @@ def test_lattice_matches_reference_paths_property(sizes, n_rows, seed, gamma, p,
     gd = GammaDiagonalSpec(gamma=gamma, schema=sch)
     mask = MaskSpec(p=p, schema=sch)
     cp = CutPasteSpec(K=1 + k_pick % len(sizes), rho_cp=rho_cp, schema=sch)
-    on_codes = SupportEstimator(data)
     on_bits = SupportEstimator(bits)
     for k in range(1, len(sizes) + 1):
-        for attrs in itertools.combinations(range(len(sizes)), k):
-            cats = tuple(int(rng.integers(0, sizes[a])) for a in attrs)
-            itemset = tuple(zip(attrs, cats))
-            positions = tuple(sch.boolean_offsets[a] + c for a, c in itemset)
-            assert np.array_equal(on_bits.pattern_counts(positions),
-                                  mask_pattern_counts(bits.bits, positions))
-            assert np.array_equal(on_bits.class_counts(positions),
-                                  cut_paste_class_counts(bits.bits, positions))
+        level = [tuple((a, int(rng.integers(0, sizes[a]))) for a in attrs)
+                 for attrs in itertools.combinations(range(len(sizes)), k)]
+        positions = np.array([[sch.boolean_offsets[a] + c for a, c in itemset]
+                              for itemset in level])
+        lattice = on_bits.lattice(positions)
+        for row, pos in zip(lattice, positions):
+            for code in range(1 << k):
+                subset = [pos[j] for j in range(k) if code >> j & 1]
+                assert row[code] == bits.bits[:, subset].all(axis=1).sum()
+        classes = lattice @ mining._overlap_transform(k)
+        plain = SupportEstimator(data).estimate(level)
+        gd_est = SupportEstimator(data, gd).estimate(level)
+        mask_est = SupportEstimator(bits, mask).estimate(level)
+        cp_est = SupportEstimator(bits, cp).estimate(level) if k <= cp.K else None
+        for i, (itemset, pos) in enumerate(zip(level, positions.tolist())):
+            attrs = tuple(a for a, _ in itemset)
+            assert np.array_equal(classes[i], cut_paste_class_counts(bits.bits, tuple(pos)))
             rel = count_subset(data, attrs).counts / n_rows
-            cell = np.ravel_multi_index(cats, [sizes[a] for a in attrs], order="F")
+            cell = np.ravel_multi_index([c for _, c in itemset], [sizes[a] for a in attrs],
+                                        order="F")
             gd_rel = reconstruct_subset(rel, SubsetMarginalSpec.for_subset(gd, attrs))
-            assert on_codes.estimate([itemset])[0] == rel[cell]
-            assert mining._gamma_diagonal(gd, on_codes, itemset, positions) == gd_rel[cell]
-            assert mining._mask(mask, on_bits, itemset, positions) == reconstruct_mask_support(
-                mask_pattern_counts(bits.bits, positions), k, p)
-            if k <= cp.K:  # wider class matrices may be singular (ROADMAP item 1)
-                assert mining._cut_paste(cp, on_bits, itemset, positions) == cut_paste_supports(
-                    bits.bits, positions, cp)[-1]
+            assert plain[i] == rel[cell]
+            assert gd_est[i] == gd_rel[cell]
+            assert _close(mask_est[i], reconstruct_mask_support(
+                mask_pattern_counts(bits.bits, tuple(pos)), k, p), 1e-10)
+            if cp_est is not None:  # wider class matrices may be singular
+                assert _close(cp_est[i], cut_paste_supports(bits.bits, tuple(pos), cp)[-1], 1e-12)
 
 
 @PROPERTIES

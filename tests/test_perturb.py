@@ -6,6 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import PROPERTIES, FixedUniformRng, gof_chisq, make_schema, two_sample_chisq
+from oracles.dense_matrices import (
+    _bits_to_ints,
+    cut_paste_entry,
+    cut_paste_matrix,
+    gd_entry,
+    gd_matrix,
+    mask_collapse,
+    mask_matrix,
+    perturb_generic,
+)
 from privmine import (
     CutPasteSpec,
     Dataset,
@@ -17,29 +27,21 @@ from privmine import (
     condition_number,
     cut_paste_class_matrix,
     cut_paste_dataset,
-    cut_paste_entry,
-    cut_paste_matrix,
     cut_paste_perturb,
     draw_client_params,
     encode,
     encode_rows,
-    gd_entry,
-    gd_matrix,
     generate_synthetic,
-    mask_collapse,
     mask_dataset,
     mask_expand,
-    mask_matrix,
     mask_p_for_gamma,
     mask_perturb,
     perturb_chain,
     perturb_dataset,
-    perturb_generic,
     record_rng,
 )
 from privmine.perturb import (
     _BLOCK,
-    _bits_to_ints,
     _chain_bulk,
     _record_states,
     _uniform_blocks,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import make_schema
+from oracles.dense_matrices import gd_matrix
 from privmine import (
     CutPasteSpec,
     FrequencyVector,
@@ -18,7 +19,6 @@ from privmine import (
     cut_paste_dataset,
     cut_paste_supports,
     error_amplification_bound,
-    gd_matrix,
     generate_synthetic,
     marginalize,
     mask_dataset,

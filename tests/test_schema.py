@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import yaml
 
 from helpers import gof_chisq, make_schema
 from privmine import (
@@ -25,6 +26,7 @@ from privmine import (
     write_boolean_csv,
     write_csv,
 )
+from privmine import schema as schema_module
 from privmine.schema import BooleanDataset
 
 CHI2_999_DF19 = 43.820196  # tests/oracles/critical_values_oracle.py
@@ -120,6 +122,20 @@ def test_load_schema_errors():
         load_schema("attributes:\n  - name: a\n")  # neither categories nor bins
     with pytest.raises(ValueError):
         load_schema("just a scalar")
+
+
+@pytest.mark.parametrize("name", ["census", "health"])
+def test_yaml_loaders_agree_on_bundled_configs(name, monkeypatch):
+    fast = builtin_schema(name), builtin_distribution(name)
+    monkeypatch.setattr(schema_module, "_YAML_LOADER", yaml.SafeLoader)
+    pure = builtin_schema(name), builtin_distribution(name)
+    assert fast[0] == pure[0]
+    assert np.array_equal(fast[1], pure[1])
+
+
+def test_malformed_yaml_is_value_error():
+    with pytest.raises(ValueError, match="malformed YAML config"):
+        load_schema("attributes:\n  - name: a\n    categories: [x, y\n")
 
 
 # ---------------------------------------------------------------------------
