@@ -239,17 +239,31 @@ def load_schema(config_text: str) -> Schema:
     doc = _parse_yaml(config_text)
     if not isinstance(doc, dict) or "attributes" not in doc:
         raise ValueError("schema config must be a mapping with an 'attributes' list")
+    if not isinstance(doc["attributes"], list):
+        raise ValueError(f"schema config: 'attributes' must be a list, got {doc['attributes']!r}")
     attributes = []
     for entry in doc["attributes"]:
+        if not isinstance(entry, dict):
+            raise ValueError(f"schema config: attribute {entry!r} is not a mapping "
+                             "with a name and categories or bins")
         name = entry.get("name")
         if not name:
             raise ValueError("schema config: attribute without a name")
+        if not isinstance(name, str):
+            raise ValueError(f"schema config: attribute name {name!r} is not a string")
         has_cats = "categories" in entry
         has_bins = "bins" in entry
         if has_cats == has_bins:
             raise ValueError(f"attribute {name!r}: exactly one of 'categories'/'bins' required")
+        key = "bins" if has_bins else "categories"
+        if not isinstance(entry[key], list):
+            raise ValueError(f"attribute {name!r}: {key!r} must be a list, got {entry[key]!r}")
         if has_bins:
-            edges = tuple(float(e) for e in entry["bins"])
+            try:
+                edges = tuple(float(e) for e in entry["bins"])
+            except (TypeError, ValueError):
+                raise ValueError(f"attribute {name!r}: bins must be numbers, "
+                                 f"got {entry['bins']!r}") from None
             open_upper = bool(entry.get("open_upper", False))
             attributes.append(
                 Attribute(name=name, categories=_bin_labels(edges, open_upper),
@@ -394,43 +408,86 @@ def ingest_csv(
         clamp: clamp out-of-range numeric values to the end bins.
 
     Binned attributes accept either raw numbers or exact bin labels, so
-    datasets written by this package re-ingest cleanly. Rows are parsed in
-    blocks of ``BLOCK_ROWS``, one column at a time, each distinct text once.
+    datasets written by this package re-ingest cleanly. Rows are read in
+    blocks of ``BLOCK_ROWS`` lines, and each distinct line is parsed once: a
+    block of which at most half the lines are new parses only those, so a
+    label table (at most one distinct line per domain cell) parses a few
+    thousand lines in all. Other blocks are parsed one column at a time, each
+    distinct text once. From the first block holding a ``"`` on, rows come
+    from ``csv.reader``, so quoted commas and line breaks read as before.
     """
     if on_error not in ("skip", "abort"):
         raise ValueError(f"on_error must be 'skip' or 'abort', got {on_error!r}")
     attrs = schema.attributes
     with open(path, newline="") as fh:
-        rows = csv.reader(fh)
-        first = next(rows, None)
+        first = next(csv.reader(fh), None)
         if first is None:
             return Dataset(schema, np.empty((0, schema.n_attributes), dtype=np.int32),
                            provenance=f"csv:{path} (empty)")
         has_header, cols = _resolve_columns(first, schema, column_map, has_header)
+        blocks = _blocks(fh)
         if not has_header:
-            rows = itertools.chain([first], rows)
+            blocks = itertools.chain([(None, [first])], blocks)
         tables: list[dict] = [{None: -1} for _ in attrs]  # None: the row is too short
+        memo: dict[str, int] = {}  # distinct raw line -> its row in known
+        known = np.empty((0, len(attrs)), dtype=np.int32)
+        flagged_known = np.empty(0, dtype=bool)  # per known row: see _flagged
         out, skipped = bytearray(), 0  # kept rows' codes, grown in place
         row_no = 2 if has_header else 1
-        while block := list(itertools.islice(rows, BLOCK_ROWS)):
-            codes = _block_codes(block, cols, attrs, tables, clamp)
-            good = (codes >= 0).all(axis=1)
-            for i in np.flatnonzero(~good):
-                row = block[i]
-                if not row or all(not f.strip() for f in row):
-                    continue
-                if on_error == "abort":
-                    try:  # the row's first bad field in schema order raises
+        for lines, block in blocks:
+            if block is None:
+                new = set(lines).difference(memo)
+                if 2 * len(new) > len(lines):  # mostly new lines: not worth a memo entry
+                    block = list(csv.reader(lines))
+            if block is None:  # parse only the lines not seen before
+                if new:
+                    memo.update(zip(new, itertools.count(len(memo))))
+                    new_rows = list(csv.reader(new))
+                    new_codes = _block_codes(new_rows, cols, attrs, tables, clamp)
+                    known = np.concatenate([known, new_codes])
+                    flagged_known = np.concatenate([flagged_known,
+                                                    _flagged(new_rows, new_codes)])
+                inv = np.fromiter(map(memo.__getitem__, lines), np.intp, len(lines))
+                codes, flagged = known[inv], flagged_known[inv]
+            else:
+                codes = _block_codes(block, cols, attrs, tables, clamp)
+                flagged = _flagged(block, codes)
+            if flagged.any():
+                if on_error == "abort":  # the row's first bad field in schema order raises
+                    i = int(flagged.argmax())
+                    row = next(csv.reader([lines[i]])) if block is None else block[i]
+                    try:
                         [_parse_field(_field(row, c), a, clamp) for c, a in zip(cols, attrs)]
                     except ValueError as exc:
                         raise ValueError(f"{path} row {row_no + i}: {exc}") from None
-                skipped += 1
-            out += codes[good].tobytes()
-            row_no += len(block)
+                skipped += int(flagged.sum())
+            out += codes[(codes >= 0).all(axis=1)].tobytes()
+            row_no += len(codes)
     if skipped:
         logger.warning("%s: skipped %d rows with missing or unparseable values", path, skipped)
     codes = np.frombuffer(out, dtype=np.int32).reshape(-1, schema.n_attributes)
     return Dataset(schema, codes, provenance=f"csv:{path} (rows={len(codes)}, skipped={skipped})")
+
+
+def _blocks(lines):
+    """The rest of a file in blocks of up to ``BLOCK_ROWS`` rows: ``(lines,
+    None)`` while no line holds a ``"``, each line then being one row, and
+    ``(None, rows)`` parsed by ``csv.reader`` from the first such block on."""
+    while block := list(itertools.islice(lines, BLOCK_ROWS)):
+        if '"' in "".join(block):
+            rows = csv.reader(itertools.chain(block, lines))
+            while block := list(itertools.islice(rows, BLOCK_ROWS)):
+                yield None, block
+            return
+        yield block, None
+
+
+def _flagged(rows, codes) -> np.ndarray:
+    """Rows with a bad field that are not blank: those skipped or aborted on."""
+    flagged = ~(codes >= 0).all(axis=1)
+    for i in np.flatnonzero(flagged):
+        flagged[i] = any(f.strip() for f in rows[i])
+    return flagged
 
 
 def _resolve_columns(first, schema, column_map, has_header) -> tuple[bool, list[int]]:

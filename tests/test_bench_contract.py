@@ -99,3 +99,5 @@ def test_traced_benchmark_metrics_resolve(tmp_path):
     names = [m["name"] for m in benchmark["per_layer"] if m["name"] not in NOT_FROM_TRACER]
     unresolved = [n for n in names if not isinstance(summary.get(n), (int, float))]
     assert not unresolved, f"traced metrics that no longer resolve: {unresolved}"
+    # five 300-row ingests, each counted once: ingest calls no traced name
+    assert summary["schema.ingest_csv.rows"] == 1500

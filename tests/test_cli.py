@@ -424,6 +424,20 @@ def test_mine_rejects_boolean_cell_other_than_0_1(tmp_path, capsys):
     assert "row 4: expected 23 cells of 0 or 1" in err
 
 
+@pytest.mark.parametrize("attributes, message", [
+    ("[x]", "attribute 'x' is not a mapping"),
+    ("5", "'attributes' must be a list"),
+])
+def test_malformed_schema_shape_is_validation_error(tmp_path, capsys, attributes, message):
+    schema = tmp_path / "shape.yaml"
+    schema.write_text(f"attributes: {attributes}\n")
+    code, _, err = run(capsys, "perturb", "--schema", str(schema), "--synthetic", "uniform",
+                       "--n-records", "10", "--mechanism", "det-gd", "--gamma", "19",
+                       "--seed", "1", "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert message in err
+
+
 def test_schema_label_with_surrounding_whitespace_is_rejected(tmp_path, capsys):
     schema = tmp_path / "padded.yaml"
     schema.write_text("attributes:\n  - name: a\n    categories: [' x', y]\n")

@@ -3,6 +3,7 @@ byte identity of the writers, strict boolean reads, round-trip invariants."""
 
 import csv
 import io
+import itertools
 import logging
 import math
 import string
@@ -29,6 +30,7 @@ from privmine import (
     write_boolean_csv,
     write_csv,
 )
+from privmine import schema as schema_module
 from privmine.schema import BLOCK_ROWS, BooleanDataset
 
 # ---------------------------------------------------------------------------
@@ -196,6 +198,125 @@ def test_negative_column_index_too_short_is_a_bad_row(tmp_path):
     ds = ingest_csv(str(path), sch, column_map={"country": -3})
     assert ds.n_records == 0
     assert "skipped=2" in ds.provenance
+
+
+# ---------------------------------------------------------------------------
+# differential: the line memo, on files of a few dozen distinct lines, as a
+# perturbed label table is (at most one distinct line per domain cell)
+# ---------------------------------------------------------------------------
+
+MEMO_COLUMNS = ("age", "w", "race", "country", "q")
+N_MEMO_ROWS = 3 * BLOCK_ROWS
+# label lines of EDGE_SCHEMA without the labels that need quotes: 4 * 3 * 3 * 2 * 2
+LABEL_LINES = [",".join(labels) + "\n" for labels in itertools.product(
+    *([c for c in a.categories if "," not in c] for a in EDGE_SCHEMA.attributes))]
+BAD_LINE = "(15-35],(0-1],Purple,US,yes\n"
+
+
+def _memo_lines(n_distinct=40, seed=0):
+    """A header plus N_MEMO_ROWS lines drawn from n_distinct label lines."""
+    rng = np.random.default_rng(seed)
+    pool = [LABEL_LINES[i] for i in rng.choice(len(LABEL_LINES), n_distinct, replace=False)]
+    return [",".join(MEMO_COLUMNS) + "\n"] + [pool[i] for i in rng.integers(0, n_distinct,
+                                                                             N_MEMO_ROWS)]
+
+
+def _write_lines(path, lines, at=None):
+    """Write lines, after replacing the file rows (1-based) given in ``at``."""
+    lines = list(lines)
+    for row_no, text in (at or {}).items():
+        lines[row_no - 1] = text
+    path.write_text("".join(lines), newline="")
+    return path
+
+
+def _assert_memo_ingest(path, caplog):
+    """``_assert_same_ingest`` under both error policies: the skipped count,
+    and whether abort raised."""
+    aborted = _assert_same_ingest(path, on_error="abort") is None
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="privmine.schema"):
+        skipped = _assert_same_ingest(path, on_error="skip")
+    want = [f"{path}: skipped {skipped} rows with missing or unparseable values"] if skipped else []
+    assert [r.getMessage() for r in caplog.records] == want
+    return skipped, aborted
+
+
+@pytest.mark.parametrize("first", [7, BLOCK_ROWS + 10])  # before / after the memo engaged
+def test_memo_repeated_bad_line_counts_every_row_and_aborts_at_the_first(tmp_path, caplog, first):
+    rows = (first, BLOCK_ROWS + 40, 2 * BLOCK_ROWS + 5, N_MEMO_ROWS)
+    path = _write_lines(tmp_path / "bad.csv", _memo_lines(), {r: BAD_LINE for r in rows})
+    with pytest.raises(ValueError) as got:
+        ingest_csv(str(path), EDGE_SCHEMA, on_error="abort")
+    assert str(got.value) == f"{path} row {first}: attribute 'race': unknown category 'Purple'"
+    assert _assert_memo_ingest(path, caplog) == (len(rows), True)
+
+
+def test_memo_blank_lines_are_skipped_silently(tmp_path, caplog):
+    blanks = ("\n", "\r\n", "   \n", ",,,,\n", " , , , , \r\n", "\t\n")
+    at = {r: blanks[k % len(blanks)]
+          for k, r in enumerate(range(3, N_MEMO_ROWS, N_MEMO_ROWS // 25))}
+    path = _write_lines(tmp_path / "blank.csv", _memo_lines(), at)
+    assert _assert_memo_ingest(path, caplog) == (0, False)
+    assert ingest_csv(str(path), EDGE_SCHEMA).n_records == N_MEMO_ROWS - len(at)
+
+
+def test_memo_same_row_as_lf_and_crlf(tmp_path, caplog):
+    lines = _memo_lines()
+    lines[1::3] = [line[:-1] + "\r\n" for line in lines[1::3]]
+    path = _write_lines(tmp_path / "crlf.csv", lines)
+    assert _assert_memo_ingest(path, caplog) == (0, False)
+    lf = ingest_csv(str(_write_lines(tmp_path / "lf.csv", _memo_lines())), EDGE_SCHEMA)
+    assert np.array_equal(ingest_csv(str(path), EDGE_SCHEMA).codes, lf.codes)
+
+
+def test_memo_lone_carriage_return(tmp_path, caplog):
+    lines = _memo_lines()
+    lines[5::11] = [line[:-1] + "\r" for line in lines[5::11]]  # a lone \r ends the row
+    lines[BLOCK_ROWS + 3] = "\r"  # and a blank one
+    lines[-1] = lines[-1][:-1]  # no line end at the end of the file
+    path = _write_lines(tmp_path / "cr.csv", lines)
+    assert _assert_memo_ingest(path, caplog) == (0, False)
+
+
+@pytest.mark.parametrize("bad_after", [False, True])
+def test_memo_quoted_field_first_in_block_two(tmp_path, caplog, bad_after):
+    quoted = '"(15-35]",(0-1],White,"US","no, thanks"\n'
+    at = {BLOCK_ROWS + 50: quoted, BLOCK_ROWS + 60: '(15-35],(0-1],"Whi\nte",US,yes\n',
+          2 * BLOCK_ROWS + 7: quoted, 2 * BLOCK_ROWS + 8: BAD_LINE if bad_after else quoted}
+    path = _write_lines(tmp_path / "quoted.csv", _memo_lines(), at)
+    skipped, aborted = _assert_memo_ingest(path, caplog)
+    assert (skipped, aborted) == (1 + bad_after, True)  # the split "Whi\nte", then BAD_LINE
+    assert ingest_csv(str(path), EDGE_SCHEMA).n_records == N_MEMO_ROWS - skipped
+
+
+def test_memo_engages_after_an_all_distinct_first_block(tmp_path, caplog):
+    rng = np.random.default_rng(5)
+    raw = [f"{20 + i % 50},{(i + 1) / (BLOCK_ROWS + 1) * 10!r},{('White', 'Black')[i % 2]},US,?\n"
+           for i in range(BLOCK_ROWS)]  # raw numbers: every line distinct
+    raw[100] = raw[200] = "?,1,White,US,yes\n"  # one bad line, twice
+    later = [raw[100], *(raw[i] for i in rng.choice(range(300, BLOCK_ROWS), 39, replace=False))]
+    lines = [",".join(MEMO_COLUMNS) + "\n", *raw,
+             *(later[i] for i in rng.integers(0, 40, 2 * BLOCK_ROWS))]
+    path = _write_lines(tmp_path / "distinct_first.csv", lines)
+    expected_skips = 2 + sum(line == raw[100] for line in lines[BLOCK_ROWS + 1:])
+    assert _assert_memo_ingest(path, caplog) == (expected_skips, True)
+
+
+def test_each_distinct_label_line_is_parsed_once(tmp_path, monkeypatch):
+    handed = []  # rows handed to the block parser
+    parse = schema_module._block_codes
+    monkeypatch.setattr(schema_module, "_block_codes",
+                        lambda rows, *args: handed.append(len(rows)) or parse(rows, *args))
+    ingest_csv(str(_write_lines(tmp_path / "labels.csv", _memo_lines(n_distinct=40))), EDGE_SCHEMA)
+    assert sum(handed) <= 40
+    rng = np.random.default_rng(6)
+    raw = [",".join(MEMO_COLUMNS) + "\n"] + [
+        f"{rng.integers(16, 100)},{rng.uniform(0.001, 10.0)!r},White,US,yes\n"
+        for _ in range(N_MEMO_ROWS)]
+    handed.clear()
+    ingest_csv(str(_write_lines(tmp_path / "numbers.csv", raw)), EDGE_SCHEMA)
+    assert sum(handed) == N_MEMO_ROWS
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Schema construction, discretization, encoding, ingestion, synthesis."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,23 @@ def test_load_schema_errors():
         load_schema("attributes:\n  - name: a\n")  # neither categories nor bins
     with pytest.raises(ValueError):
         load_schema("just a scalar")
+
+
+@pytest.mark.parametrize("config, message", [
+    ("attributes: 5\n", "'attributes' must be a list, got 5"),
+    ("attributes: {a: [x, y]}\n", "'attributes' must be a list"),
+    ("attributes: [x]\n", "attribute 'x' is not a mapping"),
+    ("attributes:\n  - [a, x, y]\n", "attribute ['a', 'x', 'y'] is not a mapping"),
+    ("attributes:\n  - name: 5\n    categories: [x, y]\n", "attribute name 5 is not a string"),
+    ("attributes:\n  - name: a\n    categories: xy\n", "attribute 'a': 'categories' must be a list"),
+    ("attributes:\n  - name: a\n    categories: {x: 1}\n", "attribute 'a': 'categories' must be"),
+    ("attributes:\n  - name: a\n    bins: 5\n", "attribute 'a': 'bins' must be a list, got 5"),
+    ("attributes:\n  - name: a\n    bins: [0, [1], 2]\n", "attribute 'a': bins must be numbers"),
+    ("attributes:\n  - name: a\n    bins: [0, one, 2]\n", "attribute 'a': bins must be numbers"),
+])
+def test_load_schema_rejects_malformed_shapes(config, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_schema(config)
 
 
 @pytest.mark.parametrize("name", ["census", "health"])
