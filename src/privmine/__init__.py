@@ -6,7 +6,7 @@ distributions from the perturbed database and mines frequent itemsets on the
 reconstructed supports.
 """
 
-from .metrics import AccuracyReport, LengthAccuracy, accuracy_report, identity_errors, support_error
+from .metrics import AccuracyReport, LengthAccuracy, accuracy_report
 from .mining import (
     Itemset,
     MiningResult,
@@ -23,7 +23,6 @@ from .perturb import (
     CutPasteSpec,
     GammaDiagonalSpec,
     MaskSpec,
-    MaterializedMatrix,
     RandomizedGammaSpec,
     chain_column,
     condition_number,
@@ -49,25 +48,15 @@ from .privacy import (
     worst_case_posterior,
 )
 from .reconstruct import (
-    FrequencyVector,
     SubsetMarginalSpec,
-    VarianceDiagnostic,
-    count_full,
     count_subset,
     cut_paste_class_counts,
     cut_paste_supports,
-    error_amplification_bound,
-    marginalize,
     mask_itemset_condition,
     mask_itemset_matrix,
     mask_pattern_counts,
-    poisson_binomial_variance,
-    reconstruct_full,
     reconstruct_mask_support,
     reconstruct_subset,
-    reconstruct_with_matrix,
-    subset_matrix,
-    variance_diagnostic,
 )
 from .schema import (
     Attribute,

@@ -134,29 +134,3 @@ def accuracy_report(found: MiningResult, truth: MiningResult) -> AccuracyReport:
         false_negative_pct=sum_fn / total_true * 100.0 if total_true else None,
     )
     return AccuracyReport(tuple(rows), overall, stray)
-
-
-def support_error(found: MiningResult, truth: MiningResult) -> tuple[dict[int, float | None], float | None]:
-    """Per-length and overall support error over correctly identified
-    itemsets; None where no itemset was correctly identified."""
-    report = accuracy_report(found, truth)
-    per_length = {
-        r.length: r.support_error_pct for r in report.per_length if r.n_true > 0
-    }
-    return per_length, report.overall.support_error_pct
-
-
-def identity_errors(found: MiningResult, truth: MiningResult) -> tuple[
-    dict[int, tuple[float, float] | None], tuple[float, float] | None
-]:
-    """Per-length and overall (false positive, false negative) percentages."""
-    report = accuracy_report(found, truth)
-    per_length: dict[int, tuple[float, float] | None] = {}
-    for r in report.per_length:
-        if r.n_true > 0:
-            per_length[r.length] = (r.false_positive_pct, r.false_negative_pct)
-    if report.overall.n_true:
-        overall = (report.overall.false_positive_pct, report.overall.false_negative_pct)
-    else:
-        overall = None
-    return per_length, overall

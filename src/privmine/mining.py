@@ -289,14 +289,14 @@ def _join_and_prune(prev_frequent: list[Itemset]) -> list[Itemset]:
     return out
 
 
-def mine(estimator, schema: Schema, sup_min: float, max_length: int | None = None) -> MiningResult:
+def mine(estimator, schema: Schema, sup_min: float) -> MiningResult:
     """Level-wise mining loop; the estimator supplies support estimates for
     each pass's candidates. The search stops before a length whose
     reconstruction condition number exceeds ``COND_CEILING``, and raises
     ``LinAlgError`` if that is already length 1."""
     if not sup_min > 0:
         raise ValueError(f"sup_min must be positive, got {sup_min}")
-    limit = schema.n_attributes if max_length is None else min(max_length, schema.n_attributes)
+    limit = schema.n_attributes
     by_length: dict[int, dict[Itemset, float]] = {}
     levels: list[Level] = []
     candidates: list[Itemset] = [
@@ -337,10 +337,9 @@ def mine(estimator, schema: Schema, sup_min: float, max_length: int | None = Non
     )
 
 
-def apriori_plain(dataset: Dataset, sup_min: float,
-                  max_length: int | None = None) -> MiningResult:
+def apriori_plain(dataset: Dataset, sup_min: float) -> MiningResult:
     """Reference miner on unperturbed data; ground truth for accuracy metrics."""
-    return mine(SupportEstimator(dataset), dataset.schema, sup_min, max_length)
+    return mine(SupportEstimator(dataset), dataset.schema, sup_min)
 
 
 def apriori_reconstructed(
@@ -348,7 +347,6 @@ def apriori_reconstructed(
     schema: Schema,
     spec: GammaDiagonalSpec | RandomizedGammaSpec | MaskSpec | CutPasteSpec,
     sup_min: float,
-    max_length: int | None = None,
 ) -> MiningResult:
     """Mining over a perturbed database with per-pass support reconstruction.
 
@@ -376,11 +374,10 @@ def apriori_reconstructed(
         description = f"cut-paste(K={spec.K}, rho={spec.rho_cp:g})"
     if perturbed.schema != schema:
         raise ValueError("perturbed data schema does not match the mining schema")
-    return mine(SupportEstimator(perturbed, spec, description), schema, sup_min, max_length)
+    return mine(SupportEstimator(perturbed, spec, description), schema, sup_min)
 
 
-def brute_force_frequent(dataset: Dataset, sup_min: float,
-                         max_length: int | None = None) -> MiningResult:
+def brute_force_frequent(dataset: Dataset, sup_min: float) -> MiningResult:
     """Exhaustive enumeration over every attribute subset; oracle for the
     level-wise miner. Exponential in attribute count, fine for small schemas."""
     if not sup_min > 0:
@@ -389,12 +386,11 @@ def brute_force_frequent(dataset: Dataset, sup_min: float,
     n = dataset.n_records
     if n == 0:
         raise ValueError("cannot mine an empty dataset")
-    limit = schema.n_attributes if max_length is None else max_length
     by_length: dict[int, dict[Itemset, float]] = {}
-    for k in range(1, limit + 1):
+    for k in range(1, schema.n_attributes + 1):
         level: dict[Itemset, float] = {}
         for subset in itertools.combinations(range(schema.n_attributes), k):
-            rel = count_subset(dataset, subset).counts / n
+            rel = count_subset(dataset, subset) / n
             for cell in np.flatnonzero(rel >= sup_min):
                 code = int(cell)
                 items = []

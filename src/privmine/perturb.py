@@ -31,8 +31,6 @@ import numpy as np
 
 from .schema import BooleanDataset, Dataset, Record, Schema
 
-_ENTRY_TOL = 1e-10
-
 
 # ---------------------------------------------------------------------------
 # mechanism specifications
@@ -148,33 +146,6 @@ class CutPasteSpec:
     @property
     def M_b(self) -> int:
         return self.schema.boolean_width
-
-
-@dataclass(frozen=True)
-class MaterializedMatrix:
-    """Dense column-stochastic transition matrix, |S_V| x |S_U|."""
-
-    entries: np.ndarray
-    col_labels: tuple[str, ...] | None = None
-    row_labels: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.ndim != 2:
-            raise ValueError("matrix entries must be 2-dimensional")
-        if (entries < 0).any():
-            raise ValueError("matrix entries must be nonnegative")
-        deviation = np.abs(entries.sum(axis=0) - 1.0)
-        if not (deviation <= _ENTRY_TOL).all():
-            raise ValueError(
-                f"columns must sum to 1 within {_ENTRY_TOL:g}; "
-                f"worst deviation {deviation.max():.3e}"
-            )
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +542,7 @@ def condition_number(matrix) -> float:
     if isinstance(matrix, RandomizedGammaSpec):
         # the miner reconstructs with the expected matrix, which is the base
         return matrix.base.condition_number()
-    entries = matrix.entries if isinstance(matrix, MaterializedMatrix) else np.asarray(matrix, float)
+    entries = np.asarray(matrix, float)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError("condition number needs a square matrix or a spec")
     if np.allclose(entries, entries.T, rtol=0.0, atol=1e-12):

@@ -8,6 +8,7 @@ significant: it fixes the radix order of the encoding.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import logging
@@ -384,6 +385,16 @@ def decode_indices(indices: np.ndarray, schema: Schema) -> np.ndarray:
 BLOCK_ROWS = 4096  # rows held in memory at once while reading or writing a CSV
 
 
+@contextlib.contextmanager
+def _csv_errors(path: str):
+    """Re-raise ``csv.Error`` (a field past ``csv.field_size_limit()``, say)
+    as a ValueError naming the file."""
+    try:
+        yield
+    except csv.Error as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def ingest_csv(
     path: str,
     schema: Schema,
@@ -419,7 +430,7 @@ def ingest_csv(
     if on_error not in ("skip", "abort"):
         raise ValueError(f"on_error must be 'skip' or 'abort', got {on_error!r}")
     attrs = schema.attributes
-    with open(path, newline="") as fh:
+    with open(path, newline="") as fh, _csv_errors(path):
         first = next(csv.reader(fh), None)
         if first is None:
             return Dataset(schema, np.empty((0, schema.n_attributes), dtype=np.int32),
@@ -617,7 +628,7 @@ def read_boolean_csv(path: str, schema: Schema) -> BooleanDataset:
     width = schema.boolean_width
     line = 2 * width  # characters per row: digits, commas, '\n'
     blocks = []
-    with open(path, newline="") as fh:
+    with open(path, newline="") as fh, _csv_errors(path):
         header = csv.reader(fh)
         next(header, None)
         row_no = header.line_num + 1

@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import settings
 
-from privmine import Attribute, Schema
+from privmine import Attribute, Schema, SubsetMarginalSpec, reconstruct_subset
 
 # one profile for every property test: reproducible, no timing flakes, no
 # example database written next to the checkout
@@ -17,6 +17,14 @@ def make_schema(*sizes: int, name: str = "test") -> Schema:
         for j, s in enumerate(sizes)
     )
     return Schema(name=name, attributes=attrs)
+
+
+def reconstruct_all(Y: np.ndarray, spec) -> np.ndarray:
+    """Full-domain closed-form inverse in counts: the subset inverse over
+    every attribute, scaled by N = sum(Y)."""
+    Y = np.asarray(Y, dtype=float)
+    sub = SubsetMarginalSpec.for_subset(spec, tuple(range(spec.schema.n_attributes)))
+    return reconstruct_subset(Y / Y.sum(), sub) * Y.sum()
 
 
 class FixedUniformRng:

@@ -9,17 +9,47 @@ and the tests check them against these.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from privmine.perturb import (
     CutPasteSpec,
     GammaDiagonalSpec,
-    MaterializedMatrix,
     _cut_count_pmf,
     mask_expand_many,
 )
+from privmine.reconstruct import SubsetMarginalSpec
 from privmine.schema import Record, Schema, encode
+
+_ENTRY_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class MaterializedMatrix:
+    """Dense column-stochastic transition matrix, |S_V| x |S_U|."""
+
+    entries: np.ndarray
+    col_labels: tuple[str, ...] | None = None
+    row_labels: tuple[str, ...] | None = None
+
+    def __post_init__(self) -> None:
+        entries = np.asarray(self.entries, dtype=float)
+        if entries.ndim != 2:
+            raise ValueError("matrix entries must be 2-dimensional")
+        if (entries < 0).any():
+            raise ValueError("matrix entries must be nonnegative")
+        deviation = np.abs(entries.sum(axis=0) - 1.0)
+        if not (deviation <= _ENTRY_TOL).all():
+            raise ValueError(
+                f"columns must sum to 1 within {_ENTRY_TOL:g}; "
+                f"worst deviation {deviation.max():.3e}"
+            )
+        object.__setattr__(self, "entries", entries)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.entries.shape
 
 
 def gd_entry(u: int, v: int, spec: GammaDiagonalSpec) -> float:
@@ -36,6 +66,13 @@ def gd_matrix(spec: GammaDiagonalSpec, max_size: int = 4096) -> MaterializedMatr
     if n > max_size:
         raise ValueError(f"refusing to materialize {n}x{n} matrix (max_size={max_size})")
     entries = np.full((n, n), spec.off)
+    np.fill_diagonal(entries, spec.diag)
+    return MaterializedMatrix(entries)
+
+
+def subset_matrix(spec: SubsetMarginalSpec) -> MaterializedMatrix:
+    """Dense form of the subset marginal transition matrix."""
+    entries = np.full((spec.n_Cs, spec.n_Cs), spec.off)
     np.fill_diagonal(entries, spec.diag)
     return MaterializedMatrix(entries)
 

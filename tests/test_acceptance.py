@@ -15,12 +15,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import make_schema
-from oracles.dense_matrices import gd_matrix
+from helpers import make_schema, reconstruct_all
+from oracles.dense_matrices import MaterializedMatrix, gd_matrix, subset_matrix
 from privmine import (
     GammaDiagonalSpec,
     MaskSpec,
-    MaterializedMatrix,
     PrivacyTarget,
     RandomizedGammaSpec,
     SubsetMarginalSpec,
@@ -41,9 +40,7 @@ from privmine import (
     mask_p_for_gamma,
     perturb_dataset,
     posterior_range,
-    reconstruct_full,
     reconstruct_subset,
-    reconstruct_with_matrix,
     worst_case_posterior,
 )
 from privmine.perturb import _chain_bulk
@@ -122,7 +119,7 @@ def test_criterion_04_condition_number_floor():
         gamma = gammas[i % len(gammas)]
         n = 2 + (i % 31)
         A, ratio = _random_bounded_matrix(rng, n, gamma)
-        cond = condition_number(MaterializedMatrix(A))
+        cond = condition_number(MaterializedMatrix(A).entries)
         stated_bound = (gamma + n - 1) / (gamma - 1)
         sharp_bound = (ratio + n - 1) / (ratio - 1)
         assert cond >= stated_bound - 1e-9
@@ -135,7 +132,7 @@ def test_criterion_04_condition_number_floor():
             spec = GammaDiagonalSpec(schema=make_schema(n), gamma=gamma)
             bound = (gamma + n - 1) / (gamma - 1)
             attained &= abs(condition_number(spec) - bound) <= 1e-9 * bound
-            attained &= abs(condition_number(gd_matrix(spec)) - bound) <= 1e-6 * bound
+            attained &= abs(condition_number(gd_matrix(spec).entries) - bound) <= 1e-6 * bound
     elapsed = time.time() - t0
     ok = attained and elapsed < 60
     _report(4, ok, f"1000 bounded matrices at or above the floor "
@@ -203,20 +200,17 @@ def test_criterion_06_reconstruction_consistency():
         Y = rng.uniform(0.0, 1.0, size=n)
         Y *= 100_000 / Y.sum()
         dense = np.linalg.solve(gd_matrix(spec).entries, Y)
-        closed = reconstruct_full(Y, spec)
-        worst_solve = max(worst_solve, float(np.abs(np.asarray(closed) - dense).max()))
+        closed = reconstruct_all(Y, spec)
+        worst_solve = max(worst_solve, float(np.abs(closed - dense).max()))
         exact_Y = spec.x * X.sum() + (GAMMA - 1) * spec.x * X
-        roundtrip = reconstruct_full(exact_Y, spec)
-        worst_round = max(worst_round, float(np.abs(np.asarray(roundtrip) - X).max()))
+        roundtrip = reconstruct_all(exact_Y, spec)
+        worst_round = max(worst_round, float(np.abs(roundtrip - X).max()))
     for sizes, subset in [((8, 8, 8, 4), (0, 1, 2)), ((4, 5, 5, 5, 2, 2), (0, 1, 2, 3)),
                           ((16, 32), (1,)), ((2, 3, 4, 5), (1, 3))]:
         spec = GammaDiagonalSpec(schema=make_schema(*sizes), gamma=GAMMA)
         sub = SubsetMarginalSpec.for_subset(spec, subset)
         s_V = rng.dirichlet(np.ones(sub.n_Cs))
-        marginal = MaterializedMatrix(
-            (sub.diag - sub.off) * np.eye(sub.n_Cs)
-            + sub.off * np.ones((sub.n_Cs, sub.n_Cs)))
-        dense = reconstruct_with_matrix(s_V, marginal)
+        dense = np.linalg.solve(subset_matrix(sub).entries, s_V)
         closed = reconstruct_subset(s_V, sub)
         worst_solve = max(worst_solve, float(np.abs(closed - dense).max()))
     elapsed = time.time() - t0

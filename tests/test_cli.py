@@ -474,6 +474,28 @@ def test_mine_warns_about_skipped_rows(tmp_path, data_dir):
     assert proc.returncode == 0, proc.stderr
     assert "skipped 2 rows with missing or unparseable values" in proc.stderr
 
+
+@pytest.mark.parametrize("on_error", ["skip", "abort"])
+def test_mine_field_past_csv_limit_is_validation_error(tmp_path, on_error):
+    """A field longer than csv.field_size_limit() ends ``mine`` with an
+    ``error:`` line naming the file, not a traceback."""
+    path = tmp_path / "long.csv"
+    path.write_text("age,fnlwgt,hours-per-week,race,sex,native-country\n"
+                    f"30,50000,40,{'x' * 140_000},Male,United-States\n")
+    package_root = str(pathlib.Path(privmine.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [package_root, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "privmine.cli", "mine", "--schema", "census",
+         "--input", str(path), "--on-error", on_error, "--sup-min", "0.3",
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert f"error: {path}: field larger than field limit" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_mine_rejects_foreign_metadata(tmp_path, capsys, plain_csv):
     pert = tmp_path / "pert"
     assert run(capsys, "perturb", "--schema", "census", "--input", str(plain_csv),

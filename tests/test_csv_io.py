@@ -6,6 +6,7 @@ import io
 import itertools
 import logging
 import math
+import re
 import string
 import tempfile
 import warnings
@@ -185,6 +186,20 @@ def test_abort_names_the_row_at_each_block_boundary(tmp_path, clamp):
             row_ingest(str(path), EDGE_SCHEMA, **kwargs)
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith(f"{path} row {row_no}: attribute ")
+
+
+@pytest.mark.parametrize("on_error", ["skip", "abort"])
+def test_field_past_csv_limit_is_value_error(tmp_path, census_schema, on_error):
+    path = tmp_path / "long.csv"
+    path.write_text("age,fnlwgt,hours-per-week,race,sex,native-country\n"
+                    f"30,50000,40,{'x' * 140_000},Male,United-States\n")
+    limit = csv.field_size_limit()
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: field larger than field limit"):
+        ingest_csv(str(path), census_schema, on_error=on_error)
+    path.write_text(",".join(["x" * 140_000] * census_schema.boolean_width) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: field larger than field limit"):
+        read_boolean_csv(str(path), census_schema)
+    assert csv.field_size_limit() == limit
 
 
 def test_negative_column_index_too_short_is_a_bad_row(tmp_path):

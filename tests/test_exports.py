@@ -1,0 +1,50 @@
+"""Every name the package exports is used by the package, the benchmark or a demo.
+
+A public name whose only callers are tests is dead weight: it belongs in
+tests/oracles/ or nowhere. This test reads the sources as text. For each name
+that ``privmine/__init__.py`` imports it looks for a use in ``src/privmine/``
+(other than ``__init__.py``), ``perfbench/`` and ``demos/``. A use is the name
+as a code token anywhere but right after ``def`` or ``class``, or a string
+literal equal to it (perfbench's tracer wraps functions by name). Comments
+and docstrings do not count.
+"""
+
+import ast
+import io
+import pathlib
+import tokenize
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "privmine"
+USERS = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+USERS += sorted((REPO / "perfbench").glob("*.py")) + sorted((REPO / "demos").glob("*.py"))
+
+
+def _exported() -> set[str]:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def _used(path: pathlib.Path) -> set[str]:
+    used, previous = set(), None
+    for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
+        if tok.type == tokenize.NAME and previous not in ("def", "class"):
+            used.add(tok.string)
+        elif tok.type == tokenize.STRING:
+            try:
+                value = ast.literal_eval(tok.string)
+            except (ValueError, SyntaxError):
+                value = None
+            if isinstance(value, str):
+                used.add(value)
+        if tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE):
+            previous = tok.string
+    return used
+
+
+def test_every_export_has_a_user_outside_the_tests():
+    assert len(USERS) > 10
+    used = set().union(*map(_used, USERS))
+    unused = sorted(_exported() - used)
+    assert not unused, f"privmine exports names only the tests use: {unused}"

@@ -11,8 +11,6 @@ from privmine import (
     accuracy_report,
     apriori_plain,
     generate_synthetic,
-    identity_errors,
-    support_error,
 )
 from privmine.schema import Dataset
 
@@ -30,13 +28,13 @@ def result(by_length, sup_min=0.01, mechanism="test"):
 
 def test_support_error_single_itemset():
     truth = result({1: {A: 0.02}})
-    per, overall = support_error(result({1: {A: 0.025}}), truth)
-    assert per == {1: pytest.approx(25.0)}
-    assert overall == pytest.approx(25.0)
+    report = accuracy_report(result({1: {A: 0.025}}), truth)
+    assert report.row(1).support_error_pct == pytest.approx(25.0)
+    assert report.overall.support_error_pct == pytest.approx(25.0)
     # deviation is absolute, so undershoot scores the same
-    per, overall = support_error(result({1: {A: 0.015}}), truth)
-    assert per == {1: pytest.approx(25.0)}
-    assert overall == pytest.approx(25.0)
+    report = accuracy_report(result({1: {A: 0.015}}), truth)
+    assert report.row(1).support_error_pct == pytest.approx(25.0)
+    assert report.overall.support_error_pct == pytest.approx(25.0)
 
 
 def test_exact_result_scores_zero():
@@ -50,9 +48,9 @@ def test_exact_result_scores_zero():
 
 def test_support_error_none_when_nothing_correct():
     truth = result({1: {A: 0.5}})
-    per, overall = support_error(result({1: {B: 0.5}}), truth)
-    assert per == {1: None}
-    assert overall is None
+    report = accuracy_report(result({1: {B: 0.5}}), truth)
+    assert report.row(1).support_error_pct is None
+    assert report.overall.support_error_pct is None
 
 
 # ---------------------------------------------------------------------------
@@ -64,22 +62,25 @@ def test_identity_errors_counts():
     sch_items = [((0, c),) for c in range(11)]
     truth = result({1: {it: 0.3 for it in sch_items[:10]}})
     found = result({1: {**{it: 0.3 for it in sch_items[:8]}, sch_items[10]: 0.2}})
-    per, overall = identity_errors(found, truth)
-    assert per == {1: (pytest.approx(10.0), pytest.approx(20.0))}
-    assert overall == (pytest.approx(10.0), pytest.approx(20.0))
+    report = accuracy_report(found, truth)
+    for row in (report.row(1), report.overall):
+        assert row.false_positive_pct == pytest.approx(10.0)
+        assert row.false_negative_pct == pytest.approx(20.0)
 
 
 def test_empty_result_is_all_false_negatives():
     truth = result({1: {A: 0.5, B: 0.4}})
-    per, overall = identity_errors(result({}), truth)
-    assert per == {1: (pytest.approx(0.0), pytest.approx(100.0))}
-    assert overall == (pytest.approx(0.0), pytest.approx(100.0))
+    report = accuracy_report(result({}), truth)
+    for row in (report.row(1), report.overall):
+        assert row.false_positive_pct == pytest.approx(0.0)
+        assert row.false_negative_pct == pytest.approx(100.0)
 
 
 def test_empty_truth_gives_none():
-    per, overall = identity_errors(result({}), result({}))
-    assert per == {}
-    assert overall is None
+    report = accuracy_report(result({}), result({}))
+    assert report.per_length == ()
+    assert report.overall.false_positive_pct is None
+    assert report.overall.false_negative_pct is None
 
 
 # ---------------------------------------------------------------------------

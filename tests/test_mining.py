@@ -134,11 +134,6 @@ def test_threshold_is_inclusive():
     assert len(result.by_length[2]) == 3
 
 
-def test_max_length_caps_passes():
-    result = apriori_plain(toy_dataset(), 0.5, max_length=1)
-    assert sorted(result.by_length) == [1]
-
-
 def test_empty_dataset_is_rejected():
     empty = Dataset(make_schema(2, 2, 2), np.empty((0, 3), dtype=np.int64))
     spec = GammaDiagonalSpec(gamma=19.0, schema=empty.schema)
@@ -306,7 +301,6 @@ def test_candidate_ceiling_is_validation_error(monkeypatch, tmp_path, capsys):
     data = generate_synthetic(make_schema(3, 3, 3), 200, "uniform", seed=0)
     with pytest.raises(ValueError, match="6 candidates of length 2 exceed the ceiling of 5"):
         apriori_plain(data, 0.01)
-    assert apriori_plain(data, 0.01, max_length=1).counts_per_length() == {1: 9}
     census = generate_synthetic(builtin_schema("census"), 200, "uniform", seed=0)
     write_csv(census, str(tmp_path / "plain.csv"))
     code = main(["mine", "--schema", "census", "--input", str(tmp_path / "plain.csv"),
@@ -455,7 +449,7 @@ def test_lattice_matches_reference_paths_property(sizes, n_rows, seed, gamma, p,
         for i, (itemset, pos) in enumerate(zip(level, positions.tolist())):
             attrs = tuple(a for a, _ in itemset)
             assert np.array_equal(classes[i], cut_paste_class_counts(bits.bits, tuple(pos)))
-            rel = count_subset(data, attrs).counts / n_rows
+            rel = count_subset(data, attrs) / n_rows
             cell = np.ravel_multi_index([c for _, c in itemset], [sizes[a] for a in attrs],
                                         order="F")
             gd_rel = reconstruct_subset(rel, SubsetMarginalSpec.for_subset(gd, attrs))

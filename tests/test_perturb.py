@@ -12,6 +12,7 @@ from oracles.dense_matrices import (
     cut_paste_matrix,
     gd_entry,
     gd_matrix,
+    MaterializedMatrix,
     mask_collapse,
     mask_matrix,
     perturb_generic,
@@ -21,7 +22,6 @@ from privmine import (
     Dataset,
     GammaDiagonalSpec,
     MaskSpec,
-    MaterializedMatrix,
     RandomizedGammaSpec,
     chain_column,
     condition_number,
@@ -683,7 +683,7 @@ def test_condition_number_eigen_matches_closed_form():
     for n_cells in (6, 20, 128, 512):
         sizes = (2, n_cells // 2)
         spec = GammaDiagonalSpec(gamma=19.0, schema=make_schema(*sizes))
-        dense = gd_matrix(spec)
+        dense = gd_matrix(spec).entries
         assert condition_number(dense) == pytest.approx(spec.condition_number(), rel=1e-9)
 
 

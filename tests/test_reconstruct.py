@@ -1,38 +1,28 @@
-"""Distribution reconstruction: closed forms, marginals, MASK, diagnostics."""
+"""Distribution reconstruction: closed forms, marginals, MASK, cut-and-paste."""
 
 import numpy as np
 import pytest
 
-from helpers import make_schema
-from oracles.dense_matrices import gd_matrix
+from helpers import make_schema, reconstruct_all
+from oracles.dense_matrices import gd_matrix, subset_matrix
 from privmine import (
     CutPasteSpec,
-    FrequencyVector,
     GammaDiagonalSpec,
     MaskSpec,
-    RandomizedGammaSpec,
     SubsetMarginalSpec,
     condition_number,
-    count_full,
     count_subset,
     cut_paste_class_matrix,
     cut_paste_dataset,
     cut_paste_supports,
-    error_amplification_bound,
     generate_synthetic,
-    marginalize,
     mask_dataset,
     mask_itemset_condition,
     mask_itemset_matrix,
     mask_pattern_counts,
     perturb_dataset,
-    poisson_binomial_variance,
-    reconstruct_full,
     reconstruct_mask_support,
     reconstruct_subset,
-    reconstruct_with_matrix,
-    subset_matrix,
-    variance_diagnostic,
 )
 from privmine.perturb import _chain_bulk
 from privmine.reconstruct import cut_paste_class_counts
@@ -54,30 +44,16 @@ VAR_POINT_MASS_OFF = 5250 / 121
 
 
 # ---------------------------------------------------------------------------
-# counting and marginalization
+# counting
 # ---------------------------------------------------------------------------
 
 def test_count_full_and_subset():
     sch = make_schema(2, 3)
     data = Dataset(sch, np.array([[0, 0], [0, 2], [1, 2], [1, 2]]))
-    full = count_full(data)
+    full = count_subset(data, (0, 1))
     # first attribute varies fastest: (0,2) -> 4, (1,2) -> 5
-    assert full.counts.tolist() == [1, 0, 0, 0, 1, 2]
-    sub = count_subset(data, (1,))
-    assert sub.counts.tolist() == [1, 0, 3]
-    assert sub.subset == (1,)
-
-
-def test_marginalize_matches_count_subset():
-    sch = make_schema(3, 2, 4)
-    data = generate_synthetic(sch, 400, "uniform", seed=21)
-    full = count_full(data)
-    for subset in ((0,), (2,), (0, 1), (1, 2), (0, 1, 2)):
-        direct = count_subset(data, subset).counts
-        via_full = marginalize(full.counts, sch, subset)
-        assert np.array_equal(direct, via_full)
-    with pytest.raises(ValueError):
-        marginalize(np.ones(5), sch, (0,))
+    assert full.tolist() == [1, 0, 0, 0, 1, 2]
+    assert count_subset(data, (1,)).tolist() == [1, 0, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +65,7 @@ def test_reconstruct_full_oracle_case():
     spec = GammaDiagonalSpec(gamma=19.0, schema=sch)
     forward = gd_matrix(spec).entries @ ORACLE_X
     assert forward == pytest.approx(ORACLE_Y, abs=1e-12)
-    back = reconstruct_full(ORACLE_Y, spec)
-    assert back.counts == pytest.approx(ORACLE_X, abs=1e-9)
-    assert not back.observed
+    assert reconstruct_all(ORACLE_Y, spec) == pytest.approx(ORACLE_X, abs=1e-9)
 
 
 def test_reconstruct_preserves_total_mass():
@@ -99,8 +73,7 @@ def test_reconstruct_preserves_total_mass():
     spec = GammaDiagonalSpec(gamma=7.0, schema=sch)
     rng = np.random.default_rng(3)
     Y = rng.random(20) * 50
-    back = reconstruct_full(Y, spec)
-    assert back.total == pytest.approx(Y.sum(), abs=1e-9)
+    assert reconstruct_all(Y, spec).sum() == pytest.approx(Y.sum(), abs=1e-9)
 
 
 def test_closed_form_matches_dense_solve():
@@ -109,8 +82,8 @@ def test_closed_form_matches_dense_solve():
         spec = GammaDiagonalSpec(gamma=19.0, schema=sch)
         rng = np.random.default_rng(n_cells)
         Y = rng.random(n_cells) * 100
-        closed = reconstruct_full(Y, spec).counts
-        dense = reconstruct_with_matrix(Y, gd_matrix(spec))
+        closed = reconstruct_all(Y, spec)
+        dense = np.linalg.solve(gd_matrix(spec).entries, Y)
         assert np.abs(closed - dense).max() < 1e-8
 
 
@@ -120,13 +93,13 @@ def test_noiseless_roundtrip():
     rng = np.random.default_rng(12)
     X = rng.random(20) * 1000
     Y = gd_matrix(spec).entries @ X
-    assert np.abs(reconstruct_full(Y, spec).counts - X).max() < 1e-9
+    assert np.abs(reconstruct_all(Y, spec) - X).max() < 1e-9
 
 
 def test_reconstruct_full_validates_length():
     spec = GammaDiagonalSpec(gamma=19.0, schema=make_schema(4))
     with pytest.raises(ValueError):
-        reconstruct_full(np.ones(5), spec)
+        reconstruct_all(np.ones(5), spec)
 
 
 def test_reconstructed_error_within_amplification_bound():
@@ -136,11 +109,12 @@ def test_reconstructed_error_within_amplification_bound():
     A = gd_matrix(spec).entries
     for seed in range(5):
         data = generate_synthetic(sch, 100_000, "uniform", seed=seed)
-        X = count_full(data).counts
-        Y = count_full(perturb_dataset(data, spec, seed=seed + 900)).counts
-        x_hat = reconstruct_full(Y, spec).counts
+        X = count_subset(data, (0, 1))
+        Y = count_subset(perturb_dataset(data, spec, seed=seed + 900), (0, 1))
+        x_hat = reconstruct_all(Y, spec)
         rel_err = np.linalg.norm(x_hat - X) / np.linalg.norm(X)
-        bound = error_amplification_bound(spec.condition_number(), Y, A @ X)
+        # ||X_hat - X|| / ||X|| <= c(A) * ||Y - E(Y)|| / ||E(Y)||
+        bound = spec.condition_number() * np.linalg.norm(Y - A @ X) / np.linalg.norm(A @ X)
         assert rel_err <= bound + 1e-12
         assert rel_err < 0.05  # order-of-magnitude sanity at N=1e5
 
@@ -218,9 +192,9 @@ def test_subset_validation(census_schema):
 
 def test_mask_itemset_matrix_values():
     # tests/oracles/mask_oracle.py
-    one = mask_itemset_matrix(1, 0.9).entries
+    one = mask_itemset_matrix(1, 0.9)
     assert one == pytest.approx(np.array([[0.9, 0.1], [0.1, 0.9]]), abs=1e-15)
-    two = mask_itemset_matrix(2, 0.9).entries
+    two = mask_itemset_matrix(2, 0.9)
     assert two[3, 3] == pytest.approx(0.81, abs=1e-12)
     assert two[1, 3] == pytest.approx(0.09, abs=1e-12)
     assert two[0, 3] == pytest.approx(0.01, abs=1e-12)
@@ -261,7 +235,7 @@ def test_mask_pattern_counts():
 def test_mask_support_exact_on_synthetic_counts():
     # feed pattern counts that sit exactly on the forward model
     s_true = np.array([0.2, 0.15, 0.25, 0.4])
-    counts = mask_itemset_matrix(2, 0.7).entries @ s_true * 5000
+    counts = mask_itemset_matrix(2, 0.7) @ s_true * 5000
     est = reconstruct_mask_support(counts, 2, 0.7)
     assert est == pytest.approx(0.4, abs=1e-12)
     with pytest.raises(ValueError):
@@ -325,41 +299,8 @@ def test_cut_paste_supports_unchanged_by_class_matrix_cache():
 
 
 # ---------------------------------------------------------------------------
-# variance diagnostics
+# perturbation variance
 # ---------------------------------------------------------------------------
-
-def test_poisson_binomial_variance_identity_is_zero():
-    values = np.array([0, 1, 2, 3, 0, 0])
-    out = poisson_binomial_variance(values, 1.0, 0.0, 4)
-    assert np.abs(out).max() == 0.0
-
-
-def test_poisson_binomial_variance_constant_params():
-    # constant (d, o) collapses to the binomial formula per value
-    values = np.array([0] * 7 + [2] * 3)
-    d, o = 0.6, 0.1
-    out = poisson_binomial_variance(values, d, o, 4)
-    expect = np.array([
-        7 * d * (1 - d) + 3 * o * (1 - o),
-        10 * o * (1 - o),
-        3 * d * (1 - d) + 7 * o * (1 - o),
-        10 * o * (1 - o),
-    ])
-    assert out == pytest.approx(expect, abs=1e-12)
-
-
-def test_variance_diagnostic_point_mass_exact():
-    # tests/oracles/variance_oracle.py: closed form at n=4, gamma=19, N=1000
-    sch = make_schema(4)
-    spec = GammaDiagonalSpec(gamma=19.0, schema=sch)
-    X = np.array([1000.0, 0.0, 0.0, 0.0])
-    diag = variance_diagnostic(spec, X)
-    assert diag.variances[0] == pytest.approx(VAR_POINT_MASS_DIAG, abs=1e-9)
-    assert diag.variances[1:] == pytest.approx(np.full(3, VAR_POINT_MASS_OFF), abs=1e-9)
-    assert diag.condition_number == pytest.approx(22 / 18, abs=1e-12)
-    assert diag.bias_norm is None
-    assert diag.sampling_norm == pytest.approx(np.sqrt(diag.variances.sum()), abs=1e-12)
-
 
 def test_variance_diagnostic_point_mass_monte_carlo():
     # 1e4 independent perturbation runs of the same 1000-record dataset
@@ -372,55 +313,6 @@ def test_variance_diagnostic_point_mass_monte_carlo():
                       np.full(R * N, spec.diag), np.full(R * N, spec.off), sch)
     out = out[:, 0].reshape(R, N)
     empirical = np.stack([(out == v).sum(axis=1) for v in range(4)], axis=1).var(axis=0, ddof=1)
-    exact = variance_diagnostic(spec, np.array([1000.0, 0, 0, 0])).variances
+    exact = np.array([VAR_POINT_MASS_DIAG] + [VAR_POINT_MASS_OFF] * 3)
     assert np.abs(empirical - exact).max() / exact.min() < 0.05
     assert empirical == pytest.approx(exact, rel=0.05)
-
-
-def test_variance_diagnostic_randomized_antithetic():
-    # fixed-mean client draws can only shrink the per-value variance
-    sch = make_schema(4)
-    base = GammaDiagonalSpec(gamma=19.0, schema=sch)
-    spec = RandomizedGammaSpec.from_fraction(base, 0.1)
-    rng = np.random.default_rng(8)
-    values = np.tile(np.arange(4), 250)
-    half = spec.alpha * (2.0 * rng.random(500) - 1.0)
-    # mirrored pairs land on the same value, so draws cancel per value class
-    r = np.concatenate([half, -half])
-    d, o = base.diag + r, base.off - r / 3
-    ran = variance_diagnostic(spec, values=values, client_d=d, client_o=o)
-    det = variance_diagnostic(base, np.bincount(values, minlength=4).astype(float))
-    assert np.all(ran.variances <= det.variances + 1e-9)
-    assert ran.bias_norm is not None
-    assert ran.bias_norm < 1e-9  # antithetic draws realize the base matrix row sums
-    assert ran.condition_number == det.condition_number
-
-
-def test_variance_diagnostic_argument_validation():
-    sch = make_schema(4)
-    base = GammaDiagonalSpec(gamma=19.0, schema=sch)
-    with pytest.raises(ValueError):
-        variance_diagnostic(base)
-    with pytest.raises(ValueError):
-        variance_diagnostic(base, np.ones(3))
-    with pytest.raises(ValueError):
-        variance_diagnostic(RandomizedGammaSpec.from_fraction(base, 0.1), values=np.zeros(3, int))
-
-
-def test_error_amplification_bound_edges():
-    assert error_amplification_bound(10.0, np.zeros(3), np.zeros(3)) == np.inf
-    got = error_amplification_bound(2.0, np.array([1.0, 1.0]), np.array([1.0, 0.0]))
-    assert got == pytest.approx(2.0, abs=1e-12)
-
-
-def test_frequency_vector_validation():
-    with pytest.raises(ValueError):
-        FrequencyVector(np.array([1.0, -2.0]))  # observed must be nonnegative
-    fv = FrequencyVector(np.array([1.0, -2.0]), observed=False)
-    assert fv.total == -1.0
-    assert len(fv) == 2
-    assert np.asarray(fv, dtype=int).dtype == int
-    with pytest.raises(ValueError):
-        FrequencyVector(np.array([[1.0]]))
-    with pytest.raises(ValueError):
-        FrequencyVector(np.array([np.nan, 1.0]))
