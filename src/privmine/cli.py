@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .metrics import accuracy_report
+from .metrics import LengthAccuracy, accuracy_report
 from .mining import (
     MiningResult,
     apriori_plain,
@@ -92,6 +92,10 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
                    help="synthetic record count (default 10000)")
     p.add_argument("--data-seed", type=int, default=0,
                    help="seed for synthetic data generation (default 0)")
+    _add_ingest_args(p)
+
+
+def _add_ingest_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--column-map", default=None,
                    help="attr=column pairs, comma separated; column is a header name or 0-based index")
     p.add_argument("--on-error", choices=("skip", "abort"), default="skip",
@@ -149,15 +153,14 @@ def _parse_column_map(text: str | None) -> dict[str, str | int] | None:
     return out
 
 
+def _ingest(args, schema: Schema) -> Dataset:
+    return ingest_csv(args.input, schema, column_map=_parse_column_map(args.column_map),
+                      on_error=args.on_error, clamp=args.clamp)
+
+
 def _load_dataset(args, schema: Schema) -> Dataset:
     if args.input:
-        return ingest_csv(
-            args.input,
-            schema,
-            column_map=_parse_column_map(args.column_map),
-            on_error=args.on_error,
-            clamp=args.clamp,
-        )
+        return _ingest(args, schema)
     if args.n_records <= 0:
         raise ValueError(f"need a positive record count, got {args.n_records}")
     if args.synthetic == "uniform":
@@ -180,10 +183,41 @@ def _gamma_value(args) -> float:
     return gamma_for(PrivacyTarget(args.rho1, args.rho2))
 
 
-def _mask_p(args, gamma: float, schema: Schema) -> float:
-    if args.mask_p is not None:
-        return args.mask_p
-    return mask_p_for_gamma(gamma, schema.n_attributes)
+def _params(mechanism: str, base: GammaDiagonalSpec, args) -> dict:
+    """A mechanism's public parameters from argv, under their metadata.json
+    keys; ``base`` carries gamma and the schema."""
+    if mechanism == "ran-gd":
+        return {"alpha_fraction": args.alpha_frac,
+                "alpha": RandomizedGammaSpec.from_fraction(base, args.alpha_frac).alpha}
+    if mechanism == "mask":
+        p = args.mask_p
+        return {"mask_p": mask_p_for_gamma(base.gamma, base.schema.n_attributes)
+                if p is None else p}
+    if mechanism == "cut-paste":
+        return {"cp_k": args.cp_k, "cp_rho": args.cp_rho}
+    return {}
+
+
+def _spec(mechanism: str, base: GammaDiagonalSpec, params: dict):
+    """The spec the client perturbs with and the miner inverts, from a
+    mechanism name and its public parameters (argv or metadata.json)."""
+    if mechanism == "det-gd":
+        return base
+    if mechanism == "ran-gd":
+        return RandomizedGammaSpec(base, params["alpha"])
+    if mechanism == "mask":
+        return MaskSpec(params["mask_p"], base.schema)
+    if mechanism == "cut-paste":
+        return CutPasteSpec(params["cp_k"], params["cp_rho"], base.schema)
+    raise ValueError(f"unknown mechanism: {mechanism}")
+
+
+def _perturb(data: Dataset, spec, seed: int) -> Dataset | BooleanDataset:
+    if isinstance(spec, MaskSpec):
+        return mask_dataset(data, spec, seed)
+    if isinstance(spec, CutPasteSpec):
+        return cut_paste_dataset(data, spec, seed)
+    return perturb_dataset(data, spec, seed)
 
 
 def _write_rows(path: Path, header: tuple[str, ...], rows) -> None:
@@ -230,6 +264,7 @@ def cmd_perturb(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     gamma = _gamma_value(args)
     base = GammaDiagonalSpec(gamma, schema)
+    params = _params(args.mechanism, base, args)
     meta = {
         "mechanism": args.mechanism,
         "schema_name": schema.name,
@@ -238,16 +273,9 @@ def cmd_perturb(args) -> int:
         "gamma": gamma,
         "x": base.x,
         "domain_size": base.n,
+        **params,
     }
-    perturbed, spec = _perturb_for(args.mechanism, data, base, args, args.seed)
-    if isinstance(spec, RandomizedGammaSpec):
-        meta["alpha_fraction"] = args.alpha_frac
-        meta["alpha"] = spec.alpha
-    elif isinstance(spec, MaskSpec):
-        meta["mask_p"] = spec.p
-    elif isinstance(spec, CutPasteSpec):
-        meta["cp_k"] = args.cp_k
-        meta["cp_rho"] = args.cp_rho
+    perturbed = _perturb(data, _spec(args.mechanism, base, params), args.seed)
     if isinstance(perturbed, BooleanDataset):
         written = out / "perturbed_bits.csv"
         write_boolean_csv(perturbed, written)
@@ -262,17 +290,7 @@ def cmd_perturb(args) -> int:
 def _spec_from_metadata(meta: dict, schema: Schema):
     if meta["schema_fingerprint"] != schema_fingerprint(schema):
         raise ValueError("metadata was produced under a different schema")
-    mechanism = meta["mechanism"]
-    base = GammaDiagonalSpec(meta["gamma"], schema)
-    if mechanism == "det-gd":
-        return base
-    if mechanism == "ran-gd":
-        return RandomizedGammaSpec(base, meta["alpha"])
-    if mechanism == "mask":
-        return MaskSpec(meta["mask_p"], schema)
-    if mechanism == "cut-paste":
-        return CutPasteSpec(meta["cp_k"], meta["cp_rho"], schema)
-    raise ValueError(f"unknown mechanism in metadata: {mechanism}")
+    return _spec(meta["mechanism"], GammaDiagonalSpec(meta["gamma"], schema), meta)
 
 
 def _write_mining_result(out: Path, result: MiningResult, schema: Schema, runtime: float) -> None:
@@ -325,9 +343,7 @@ def cmd_mine(args) -> int:
     schema = _load_schema_arg(args.schema)
     started = time.perf_counter()
     if args.metadata is None:
-        data = ingest_csv(args.input, schema, column_map=_parse_column_map(args.column_map),
-                          on_error=args.on_error, clamp=args.clamp)
-        result = apriori_plain(data, args.sup_min)
+        result = apriori_plain(_ingest(args, schema), args.sup_min)
     else:
         meta = json.loads(Path(args.metadata).read_text())
         spec = _spec_from_metadata(meta, schema)
@@ -368,55 +384,32 @@ def _fmt_pct(value: float | None) -> str:
     return "undefined" if value is None else f"{value:.2f}%"
 
 
-def _perturb_for(mechanism: str, data: Dataset, base: GammaDiagonalSpec, args, seed: int):
-    """One mechanism run: returns (perturbed data, spec for the miner)."""
-    if mechanism == "det-gd":
-        return perturb_dataset(data, base, seed), base
-    if mechanism == "ran-gd":
-        spec = RandomizedGammaSpec.from_fraction(base, args.alpha_frac)
-        return perturb_dataset(data, spec, seed), spec
-    if mechanism == "mask":
-        spec = MaskSpec(_mask_p(args, base.gamma, base.schema), base.schema)
-        return mask_dataset(data, spec, seed), spec
-    if mechanism == "cut-paste":
-        spec = CutPasteSpec(args.cp_k, args.cp_rho, base.schema)
-        return cut_paste_dataset(data, spec, seed), spec
-    raise ValueError(f"unknown mechanism: {mechanism}")
-
-
 def _mean(values: list[float]) -> float | None:
     return sum(values) / len(values) if values else None
 
 
-def _aggregate_reports(reports: list, lengths: list[int]) -> list[dict]:
-    """Seed-mean of every per-length metric; None values are skipped and the
-    number of seeds contributing to the support error is reported."""
-    rows = []
-    for length in lengths:
-        per_seed = []
-        for report in reports:
-            try:
-                per_seed.append(report.row(length))
-            except KeyError:
-                continue
-        defined = [r.support_error_pct for r in per_seed if r.support_error_pct is not None]
-        rows.append({
-            "length": length,
-            "support_error_pct": _mean(defined),
-            "support_error_vs_true_pct": _mean(
-                [r.support_error_vs_true_pct for r in per_seed
-                 if r.support_error_vs_true_pct is not None]
-            ),
-            "false_positive_pct": _mean(
-                [r.false_positive_pct for r in per_seed if r.false_positive_pct is not None]
-            ),
-            "false_negative_pct": _mean(
-                [r.false_negative_pct for r in per_seed if r.false_negative_pct is not None]
-            ),
-            "n_found_mean": _mean([float(r.n_found) for r in per_seed]),
-            "seeds_defined": len(defined),
-        })
-    return rows
+def _seed_means(rows: list[LengthAccuracy]) -> dict:
+    """Seed mean of each metric over one LengthAccuracy row per seed. A seed
+    whose value is None is skipped; a metric undefined at every seed is None."""
+    return {f.name: _mean([v for r in rows if (v := getattr(r, f.name)) is not None])
+            for f in dataclasses.fields(LengthAccuracy) if f.name != "length"}
+
+
+def _seed_runs(data: Dataset, spec, seeds: list[int], truth: MiningResult, sup_min: float):
+    """Perturb, mine and score once per seed: the per-seed accuracy reports,
+    (negative estimates, stop length, stop reason), and perturb and mine
+    seconds. The itemsets themselves are dropped once scored."""
+    reports, outcomes, perturb_s, mine_s = [], [], [], []
+    for seed in seeds:
+        started = time.perf_counter()
+        perturbed = _perturb(data, spec, seed)
+        perturbed_at = time.perf_counter()
+        result = apriori_reconstructed(perturbed, data.schema, spec, sup_min)
+        perturb_s.append(perturbed_at - started)
+        mine_s.append(time.perf_counter() - perturbed_at)
+        outcomes.append((result.negative_estimates, result.stop_length, result.stop_reason))
+        reports.append(accuracy_report(result, truth))
+    return reports, outcomes, perturb_s, mine_s
 
 
 def cmd_compare(args) -> int:
@@ -429,8 +422,11 @@ def cmd_compare(args) -> int:
     unknown = [m for m in mechanisms if m not in MECHANISMS]
     if unknown:
         raise ValueError(f"unknown mechanisms: {unknown}")
+    if not mechanisms or len(set(mechanisms)) < len(mechanisms):
+        raise ValueError(f"need one or more distinct mechanisms, got {args.mechanisms!r}")
     gamma = _gamma_value(args)
     base = GammaDiagonalSpec(gamma, schema)
+    params = {m: _params(m, base, args) for m in mechanisms}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -439,41 +435,32 @@ def cmd_compare(args) -> int:
     support_rows, identity_rows, cond_rows = [], [], []
     summary_mechs = {}
     for mechanism in mechanisms:
-        reports, negatives, stops, perturb_s, mine_s = [], [], [], [], []
-        for seed in seeds:
-            started = time.perf_counter()
-            perturbed, spec = _perturb_for(mechanism, data, base, args, seed)
-            perturbed_at = time.perf_counter()
-            result = apriori_reconstructed(perturbed, schema, spec, args.sup_min)
-            perturb_s.append(perturbed_at - started)
-            mine_s.append(time.perf_counter() - perturbed_at)
-            negatives.append(result.negative_estimates)
-            stops.append((result.stop_length, result.stop_reason))
-            reports.append(accuracy_report(result, truth))
-        rows = _aggregate_reports(reports, lengths)
-        for row in rows:
-            support_rows.append((mechanism, row["length"], row["support_error_pct"],
-                                 row["support_error_vs_true_pct"], row["seeds_defined"]))
-            identity_rows.append((mechanism, row["length"], row["false_positive_pct"],
-                                  row["false_negative_pct"], row["n_found_mean"]))
+        spec = _spec(mechanism, base, params[mechanism])
+        reports, outcomes, perturb_s, mine_s = _seed_runs(data, spec, seeds, truth, args.sup_min)
+        for length in lengths:
+            rows = [r.row(length) for r in reports]
+            means = _seed_means(rows)
+            support_rows.append((mechanism, length, means["support_error_pct"],
+                                 means["support_error_vs_true_pct"],
+                                 sum(r.support_error_pct is not None for r in rows)))
+            identity_rows.append((mechanism, length, means["false_positive_pct"],
+                                  means["false_negative_pct"], means["n_found"]))
         for length in range(1, schema.n_attributes + 1):
             cond_rows.append((mechanism, length, length_condition(spec, length)))
+        overall = _seed_means([r.overall for r in reports])
         summary_mechs[mechanism] = {
-            "support_error_pct": _mean(
-                [r.overall.support_error_pct for r in reports
-                 if r.overall.support_error_pct is not None]
-            ),
-            "false_positive_pct": _mean([r.overall.false_positive_pct for r in reports]),
-            "false_negative_pct": _mean([r.overall.false_negative_pct for r in reports]),
-            "stray_found_mean": _mean([float(r.stray_found) for r in reports]),
-            "negative_estimates_mean": _mean([float(v) for v in negatives]),
-            "stop_length": [length for length, _ in stops],
-            "stop_reason": [reason for _, reason in stops],
+            "support_error_pct": overall["support_error_pct"],
+            "false_positive_pct": overall["false_positive_pct"],
+            "false_negative_pct": overall["false_negative_pct"],
+            "stray_found_mean": _mean([r.stray_found for r in reports]),
+            "negative_estimates_mean": _mean([negatives for negatives, _, _ in outcomes]),
+            "stop_length": [length for _, length, _ in outcomes],
+            "stop_reason": [reason for _, _, reason in outcomes],
             "perturb_s_mean": round(_mean(perturb_s), 3),
             "mine_s_mean": round(_mean(mine_s), 3),
             "runtime_s_mean": round(_mean(perturb_s) + _mean(mine_s), 3),
         }
-        for length, reason in sorted(set(stops)):
+        for length, reason in sorted({(length, reason) for _, length, reason in outcomes}):
             print(f"{mechanism}: stopped after length {length}: {reason}")
 
     _write_rows(out / "support_error.csv",
@@ -488,19 +475,18 @@ def cmd_compare(args) -> int:
     if sweep_values:
         sweep_rows = []
         for frac in sweep_values:
-            reports = []
-            for seed in seeds:
-                spec = base if frac == 0.0 else RandomizedGammaSpec.from_fraction(base, frac)
-                perturbed = perturb_dataset(data, spec, seed)
-                result = apriori_reconstructed(perturbed, schema, spec, args.sup_min)
-                reports.append(accuracy_report(result, truth))
-            low, high = posterior_range(
-                args.rho1 if args.rho1 is not None else 0.05, gamma, frac, base.n
-            )
-            for row in _aggregate_reports(reports, lengths):
-                sweep_rows.append((frac, row["length"], row["support_error_pct"],
-                                   row["false_positive_pct"], row["false_negative_pct"],
-                                   low * 100, high * 100))
+            mechanism = "det-gd" if frac == 0.0 else "ran-gd"
+            spec = _spec(mechanism, base,
+                         _params(mechanism, base, argparse.Namespace(alpha_frac=frac)))
+            reports = _seed_runs(data, spec, seeds, truth, args.sup_min)[0]
+            # the posterior bound needs the prior; without --rho1 it is left empty
+            posterior = ((None, None) if args.rho1 is None else
+                         [p * 100 for p in posterior_range(args.rho1, gamma, frac, base.n)])
+            for length in lengths:
+                means = _seed_means([r.row(length) for r in reports])
+                sweep_rows.append((frac, length, means["support_error_pct"],
+                                   means["false_positive_pct"], means["false_negative_pct"],
+                                   *posterior))
         _write_rows(out / "alpha_sweep.csv",
                     ("alpha_fraction", "length", "support_error_pct", "false_positive_pct",
                      "false_negative_pct", "posterior_low_pct", "posterior_high_pct"),
@@ -517,7 +503,7 @@ def cmd_compare(args) -> int:
         "seeds": seeds,
         "mechanisms": mechanisms,
         "alpha_fraction": args.alpha_frac,
-        "mask_p": _mask_p(args, gamma, schema) if "mask" in mechanisms else None,
+        "mask_p": params["mask"]["mask_p"] if "mask" in params else None,
         "cp_k": args.cp_k,
         "cp_rho": args.cp_rho,
         "alpha_sweep": sweep_values,
@@ -572,9 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metadata", default=None,
                    help="metadata.json from perturb; omit to mine plain data directly")
     p.add_argument("--sup-min", type=float, required=True)
-    p.add_argument("--column-map", default=None)
-    p.add_argument("--on-error", choices=("skip", "abort"), default="skip")
-    p.add_argument("--clamp", action="store_true")
+    _add_ingest_args(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_mine)
 

@@ -128,14 +128,6 @@ class Schema:
         return self.radix_prefix[-1]
 
     @cached_property
-    def domain_digits(self) -> np.ndarray:
-        """Read-only (domain_size, M) code matrix; row k is the record with
-        flat index k."""
-        digits = decode_indices(np.arange(self.domain_size), self)
-        digits.flags.writeable = False
-        return digits
-
-    @cached_property
     def boolean_width(self) -> int:
         """Total width of the one-bit-per-category boolean expansion."""
         return sum(self.sizes)
@@ -663,8 +655,7 @@ def generate_synthetic(schema: Schema, n: int, distribution, seed: int) -> Datas
     ``distribution`` is one of:
       - the string 'uniform';
       - a sequence of per-attribute weight vectors (independent attributes);
-      - a joint weight vector over the full domain (length domain_size), or
-        any object exposing one through a ``values`` attribute.
+      - a joint weight vector over the full domain (length domain_size).
     Deterministic given seed.
     """
     rng = np.random.default_rng(seed)
@@ -674,11 +665,10 @@ def generate_synthetic(schema: Schema, n: int, distribution, seed: int) -> Datas
         codes = np.column_stack([rng.integers(0, s, size=n) for s in schema.sizes])
         return Dataset(schema, codes, provenance=f"synthetic:uniform(seed={seed})")
 
-    spec = getattr(distribution, "values", distribution)
-    if isinstance(spec, np.ndarray) or (
-        isinstance(spec, Sequence) and spec and np.isscalar(spec[0])
+    if isinstance(distribution, np.ndarray) or (
+        isinstance(distribution, Sequence) and distribution and np.isscalar(distribution[0])
     ):
-        joint = np.asarray(spec, dtype=float)
+        joint = np.asarray(distribution, dtype=float)
         if joint.shape != (schema.domain_size,):
             raise ValueError(f"joint distribution must have length {schema.domain_size}")
         joint = _normalized(joint, "joint distribution")
@@ -686,7 +676,7 @@ def generate_synthetic(schema: Schema, n: int, distribution, seed: int) -> Datas
         return Dataset(schema, decode_indices(idx, schema),
                        provenance=f"synthetic:joint(seed={seed})")
 
-    weight_lists = list(spec)
+    weight_lists = list(distribution)
     if len(weight_lists) != schema.n_attributes:
         raise ValueError(f"need {schema.n_attributes} weight vectors, got {len(weight_lists)}")
     cols = []

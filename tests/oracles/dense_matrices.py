@@ -20,7 +20,7 @@ from privmine.perturb import (
     mask_expand_many,
 )
 from privmine.reconstruct import SubsetMarginalSpec
-from privmine.schema import Record, Schema, encode
+from privmine.schema import Record, Schema, decode_indices, encode
 
 _ENTRY_TOL = 1e-10
 
@@ -146,7 +146,7 @@ def cut_paste_matrix(spec: CutPasteSpec, max_cells: int = 1 << 22) -> Materializ
             f"cut-and-paste matrix would need {n_rows}x{n_cols} entries; "
             f"use cut_paste_class_matrix for large widths"
         )
-    records = schema.domain_digits
+    records = decode_indices(np.arange(schema.domain_size), schema)
     u_ints = _bits_to_ints(mask_expand_many(records, schema))
     v_ints = np.arange(n_rows, dtype=np.uint64)
     l_v = np.bitwise_count(v_ints).astype(int)

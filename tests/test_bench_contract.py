@@ -101,3 +101,12 @@ def test_traced_benchmark_metrics_resolve(tmp_path):
     assert not unresolved, f"traced metrics that no longer resolve: {unresolved}"
     # five 300-row ingests, each counted once: ingest calls no traced name
     assert summary["schema.ingest_csv.rows"] == 1500
+    # a layer the script reaches through the CLI that reads 0 calls has lost its
+    # wrapper (say, a name bound once at import time), so its seconds would read 0
+    reached = ["perturb.perturb_dataset", "perturb.mask_dataset", "perturb.cut_paste_dataset",
+               "perturb.cut_paste_class_matrix", "schema.ingest_csv", "schema.read_boolean_csv",
+               "schema.write_csv", "schema.write_boolean_csv", "schema.generate_synthetic",
+               "mining.mine", "mining.estimate", "metrics.accuracy_report", "cli.perturb",
+               "cli.mine", "cli.evaluate", "cli.compare"]
+    uncalled = [n for n in reached if not summary[f"{n}.calls"] > 0]
+    assert not uncalled, f"traced layers the CLI no longer reaches: {uncalled}"

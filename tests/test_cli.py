@@ -135,6 +135,25 @@ def test_perturb_mask_census_boolean_csv(tmp_path, capsys):
     assert meta["mask_p"] == pytest.approx(mask_p_for_gamma(19.0, 6), abs=1e-12)
 
 
+@pytest.mark.parametrize("mechanism, params", [
+    ("det-gd", []),
+    ("ran-gd", ["alpha_fraction", "alpha"]),
+    ("mask", ["mask_p"]),
+    ("cut-paste", ["cp_k", "cp_rho"]),
+])
+def test_perturb_metadata_keys_in_order(tmp_path, capsys, mechanism, params):
+    """The miner and perfbench/workloads.py read the public parameters back
+    from these keys; the order keeps metadata.json byte-stable."""
+    out = tmp_path / mechanism
+    code, _, _ = run(capsys, "perturb", "--schema", "census", "--synthetic", "uniform",
+                     "--n-records", "50", "--mechanism", mechanism, "--gamma", "19",
+                     "--seed", "1", "--out", str(out))
+    assert code == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    assert list(meta) == ["mechanism", "schema_name", "schema_fingerprint", "n_records",
+                          "gamma", "x", "domain_size", *params]
+
+
 def test_perturb_ingests_csv_with_column_map(tmp_path, capsys, data_dir):
     out = tmp_path / "adult"
     code, stdout, _ = run(capsys, "perturb", "--schema", "census",
@@ -583,6 +602,54 @@ def test_compare_rejects_unknown_mechanism(tmp_path, capsys):
                        "--out", str(tmp_path / "x"))
     assert code == 1
     assert "quantum" in err
+
+
+@pytest.mark.parametrize("mechanisms", [",", "mask,mask"])
+def test_compare_rejects_empty_or_repeated_mechanisms(tmp_path, capsys, mechanisms):
+    code, _, err = run(capsys, "compare", "--schema", "census",
+                       "--synthetic", "uniform", "--n-records", "100",
+                       "--gamma", "19", "--sup-min", "0.1",
+                       "--mechanisms", mechanisms, "--seeds", "1",
+                       "--out", str(tmp_path / "x"))
+    assert code == 1
+    assert err.startswith("error:") and repr(mechanisms) in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_compare_with_empty_ground_truth(tmp_path, capsys):
+    """No itemset reaches sup_min in the plain data: the per-length tables
+    are empty and the overall metrics are null, as evaluate reports them."""
+    out = tmp_path / "cmp"
+    code, _, err = run(capsys, "compare", "--schema", "census", "--synthetic", "uniform",
+                       "--n-records", "500", "--mechanisms", "det-gd,mask", "--gamma", "19",
+                       "--sup-min", "0.99", "--seeds", "1,2", "--out", str(out))
+    assert code == 0, err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["true_counts_per_length"] == {}
+    for stats in summary["mechanisms"].values():
+        assert stats["support_error_pct"] is None
+        assert stats["false_positive_pct"] is None
+        assert stats["false_negative_pct"] is None
+    for name in ("support_error.csv", "identity_error.csv"):
+        with open(out / name) as fh:
+            assert len(list(csv.reader(fh))) == 1  # header only
+
+
+def test_alpha_sweep_posterior_columns_need_rho1(tmp_path, capsys):
+    common = ("compare", "--schema", "census", "--synthetic", "uniform", "--n-records", "1000",
+              "--mechanisms", "det-gd", "--gamma", "19", "--sup-min", "0.05", "--seeds", "1",
+              "--alpha-sweep", "0,0.5")
+    tables = {}
+    for name, prior in (("without", ()), ("with", ("--rho1", "0.05"))):
+        assert run(capsys, *common, *prior, "--out", str(tmp_path / name))[0] == 0
+        with open(tmp_path / name / "alpha_sweep.csv") as fh:
+            tables[name] = list(csv.reader(fh))[1:]
+    assert len(tables["without"]) == len(tables["with"]) > 2
+    for bare, full in zip(tables["without"], tables["with"]):
+        assert bare[:5] == full[:5]
+        assert bare[5:] == ["", ""]
+        low, high = posterior_range(0.05, 19.0, float(full[0]), 2000)
+        assert [float(v) for v in full[5:]] == [low * 100, high * 100]
 
 
 # ---------------------------------------------------------------------------
