@@ -130,8 +130,20 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _distinct(text: str, item) -> list:
+    """A comma separated list of one or more distinct entries, each read by ``item``."""
+    values = [item(s) for s in text.split(",") if s.strip()]
+    if not values or len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"need one or more distinct values, got {text!r}")
+    return values
+
+
 def _seed_list(text: str) -> list[int]:
-    return [_seed(s) for s in text.split(",") if s != ""]
+    return _distinct(text, _seed)
+
+
+def _fraction_list(text: str) -> list[float]:
+    return _distinct(text, float)
 
 
 def _load_schema_arg(name_or_path: str) -> Schema:
@@ -161,8 +173,8 @@ def _ingest(args, schema: Schema) -> Dataset:
 def _load_dataset(args, schema: Schema) -> Dataset:
     if args.input:
         return _ingest(args, schema)
-    if args.n_records <= 0:
-        raise ValueError(f"need a positive record count, got {args.n_records}")
+    if not 1 <= args.n_records <= 2 ** 32:  # the per-record stream index bound
+        raise ValueError(f"record count must lie in [1, 2**32], got {args.n_records}")
     if args.synthetic == "uniform":
         return generate_synthetic(schema, args.n_records, "uniform", args.data_seed)
     path = Path(args.schema)
@@ -175,20 +187,18 @@ def _load_dataset(args, schema: Schema) -> Dataset:
 
 def _gamma_value(args) -> float:
     if args.gamma is not None:
-        if not args.gamma > 1:
-            raise ValueError(f"gamma must exceed 1, got {args.gamma}")
         return args.gamma
     if args.rho1 is None or args.rho2 is None:
         raise ValueError("need either --gamma or both --rho1 and --rho2")
     return gamma_for(PrivacyTarget(args.rho1, args.rho2))
 
 
-def _params(mechanism: str, base: GammaDiagonalSpec, args) -> dict:
+def _params(mechanism: str, base: GammaDiagonalSpec, args, alpha_frac: float) -> dict:
     """A mechanism's public parameters from argv, under their metadata.json
-    keys; ``base`` carries gamma and the schema."""
+    keys; ``base`` carries gamma and the schema, ``alpha_frac`` is ran-gd's."""
     if mechanism == "ran-gd":
-        return {"alpha_fraction": args.alpha_frac,
-                "alpha": RandomizedGammaSpec.from_fraction(base, args.alpha_frac).alpha}
+        return {"alpha_fraction": alpha_frac,
+                "alpha": RandomizedGammaSpec.from_fraction(base, alpha_frac).alpha}
     if mechanism == "mask":
         p = args.mask_p
         return {"mask_p": mask_p_for_gamma(base.gamma, base.schema.n_attributes)
@@ -259,23 +269,23 @@ def cmd_privacy(args) -> int:
 
 def cmd_perturb(args) -> int:
     schema = _load_schema_arg(args.schema)
+    base = GammaDiagonalSpec(_gamma_value(args), schema)
+    params = _params(args.mechanism, base, args, args.alpha_frac)
+    spec = _spec(args.mechanism, base, params)
     data = _load_dataset(args, schema)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    gamma = _gamma_value(args)
-    base = GammaDiagonalSpec(gamma, schema)
-    params = _params(args.mechanism, base, args)
+    perturbed = _perturb(data, spec, args.seed)
     meta = {
         "mechanism": args.mechanism,
         "schema_name": schema.name,
         "schema_fingerprint": schema_fingerprint(schema),
         "n_records": data.n_records,
-        "gamma": gamma,
+        "gamma": base.gamma,
         "x": base.x,
         "domain_size": base.n,
         **params,
     }
-    perturbed = _perturb(data, _spec(args.mechanism, base, params), args.seed)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     if isinstance(perturbed, BooleanDataset):
         written = out / "perturbed_bits.csv"
         write_boolean_csv(perturbed, written)
@@ -285,12 +295,6 @@ def cmd_perturb(args) -> int:
     (out / "metadata.json").write_text(json.dumps(meta, indent=2) + "\n")
     print(f"wrote {written} ({data.n_records} records) and metadata.json")
     return EXIT_OK
-
-
-def _spec_from_metadata(meta: dict, schema: Schema):
-    if meta["schema_fingerprint"] != schema_fingerprint(schema):
-        raise ValueError("metadata was produced under a different schema")
-    return _spec(meta["mechanism"], GammaDiagonalSpec(meta["gamma"], schema), meta)
 
 
 def _write_mining_result(out: Path, result: MiningResult, schema: Schema, runtime: float) -> None:
@@ -346,11 +350,16 @@ def cmd_mine(args) -> int:
         result = apriori_plain(_ingest(args, schema), args.sup_min)
     else:
         meta = json.loads(Path(args.metadata).read_text())
-        spec = _spec_from_metadata(meta, schema)
-        if isinstance(spec, (MaskSpec, CutPasteSpec)):
-            perturbed: Dataset | BooleanDataset = read_boolean_csv(args.input, schema)
+        if meta["schema_fingerprint"] != schema_fingerprint(schema):
+            raise ValueError("metadata was produced under a different schema")
+        spec = _spec(meta["mechanism"], GammaDiagonalSpec(meta["gamma"], schema), meta)
+        if not isinstance(spec, (MaskSpec, CutPasteSpec)):
+            perturbed: Dataset | BooleanDataset = _ingest(args, schema)
+        elif (args.column_map, args.on_error, args.clamp) != (None, "skip", False):
+            raise ValueError("--column-map, --on-error and --clamp apply to label tables "
+                             f"only, not to {meta['mechanism']} bit tables")
         else:
-            perturbed = ingest_csv(args.input, schema)
+            perturbed = read_boolean_csv(args.input, schema)
         result = apriori_reconstructed(perturbed, schema, spec, args.sup_min)
     _write_mining_result(Path(args.out), result, schema, time.perf_counter() - started)
     counts = result.counts_per_length()
@@ -414,29 +423,28 @@ def _seed_runs(data: Dataset, spec, seeds: list[int], truth: MiningResult, sup_m
 
 def cmd_compare(args) -> int:
     schema = _load_schema_arg(args.schema)
-    data = _load_dataset(args, schema)
-    seeds = args.seeds
-    if not seeds:
-        raise ValueError("need at least one seed")
     mechanisms = [m.strip() for m in args.mechanisms.split(",") if m.strip()]
-    unknown = [m for m in mechanisms if m not in MECHANISMS]
-    if unknown:
-        raise ValueError(f"unknown mechanisms: {unknown}")
     if not mechanisms or len(set(mechanisms)) < len(mechanisms):
         raise ValueError(f"need one or more distinct mechanisms, got {args.mechanisms!r}")
-    gamma = _gamma_value(args)
-    base = GammaDiagonalSpec(gamma, schema)
-    params = {m: _params(m, base, args) for m in mechanisms}
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    base = GammaDiagonalSpec(_gamma_value(args), schema)
+    gamma, sweep_values = base.gamma, args.alpha_sweep or []
+    # the posterior bounds need the prior; without --rho1 they are left empty
+    worst = None if args.rho1 is None else worst_case_posterior(args.rho1, gamma)
+    params = {m: _params(m, base, args, args.alpha_frac) for m in mechanisms}
+    specs = {m: _spec(m, base, params[m]) for m in mechanisms}
+    # sweep point 0 is det-gd; a point equal to a mechanism's spec shares its runs
+    sweep = {frac: _spec("det-gd" if frac == 0 else "ran-gd", base,
+                         _params("ran-gd", base, args, frac)) for frac in sweep_values}
+    data = _load_dataset(args, schema)
 
     truth = apriori_plain(data, args.sup_min)
     lengths = sorted(truth.by_length)
-    support_rows, identity_rows, cond_rows = [], [], []
+    runs = {spec: _seed_runs(data, spec, args.seeds, truth, args.sup_min)
+            for spec in dict.fromkeys([*specs.values(), *sweep.values()])}
+    support_rows, identity_rows, cond_rows, sweep_rows = [], [], [], []
     summary_mechs = {}
-    for mechanism in mechanisms:
-        spec = _spec(mechanism, base, params[mechanism])
-        reports, outcomes, perturb_s, mine_s = _seed_runs(data, spec, seeds, truth, args.sup_min)
+    for mechanism, spec in specs.items():
+        reports, outcomes, perturb_s, mine_s = runs[spec]
         for length in lengths:
             rows = [r.row(length) for r in reports]
             means = _seed_means(rows)
@@ -449,9 +457,8 @@ def cmd_compare(args) -> int:
             cond_rows.append((mechanism, length, length_condition(spec, length)))
         overall = _seed_means([r.overall for r in reports])
         summary_mechs[mechanism] = {
-            "support_error_pct": overall["support_error_pct"],
-            "false_positive_pct": overall["false_positive_pct"],
-            "false_negative_pct": overall["false_negative_pct"],
+            **{k: overall[k] for k in ("support_error_pct", "false_positive_pct",
+                                       "false_negative_pct")},
             "stray_found_mean": _mean([r.stray_found for r in reports]),
             "negative_estimates_mean": _mean([negatives for negatives, _, _ in outcomes]),
             "stop_length": [length for _, length, _ in outcomes],
@@ -462,35 +469,14 @@ def cmd_compare(args) -> int:
         }
         for length, reason in sorted({(length, reason) for _, length, reason in outcomes}):
             print(f"{mechanism}: stopped after length {length}: {reason}")
-
-    _write_rows(out / "support_error.csv",
-                ("mechanism", "length", "support_error_pct", "support_error_vs_true_pct",
-                 "seeds_defined"), support_rows)
-    _write_rows(out / "identity_error.csv",
-                ("mechanism", "length", "false_positive_pct", "false_negative_pct",
-                 "n_found_mean"), identity_rows)
-    _write_rows(out / "cond_number.csv", ("mechanism", "length", "condition_number"), cond_rows)
-
-    sweep_values = [float(a) for a in args.alpha_sweep.split(",")] if args.alpha_sweep else []
-    if sweep_values:
-        sweep_rows = []
-        for frac in sweep_values:
-            mechanism = "det-gd" if frac == 0.0 else "ran-gd"
-            spec = _spec(mechanism, base,
-                         _params(mechanism, base, argparse.Namespace(alpha_frac=frac)))
-            reports = _seed_runs(data, spec, seeds, truth, args.sup_min)[0]
-            # the posterior bound needs the prior; without --rho1 it is left empty
-            posterior = ((None, None) if args.rho1 is None else
-                         [p * 100 for p in posterior_range(args.rho1, gamma, frac, base.n)])
-            for length in lengths:
-                means = _seed_means([r.row(length) for r in reports])
-                sweep_rows.append((frac, length, means["support_error_pct"],
-                                   means["false_positive_pct"], means["false_negative_pct"],
-                                   *posterior))
-        _write_rows(out / "alpha_sweep.csv",
-                    ("alpha_fraction", "length", "support_error_pct", "false_positive_pct",
-                     "false_negative_pct", "posterior_low_pct", "posterior_high_pct"),
-                    sweep_rows)
+    for frac, spec in sweep.items():
+        posterior = ((None, None) if worst is None else
+                     [p * 100 for p in posterior_range(args.rho1, gamma, frac, base.n)])
+        for length in lengths:
+            means = _seed_means([r.row(length) for r in runs[spec][0]])
+            sweep_rows.append((frac, length, means["support_error_pct"],
+                               means["false_positive_pct"], means["false_negative_pct"],
+                               *posterior))
 
     config = {
         "schema": args.schema,
@@ -500,7 +486,7 @@ def cmd_compare(args) -> int:
         "data_seed": args.data_seed,
         "gamma": gamma,
         "sup_min": args.sup_min,
-        "seeds": seeds,
+        "seeds": args.seeds,
         "mechanisms": mechanisms,
         "alpha_fraction": args.alpha_frac,
         "mask_p": params["mask"]["mask_p"] if "mask" in params else None,
@@ -513,14 +499,28 @@ def cmd_compare(args) -> int:
         "config_hash": _config_hash(config),
         "schema_fingerprint": schema_fingerprint(schema),
         "gamma": gamma,
-        "worst_case_posterior": worst_case_posterior(args.rho1, gamma)
-        if args.rho1 is not None else None,
+        "worst_case_posterior": worst,
         "true_counts_per_length": truth.counts_per_length(),
         "mechanisms": summary_mechs,
     }
-    if "ran-gd" in mechanisms and args.rho1 is not None:
-        low, high = posterior_range(args.rho1, gamma, args.alpha_frac, base.n)
-        summary["ran_gd_posterior_range"] = [low, high]
+    if "ran-gd" in mechanisms and worst is not None:
+        summary["ran_gd_posterior_range"] = list(
+            posterior_range(args.rho1, gamma, args.alpha_frac, base.n))
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_rows(out / "support_error.csv",
+                ("mechanism", "length", "support_error_pct", "support_error_vs_true_pct",
+                 "seeds_defined"), support_rows)
+    _write_rows(out / "identity_error.csv",
+                ("mechanism", "length", "false_positive_pct", "false_negative_pct",
+                 "n_found_mean"), identity_rows)
+    _write_rows(out / "cond_number.csv", ("mechanism", "length", "condition_number"), cond_rows)
+    if sweep:
+        _write_rows(out / "alpha_sweep.csv",
+                    ("alpha_fraction", "length", "support_error_pct", "false_positive_pct",
+                     "false_negative_pct", "posterior_low_pct", "posterior_high_pct"),
+                    sweep_rows)
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(f"wrote comparison tables for {', '.join(mechanisms)} to {out}")
     return EXIT_OK
@@ -576,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sup-min", type=float, required=True)
     p.add_argument("--seeds", type=_seed_list, required=True,
                    help="comma separated perturbation seeds")
-    p.add_argument("--alpha-sweep", default=None,
+    p.add_argument("--alpha-sweep", type=_fraction_list, default=None,
                    help="comma separated alpha fractions for the randomized sweep table")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)

@@ -46,10 +46,8 @@ class GammaDiagonalSpec:
     schema: Schema
 
     def __post_init__(self) -> None:
-        if not self.gamma > 1:
-            raise ValueError(f"gamma must be > 1, got {self.gamma}")
-        if self.gamma * self.x > 1 + 1e-12:
-            raise ValueError("diagonal entry exceeds 1")  # unreachable for gamma > 1
+        if not 1 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be a finite number > 1, got {self.gamma}")
 
     @property
     def n(self) -> int:
@@ -95,6 +93,10 @@ class RandomizedGammaSpec:
     @classmethod
     def from_fraction(cls, base: GammaDiagonalSpec, alpha_fraction: float) -> "RandomizedGammaSpec":
         """alpha expressed as a fraction of the diagonal entry gamma*x."""
+        lim = min(1.0, (base.n - 1) / base.gamma)  # max_alpha as a fraction
+        if not 0 <= alpha_fraction <= lim:
+            raise ValueError(f"alpha fraction must lie in [0, {lim:.6g}], "
+                             f"got {alpha_fraction:.12g}")
         return cls(base, alpha_fraction * base.gamma * base.x)
 
     @property

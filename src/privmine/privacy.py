@@ -9,6 +9,7 @@ target; posteriors follow from the extremal entries actually used.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -76,14 +77,16 @@ def posterior_from_entries(rho1: float, maxp: float, minp: float) -> float:
     """
     if minp <= 0 or maxp < minp:
         raise ValueError("need 0 < minp <= maxp")
+    if not 0 <= rho1 <= 1:
+        raise ValueError(f"rho1 must lie in [0, 1], got {rho1}")
     r1, hi, lo = Fraction(rho1), Fraction(maxp), Fraction(minp)
     return float(r1 * hi / (r1 * hi + (1 - r1) * lo))
 
 
 def worst_case_posterior(rho1: float, gamma: float) -> float:
     """Posterior when maxp/minp attains gamma: rho1*gamma / (rho1*gamma + 1 - rho1)."""
-    if gamma < 1:
-        raise ValueError(f"gamma must be >= 1, got {gamma}")
+    if not 1 <= gamma < math.inf:
+        raise ValueError(f"gamma must be a finite number >= 1, got {gamma}")
     return posterior_from_entries(rho1, gamma, 1.0)
 
 
@@ -100,8 +103,8 @@ def posterior_range(
     n = domain_size
     if n < 2:
         raise ValueError(f"domain_size must be >= 2, got {n}")
-    if gamma <= 1:
-        raise ValueError(f"gamma must be > 1, got {gamma}")
+    if not 1 < gamma < math.inf:
+        raise ValueError(f"gamma must be a finite number > 1, got {gamma}")
     if alpha_fraction < 0:
         raise ValueError(f"alpha_fraction must be >= 0, got {alpha_fraction}")
     x = 1.0 / (gamma + n - 1)

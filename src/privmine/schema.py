@@ -654,7 +654,6 @@ def generate_synthetic(schema: Schema, n: int, distribution, seed: int) -> Datas
 
     ``distribution`` is one of:
       - the string 'uniform';
-      - a sequence of per-attribute weight vectors (independent attributes);
       - a joint weight vector over the full domain (length domain_size).
     Deterministic given seed.
     """
@@ -665,28 +664,12 @@ def generate_synthetic(schema: Schema, n: int, distribution, seed: int) -> Datas
         codes = np.column_stack([rng.integers(0, s, size=n) for s in schema.sizes])
         return Dataset(schema, codes, provenance=f"synthetic:uniform(seed={seed})")
 
-    if isinstance(distribution, np.ndarray) or (
-        isinstance(distribution, Sequence) and distribution and np.isscalar(distribution[0])
-    ):
-        joint = np.asarray(distribution, dtype=float)
-        if joint.shape != (schema.domain_size,):
-            raise ValueError(f"joint distribution must have length {schema.domain_size}")
-        joint = _normalized(joint, "joint distribution")
-        idx = rng.choice(schema.domain_size, size=n, p=joint)
-        return Dataset(schema, decode_indices(idx, schema),
-                       provenance=f"synthetic:joint(seed={seed})")
-
-    weight_lists = list(distribution)
-    if len(weight_lists) != schema.n_attributes:
-        raise ValueError(f"need {schema.n_attributes} weight vectors, got {len(weight_lists)}")
-    cols = []
-    for j, weights in enumerate(weight_lists):
-        w = _normalized(np.asarray(weights, dtype=float), f"attribute {schema.attributes[j].name!r}")
-        if len(w) != schema.sizes[j]:
-            raise ValueError(f"attribute {schema.attributes[j].name!r}: "
-                             f"{len(w)} weights for {schema.sizes[j]} categories")
-        cols.append(rng.choice(schema.sizes[j], size=n, p=w))
-    return Dataset(schema, np.column_stack(cols), provenance=f"synthetic:independent(seed={seed})")
+    joint = np.asarray(distribution, dtype=float)
+    if joint.shape != (schema.domain_size,):
+        raise ValueError(f"joint distribution must have length {schema.domain_size}")
+    joint = _normalized(joint, "joint distribution")
+    idx = rng.choice(schema.domain_size, size=n, p=joint)
+    return Dataset(schema, decode_indices(idx, schema), provenance=f"synthetic:joint(seed={seed})")
 
 
 def _normalized(weights: np.ndarray, what: str) -> np.ndarray:

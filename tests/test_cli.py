@@ -77,6 +77,14 @@ def test_privacy_needs_rho2_or_gamma(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--gamma", "inf"), ("--rho1", "inf")])
+def test_privacy_rejects_non_finite_numbers(capsys, flag, value):
+    args = {"--rho1": "0.05", "--gamma": "19", flag: value}
+    code, _, err = run(capsys, "privacy", *[t for kv in args.items() for t in kv])
+    assert code == 1
+    assert err.startswith("error:") and value in err
+
+
 def test_unknown_subcommand_exits_with_validation_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -229,6 +237,49 @@ def test_perturb_rejects_bad_record_count(tmp_path, capsys):
                        "--seed", "1", "--out", str(tmp_path / "x"))
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("synthetic", ["uniform", "reference"])
+def test_perturb_rejects_record_count_past_stream_bound(tmp_path, capsys, synthetic):
+    code, _, err = run(capsys, "perturb", "--schema", "census", "--synthetic", synthetic,
+                       "--n-records", str(2 ** 64 + 3), "--mechanism", "det-gd",
+                       "--gamma", "19", "--seed", "1", "--out", str(tmp_path / "x"))
+    assert code == 1
+    assert f"record count must lie in [1, 2**32], got {2 ** 64 + 3}" in err
+    assert not (tmp_path / "x").exists()
+
+
+_BAD_ARGUMENTS = [
+    # (subcommand, extra argv, text the error line holds)
+    ("compare", ["--alpha-sweep", "0,2"], "alpha fraction must lie in [0, 1], got 2"),
+    ("compare", ["--alpha-sweep", ","], "','"),
+    ("compare", ["--alpha-sweep", "abc"], "'abc'"),
+    ("compare", ["--seeds", "1,1"], "'1,1'"),
+    ("compare", ["--mechanisms", "det-gd,mask", "--mask-p", "0.3"], "got 0.3"),
+    ("compare", ["--mechanisms", "det-gd,cut-paste", "--cp-k", "99"], "got 99"),
+    ("perturb", ["--mechanism", "mask", "--mask-p", "0.3"], "got 0.3"),
+    ("perturb", ["--mechanism", "cut-paste", "--cp-k", "99"], "got 99"),
+    ("perturb", ["--mechanism", "ran-gd", "--alpha-frac", "3"],
+     "alpha fraction must lie in [0, 1], got 3"),
+    ("perturb", ["--mechanism", "det-gd", "--gamma", "inf"], "got inf"),
+]
+
+
+@pytest.mark.parametrize("command, extra, message", _BAD_ARGUMENTS,
+                         ids=[" ".join([c, *e]) for c, e, _ in _BAD_ARGUMENTS])
+def test_bad_argument_exits_before_any_work(tmp_path, capsys, command, extra, message):
+    """Every spec is built from argv before data is read or --out created."""
+    argv = [command, "--schema", "census", "--synthetic", "uniform", "--n-records", "200",
+            "--gamma", "19", "--out", str(tmp_path / "x")]
+    argv += ["--sup-min", "0.1", "--seeds", "1"] if command == "compare" else ["--seed", "1"]
+    try:
+        code = main(argv + extra)  # argparse takes the last of a repeated flag
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error:" in err and message in err
+    assert not (tmp_path / "x").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +494,41 @@ def test_mine_rejects_boolean_cell_other_than_0_1(tmp_path, capsys):
     assert "row 4: expected 23 cells of 0 or 1" in err
 
 
+def test_mine_metadata_label_table_honours_ingest_flags(tmp_path, capsys):
+    pert = tmp_path / "pert"
+    assert run(capsys, "perturb", "--schema", "census", "--synthetic", "uniform",
+               "--n-records", "20", "--mechanism", "det-gd", "--gamma", "19",
+               "--seed", "1", "--out", str(pert))[0] == 0
+    table = pert / "perturbed.csv"
+    lines = table.read_text().splitlines()
+    lines[4] = "bogus,row,here,x,y,z"
+    table.write_text("\n".join(lines) + "\n")
+    common = ("mine", "--schema", "census", "--input", str(table),
+              "--metadata", str(pert / "metadata.json"), "--sup-min", "0.1")
+    code, _, err = run(capsys, *common, "--on-error", "abort", "--out", str(tmp_path / "a"))
+    assert code == 1
+    assert "row 5" in err
+    assert not (tmp_path / "a").exists()
+    assert run(capsys, *common, "--out", str(tmp_path / "s"))[0] == 0
+
+
+@pytest.mark.parametrize("mechanism", ["mask", "cut-paste"])
+@pytest.mark.parametrize("flags", [["--column-map", "age=0"], ["--on-error", "abort"],
+                                   ["--clamp"]])
+def test_mine_metadata_bit_table_rejects_ingest_flags(tmp_path, capsys, mechanism, flags):
+    pert = tmp_path / "pert"
+    assert run(capsys, "perturb", "--schema", "census", "--synthetic", "uniform",
+               "--n-records", "20", "--mechanism", mechanism, "--gamma", "19",
+               "--seed", "1", "--out", str(pert))[0] == 0
+    code, _, err = run(capsys, "mine", "--schema", "census",
+                       "--input", str(pert / "perturbed_bits.csv"),
+                       "--metadata", str(pert / "metadata.json"), "--sup-min", "0.1",
+                       *flags, "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err.startswith("error:") and "label tables only" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("attributes, message", [
     ("[x]", "attribute 'x' is not a mapping"),
     ("5", "'attributes' must be a list"),
@@ -633,6 +719,32 @@ def test_compare_with_empty_ground_truth(tmp_path, capsys):
     for name in ("support_error.csv", "identity_error.csv"):
         with open(out / name) as fh:
             assert len(list(csv.reader(fh))) == 1  # header only
+
+
+def test_compare_runs_each_distinct_spec_once(tmp_path, capsys, monkeypatch):
+    """Sweep point 0 is the det-gd spec and 0.5 the ran-gd spec at the default
+    --alpha-frac: three specs at two seeds mine six times, and the sweep rows
+    are the mechanism rows."""
+    calls = []
+    mine = privmine.cli.apriori_reconstructed
+    monkeypatch.setattr(privmine.cli, "apriori_reconstructed",
+                        lambda *a, **k: calls.append(a[2]) or mine(*a, **k))
+    out = tmp_path / "cmp"
+    code, _, err = run(capsys, "compare", "--schema", "census", "--synthetic", "uniform",
+                       "--n-records", "300", "--gamma", "19", "--sup-min", "0.05",
+                       "--mechanisms", "det-gd,ran-gd,mask", "--seeds", "1,2",
+                       "--alpha-sweep", "0,0.5", "--out", str(out))
+    assert code == 0, err
+    assert len(calls) == 6
+    with open(out / "support_error.csv") as fh:
+        by_mechanism = {(r["mechanism"], r["length"]): r["support_error_pct"]
+                        for r in csv.DictReader(fh)}
+    with open(out / "alpha_sweep.csv") as fh:
+        sweep = list(csv.DictReader(fh))
+    assert len(sweep) > 2
+    for row in sweep:
+        mechanism = "det-gd" if row["alpha_fraction"] == "0.0" else "ran-gd"
+        assert row["support_error_pct"] == by_mechanism[mechanism, row["length"]]
 
 
 def test_alpha_sweep_posterior_columns_need_rho1(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Perturbation mechanisms: gamma-diagonal family, MASK, cut-and-paste."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,6 +82,22 @@ def test_gd_spec_validation():
         GammaDiagonalSpec(gamma=1.0, schema=make_schema(4))
     with pytest.raises(ValueError):
         GammaDiagonalSpec(gamma=0.5, schema=make_schema(4))
+
+
+@pytest.mark.parametrize("gamma", [math.inf, math.nan])
+def test_gd_spec_rejects_non_finite_gamma(gamma):
+    with pytest.raises(ValueError, match=f"finite number > 1, got {gamma}"):
+        GammaDiagonalSpec(gamma=gamma, schema=make_schema(4))
+
+
+@pytest.mark.parametrize("fraction", [2, -0.5, math.nan])
+def test_alpha_fraction_error_names_the_fraction(fraction):
+    # n = 4 and gamma = 19: the fraction bound is min(1, (n - 1)/gamma) = 3/19
+    base = GammaDiagonalSpec(gamma=19.0, schema=make_schema(4))
+    with pytest.raises(ValueError) as exc:
+        RandomizedGammaSpec.from_fraction(base, fraction)
+    assert str(exc.value) == f"alpha fraction must lie in [0, 0.157895], got {fraction}"
+    assert RandomizedGammaSpec.from_fraction(base, 3 / 19).alpha == pytest.approx(3 / 22)
 
 
 def test_randomized_spec_bounds():

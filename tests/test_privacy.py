@@ -1,5 +1,7 @@
 """Privacy calculus: entry-ratio bounds and posterior analysis."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,12 @@ def test_posterior_from_entries_validation():
 def test_worst_case_posterior_validation():
     with pytest.raises(ValueError):
         worst_case_posterior(0.05, 0.5)
+
+
+@pytest.mark.parametrize("rho1, gamma", [(0.05, math.inf), (0.05, math.nan), (math.inf, 19.0)])
+def test_worst_case_posterior_rejects_non_finite(rho1, gamma):
+    with pytest.raises(ValueError, match="got (inf|nan)"):
+        worst_case_posterior(rho1, gamma)
 
 
 def test_posterior_range_validation():

@@ -383,12 +383,6 @@ def test_synthetic_joint_chisquare():
     assert gof_chisq(counts, 20_000 * joint) < CHI2_999_DF19
 
 
-def test_synthetic_independent_weights():
-    sch = make_schema(2, 3)
-    ds = generate_synthetic(sch, 4000, [[0.5, 0.5], [1.0, 0.0, 0.0]], seed=2)
-    assert np.all(ds.codes[:, 1] == 0)
-
-
 def test_synthetic_rejects_bad_weights():
     sch = make_schema(2, 3)
     with pytest.raises(ValueError):
