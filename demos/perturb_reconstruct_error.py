@@ -14,7 +14,6 @@ from privmine import (
     SubsetMarginalSpec,
     builtin_distribution,
     builtin_schema,
-    condition_number,
     count_subset,
     decode,
     generate_synthetic,
@@ -42,7 +41,7 @@ def main() -> None:
     Y = count_subset(perturbed, everything)
     X_hat = reconstruct_subset(Y / N, SubsetMarginalSpec.for_subset(spec, everything)) * N
 
-    cond = condition_number(spec)
+    cond = spec.condition_number()
     rel_err = np.linalg.norm(X_hat - X) / np.linalg.norm(X)
     expected_Y = spec.x * N + (GAMMA - 1) * spec.x * X
     bound = cond * np.linalg.norm(Y - expected_Y) / np.linalg.norm(expected_Y)

@@ -7,7 +7,6 @@ Run: python3 demos/privacy_calculus.py
 
 from privmine import (
     PrivacyTarget,
-    analyze,
     gamma_for,
     posterior_range,
     worst_case_posterior,
@@ -33,13 +32,6 @@ def main() -> None:
     print(f"  posterior range = [{lo:.4%}, {hi:.4%}]")
     print("  a client drawing r = -alpha reveals much less than the fixed")
     print(f"  matrix would ({lo:.1%} versus {post:.1%})")
-
-    print()
-    print("the same numbers via the one-call summary:")
-    report = analyze(PrivacyTarget(0.05, 0.50), domain_size=2000, alpha_fraction=0.5)
-    print(f"  gamma = {report.gamma}")
-    print(f"  posterior = {report.posterior:.4f}")
-    print(f"  range = {report.posterior_range}")
 
 
 if __name__ == "__main__":

@@ -39,9 +39,7 @@ from .perturb import (
     record_rng,
 )
 from .privacy import (
-    PosteriorAnalysis,
     PrivacyTarget,
-    analyze,
     gamma_for,
     posterior_from_entries,
     posterior_range,

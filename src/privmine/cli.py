@@ -30,7 +30,6 @@ from .mining import (
     apriori_plain,
     apriori_reconstructed,
     itemset_label,
-    length_condition,
     parse_itemset,
     validate_itemset,
 )
@@ -124,15 +123,23 @@ def _add_mechanism_args(p: argparse.ArgumentParser, multi: bool = False) -> None
 
 def _seed(text: str) -> int:
     """argparse type for a perturbation seed: a non-negative integer."""
-    seed = int(text)
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
     if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {seed}")
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
     return seed
 
 
 def _distinct(text: str, item) -> list:
     """A comma separated list of one or more distinct entries, each read by ``item``."""
-    values = [item(s) for s in text.split(",") if s.strip()]
+    values = []
+    for entry in filter(str.strip, text.split(",")):
+        try:
+            values.append(item(entry))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {entry!r}") from None
     if not values or len(set(values)) < len(values):
         raise argparse.ArgumentTypeError(f"need one or more distinct values, got {text!r}")
     return values
@@ -144,6 +151,19 @@ def _seed_list(text: str) -> list[int]:
 
 def _fraction_list(text: str) -> list[float]:
     return _distinct(text, float)
+
+
+def _read_object(path: Path, numbers: tuple[str, ...] = (), integers: tuple[str, ...] = ()) -> dict:
+    """A JSON object from ``path``; where present, its keys in ``numbers``
+    hold numbers and those in ``integers`` integers."""
+    obj = json.loads(path.read_text())
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path} must hold a JSON object, got {type(obj).__name__}")
+    for key in (*numbers, *integers):
+        kind, noun = (int, "an integer") if key in integers else ((int, float), "a number")
+        if key in obj and (isinstance(obj[key], bool) or not isinstance(obj[key], kind)):
+            raise ValueError(f"{path}: {key!r} must be {noun}, got {obj[key]!r}")
+    return obj
 
 
 def _load_schema_arg(name_or_path: str) -> Schema:
@@ -319,7 +339,7 @@ def _write_mining_result(out: Path, result: MiningResult, schema: Schema, runtim
 
 
 def _read_mining_result(directory: Path, schema: Schema) -> MiningResult:
-    summary = json.loads((directory / "summary.json").read_text())
+    summary = _read_object(directory / "summary.json", ("sup_min",))
     # each distinct item label parses once; parse_itemset handles the rest
     # (default categories) and words the errors
     items = {f"{a.name}={label}": (j, c) for j, a in enumerate(schema.attributes)
@@ -349,7 +369,8 @@ def cmd_mine(args) -> int:
     if args.metadata is None:
         result = apriori_plain(_ingest(args, schema), args.sup_min)
     else:
-        meta = json.loads(Path(args.metadata).read_text())
+        meta = _read_object(Path(args.metadata), ("gamma", "alpha", "mask_p", "cp_rho"),
+                            ("cp_k",))
         if meta["schema_fingerprint"] != schema_fingerprint(schema):
             raise ValueError("metadata was produced under a different schema")
         spec = _spec(meta["mechanism"], GammaDiagonalSpec(meta["gamma"], schema), meta)
@@ -454,7 +475,7 @@ def cmd_compare(args) -> int:
             identity_rows.append((mechanism, length, means["false_positive_pct"],
                                   means["false_negative_pct"], means["n_found"]))
         for length in range(1, schema.n_attributes + 1):
-            cond_rows.append((mechanism, length, length_condition(spec, length)))
+            cond_rows.append((mechanism, length, spec.condition_number(length)))
         overall = _seed_means([r.overall for r in reports])
         summary_mechs[mechanism] = {
             **{k: overall[k] for k in ("support_error_pct", "false_positive_pct",

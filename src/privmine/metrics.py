@@ -84,53 +84,35 @@ def _check_comparable(found: MiningResult, truth: MiningResult) -> None:
         )
 
 
+def _row(length: int | None, n_true: int, n_found: int, n_correct: int,
+         err_sum: float) -> LengthAccuracy:
+    """Metrics from the counts and the summed per-itemset support errors;
+    every rate over ``n_true`` is None when ``n_true`` is 0."""
+    return LengthAccuracy(
+        length=length,
+        n_true=n_true,
+        n_found=n_found,
+        n_correct=n_correct,
+        support_error_pct=err_sum / n_correct if n_correct else None,
+        support_error_vs_true_pct=err_sum / n_true if n_true else None,
+        false_positive_pct=(n_found - n_correct) / n_true * 100.0 if n_true else None,
+        false_negative_pct=(n_true - n_correct) / n_true * 100.0 if n_true else None,
+    )
+
+
 def accuracy_report(found: MiningResult, truth: MiningResult) -> AccuracyReport:
     """Full per-length and overall comparison of a mining result against
     ground truth."""
     _check_comparable(found, truth)
-    lengths = sorted(set(found.by_length) | set(truth.by_length))
-    rows = []
-    stray = 0
-    sum_err = sum_true = sum_correct = sum_fp = sum_fn = 0.0
-    total_true = total_correct = total_found = 0
-    for length in lengths:
+    rows, err_sums = [], []
+    for length in sorted(set(found.by_length) | set(truth.by_length)):
         f_level = truth.by_length.get(length, {})
         r_level = found.by_length.get(length, {})
-        if not f_level:
-            stray += len(r_level)
-            rows.append(LengthAccuracy(length, 0, len(r_level), 0, None, None, None, None))
-            continue
         correct = [i for i in f_level if i in r_level]
-        err_sum = sum(
-            abs(r_level[i] - f_level[i]) / f_level[i] * 100.0 for i in correct
-        )
-        n_f, n_r, n_c = len(f_level), len(r_level), len(correct)
-        rows.append(
-            LengthAccuracy(
-                length=length,
-                n_true=n_f,
-                n_found=n_r,
-                n_correct=n_c,
-                support_error_pct=err_sum / n_c if n_c else None,
-                support_error_vs_true_pct=err_sum / n_f,
-                false_positive_pct=(n_r - n_c) / n_f * 100.0,
-                false_negative_pct=(n_f - n_c) / n_f * 100.0,
-            )
-        )
-        sum_err += err_sum
-        sum_fp += n_r - n_c
-        sum_fn += n_f - n_c
-        total_true += n_f
-        total_correct += n_c
-        total_found += n_r
-    overall = LengthAccuracy(
-        length=None,
-        n_true=total_true,
-        n_found=total_found,
-        n_correct=total_correct,
-        support_error_pct=sum_err / total_correct if total_correct else None,
-        support_error_vs_true_pct=sum_err / total_true if total_true else None,
-        false_positive_pct=sum_fp / total_true * 100.0 if total_true else None,
-        false_negative_pct=sum_fn / total_true * 100.0 if total_true else None,
-    )
+        err_sums.append(sum(abs(r_level[i] - f_level[i]) / f_level[i] * 100.0 for i in correct))
+        rows.append(_row(length, len(f_level), len(r_level), len(correct), err_sums[-1]))
+    defined = [r for r in rows if r.n_true]
+    overall = _row(None, sum(r.n_true for r in defined), sum(r.n_found for r in defined),
+                   sum(r.n_correct for r in defined), sum(err_sums))
+    stray = sum(r.n_found for r in rows if not r.n_true)
     return AccuracyReport(tuple(rows), overall, stray)

@@ -138,27 +138,6 @@ COND_CEILING = 1e12  # a length whose reconstruction is worse conditioned is not
 _BLOCK_BYTES = 1 << 16  # column bytes gathered per counting block
 
 
-def length_condition(spec, length: int) -> float:
-    """Condition number of support reconstruction at one itemset length: 1 on
-    plain data (``spec`` None), (gamma + n - 1)/(gamma - 1) at every length
-    for the gamma-diagonal family, (2p - 1)^-length for MASK (infinite at
-    p = 0.5), and the overlap-class matrix's for cut-and-paste."""
-    if spec is None:
-        return 1.0
-    if isinstance(spec, MaskSpec):
-        try:
-            return (2 * spec.p - 1) ** -length
-        except (ZeroDivisionError, OverflowError):  # p = 0.5, or within ulps of it
-            return math.inf
-    # looked up at call time, so that a wrapper put on privmine.perturb's
-    # binding (perfbench's tracer) sees the call
-    from .perturb import condition_number, cut_paste_class_matrix
-
-    if isinstance(spec, CutPasteSpec):
-        return condition_number(cut_paste_class_matrix(spec, length))
-    return condition_number(spec)
-
-
 def _overlap_transform(k: int) -> np.ndarray:
     """(2^k, k+1) integer map from subset counts c(S) to overlap classes:
     records carrying exactly l of k bits number sum_S (-1)^(|S|-l) C(|S|, l) c(S)."""
@@ -200,8 +179,7 @@ class SupportEstimator:
         """Records carrying every one of ``bits`` (ascending positions)."""
         c = self.counts.get(bits)
         if c is None:
-            both = np.bitwise_and.reduce(self.columns[list(bits)], axis=0)
-            c = self.counts[bits] = int(np.bitwise_count(both).sum())
+            c = int(self.full_counts(np.array([bits], np.intp))[0])
         return c
 
     def full_counts(self, bits: np.ndarray) -> np.ndarray:
@@ -270,16 +248,14 @@ def _join_and_prune(prev_frequent: list[Itemset]) -> list[Itemset]:
     item, then drop candidates with an infrequent subset. Raises past
     ``MAX_CANDIDATES`` instead of exhausting memory."""
     prev_set = set(prev_frequent)
-    ordered = sorted(prev_frequent)
     out = []
-    for i, left in enumerate(ordered):
-        for right in ordered[i + 1:]:
-            if left[:-1] != right[:-1]:
-                break  # sorted order: prefixes only diverge further
+    for _, group in itertools.groupby(sorted(prev_frequent), key=lambda itemset: itemset[:-1]):
+        for left, right in itertools.combinations(group, 2):
             if left[-1][0] == right[-1][0]:
                 continue  # same attribute twice
             cand = left + (right[-1],)
-            if all(cand[:t] + cand[t + 1:] in prev_set for t in range(len(cand))):
+            # dropping either of the last two items gives right or left
+            if all(cand[:t] + cand[t + 1:] in prev_set for t in range(len(cand) - 2)):
                 out.append(cand)
                 if len(out) > MAX_CANDIDATES:
                     raise ValueError(
@@ -307,7 +283,7 @@ def mine(estimator, schema: Schema, sup_min: float) -> MiningResult:
         if not candidates:
             stop = f"no candidates of length {length}"
             break
-        cond = length_condition(estimator.spec, length)
+        cond = 1.0 if estimator.spec is None else estimator.spec.condition_number(length)
         if not cond <= COND_CEILING:
             stop = f"condition number {cond:.3g} at length {length} exceeds {COND_CEILING:g}"
             if length == 1:
@@ -358,8 +334,6 @@ def apriori_reconstructed(
         raise ValueError(f"unsupported mechanism spec: {type(spec).__name__}")
     if spec.schema != schema:
         raise ValueError("mechanism schema does not match the mining schema")
-    if perturbed.n_records == 0:
-        raise ValueError("cannot mine an empty dataset")
     if isinstance(spec, GammaDiagonalSpec):
         if not isinstance(perturbed, Dataset):
             raise ValueError("gamma-diagonal mining expects a categorical dataset")

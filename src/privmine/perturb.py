@@ -65,8 +65,9 @@ class GammaDiagonalSpec:
     def off(self) -> float:
         return self.x
 
-    def condition_number(self) -> float:
-        """Closed form 1 + n/(gamma - 1) = (gamma + n - 1)/(gamma - 1)."""
+    def condition_number(self, length: int = 1) -> float:
+        """Closed form 1 + n/(gamma - 1) = (gamma + n - 1)/(gamma - 1); every
+        subset marginal has it too, so it is the same at every itemset length."""
         return (self.gamma + self.n - 1) / (self.gamma - 1)
 
 
@@ -105,6 +106,10 @@ class RandomizedGammaSpec:
         base = self.base
         return (base.gamma * base.x + self.alpha) / (base.x - self.alpha / (base.n - 1))
 
+    def condition_number(self, length: int = 1) -> float:
+        """The base's: the miner reconstructs with the expected matrix."""
+        return self.base.condition_number(length)
+
 
 @dataclass(frozen=True)
 class MaskSpec:
@@ -117,12 +122,17 @@ class MaskSpec:
     def __post_init__(self) -> None:
         if not 0.5 <= self.p < 1:
             raise ValueError(f"retention probability must lie in [0.5, 1), got {self.p}")
-        if self.M_b < 2 * self.schema.n_attributes:
-            raise ValueError("boolean width below 2 bits per attribute")  # unreachable
 
     @property
     def M_b(self) -> int:
         return self.schema.boolean_width
+
+    def condition_number(self, length: int) -> float:
+        """(2p - 1)^-length, the length-fold Kronecker power's; infinite at p = 0.5."""
+        try:
+            return (2 * self.p - 1) ** -length
+        except (ZeroDivisionError, OverflowError):  # p = 0.5, or within ulps of it
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -148,6 +158,12 @@ class CutPasteSpec:
     @property
     def M_b(self) -> int:
         return self.schema.boolean_width
+
+    def condition_number(self, length: int) -> float:
+        """The overlap-class matrix's at this itemset length (``length`` <= M)."""
+        # a module-global lookup at call time, so a wrapper put on this
+        # module's binding (perfbench's tracer) sees the call
+        return condition_number(cut_paste_class_matrix(self, length))
 
 
 # ---------------------------------------------------------------------------
@@ -537,16 +553,11 @@ def cut_paste_dataset(dataset: Dataset, spec: CutPasteSpec, seed: int) -> Boolea
 # ---------------------------------------------------------------------------
 
 def condition_number(matrix) -> float:
-    """Ratio of extreme singular values; the gamma-diagonal closed form when
-    given a spec. Singular matrices report math.inf."""
-    if isinstance(matrix, GammaDiagonalSpec):
-        return matrix.condition_number()
-    if isinstance(matrix, RandomizedGammaSpec):
-        # the miner reconstructs with the expected matrix, which is the base
-        return matrix.base.condition_number()
+    """Ratio of extreme singular values of a square matrix (each spec has its
+    own per-length ``condition_number``). Singular matrices report math.inf."""
     entries = np.asarray(matrix, float)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise ValueError("condition number needs a square matrix or a spec")
+        raise ValueError("condition number needs a square matrix")
     if np.allclose(entries, entries.T, rtol=0.0, atol=1e-12):
         mags = np.abs(np.linalg.eigvalsh(entries))
     else:

@@ -28,35 +28,6 @@ class PrivacyTarget:
             )
 
 
-@dataclass(frozen=True)
-class PosteriorAnalysis:
-    """Worst-case posterior summary for a mechanism at a given prior.
-
-    ``maxp``/``minp`` are the extremal matrix entries an adversary can play
-    against each other; ``posterior`` is the resulting worst-case posterior;
-    ``posterior_range`` is the [low, high] pair for mechanisms whose entries
-    vary per client, None otherwise.
-    """
-
-    gamma: float
-    maxp: float
-    minp: float
-    posterior: float
-    posterior_range: tuple[float, float] | None = None
-
-    def __post_init__(self) -> None:
-        if self.minp <= 0 or self.maxp < self.minp:
-            raise ValueError("need 0 < minp <= maxp")
-        if self.maxp / self.minp > self.gamma * (1 + 1e-12):
-            raise ValueError(
-                f"entry ratio {self.maxp / self.minp:.6g} exceeds gamma {self.gamma:.6g}"
-            )
-        if self.posterior_range is not None:
-            low, high = self.posterior_range
-            if not low <= self.posterior <= high:
-                raise ValueError("posterior must lie inside posterior_range")
-
-
 def gamma_for(target: PrivacyTarget) -> float:
     """Largest entry ratio compatible with the target: rho2(1-rho1)/(rho1(1-rho2)).
 
@@ -129,20 +100,3 @@ def posterior_range(
 
     return (at(-alpha), at(alpha))
 
-
-def analyze(
-    target: PrivacyTarget,
-    domain_size: int,
-    alpha_fraction: float = 0.0,
-) -> PosteriorAnalysis:
-    """Full posterior summary for a gamma-diagonal mechanism meeting ``target``
-    on a domain of ``domain_size`` values."""
-    gamma = gamma_for(target)
-    x = 1.0 / (gamma + domain_size - 1)
-    posterior = worst_case_posterior(target.rho1, gamma)
-    rng: tuple[float, float] | None = None
-    if alpha_fraction > 0:
-        rng = posterior_range(target.rho1, gamma, alpha_fraction, domain_size)
-    return PosteriorAnalysis(
-        gamma=gamma, maxp=gamma * x, minp=x, posterior=posterior, posterior_range=rng
-    )

@@ -14,7 +14,7 @@ import itertools
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import yaml
@@ -181,10 +181,6 @@ class Dataset:
 
     def record(self, i: int) -> Record:
         return tuple(int(v) for v in self.codes[i])
-
-    def __iter__(self) -> Iterator[Record]:
-        for row in self.codes:
-            yield tuple(int(v) for v in row)
 
 
 @dataclass(frozen=True)
@@ -404,8 +400,10 @@ def ingest_csv(
         column_map: attribute name -> column (header name or 0-based index).
             Defaults to matching header names, or schema order when the file
             has no header.
-        has_header: force header presence; default autodetects by checking
-            whether the first row's mapped fields parse.
+        has_header: force header presence. By default the first row is a
+            header when it holds every attribute name (no ``column_map``),
+            or when ``column_map`` names any column by header name; a map of
+            indices only reads the first row as data.
         on_error: 'skip' drops rows with missing or unparseable values and
             logs the count as a warning; 'abort' raises on the first bad row.
         clamp: clamp out-of-range numeric values to the end bins.

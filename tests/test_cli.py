@@ -255,6 +255,10 @@ _BAD_ARGUMENTS = [
     ("compare", ["--alpha-sweep", ","], "','"),
     ("compare", ["--alpha-sweep", "abc"], "'abc'"),
     ("compare", ["--seeds", "1,1"], "'1,1'"),
+    ("compare", ["--seeds", "1,x"], "got 'x'"),
+    ("compare", ["--seeds", "1,-2"], "got '-2'"),
+    ("compare", ["--alpha-sweep", "0,0.5,y"], "not a number: 'y'"),
+    ("perturb", ["--mechanism", "det-gd", "--seed", "x"], "got 'x'"),
     ("compare", ["--mechanisms", "det-gd,mask", "--mask-p", "0.3"], "got 0.3"),
     ("compare", ["--mechanisms", "det-gd,cut-paste", "--cp-k", "99"], "got 99"),
     ("perturb", ["--mechanism", "mask", "--mask-p", "0.3"], "got 0.3"),
@@ -279,6 +283,7 @@ def test_bad_argument_exits_before_any_work(tmp_path, capsys, command, extra, me
     err = capsys.readouterr().err
     assert code == 1
     assert "error:" in err and message in err
+    assert not any(name in err for name in ("_seed", "_seed_list", "_fraction_list"))
     assert not (tmp_path / "x").exists()
 
 
@@ -612,6 +617,39 @@ def test_mine_rejects_foreign_metadata(tmp_path, capsys, plain_csv):
                        "--sup-min", "0.05", "--out", str(tmp_path / "out"))
     assert code == 1
     assert "different schema" in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda meta: [1], "must hold a JSON object, got list"),
+    (lambda meta: {**meta, "gamma": "19"}, "'gamma' must be a number, got '19'"),
+    (lambda meta: {**meta, "mechanism": "cut-paste", "cp_k": 1.5, "cp_rho": 0.3},
+     "'cp_k' must be an integer, got 1.5"),
+], ids=["list", "string-gamma", "fractional-cp-k"])
+def test_mine_rejects_malformed_metadata(tmp_path, capsys, edit, message):
+    pert = tmp_path / "pert"
+    assert run(capsys, "perturb", "--schema", "census", "--synthetic", "uniform",
+               "--n-records", "200", "--mechanism", "det-gd", "--gamma", "19",
+               "--seed", "1", "--out", str(pert))[0] == 0
+    path = pert / "metadata.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    code, _, err = run(capsys, "mine", "--schema", "census",
+                       "--input", str(pert / "perturbed.csv"), "--metadata", str(path),
+                       "--sup-min", "0.1", "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_rejects_non_object_summary(tmp_path, capsys, plain_csv):
+    truth = tmp_path / "truth"
+    assert run(capsys, "mine", "--schema", "census", "--input", str(plain_csv),
+               "--sup-min", "0.1", "--out", str(truth))[0] == 0
+    (truth / "summary.json").write_text("[]\n")
+    code, _, err = run(capsys, "evaluate", "--schema", "census", "--found", str(truth),
+                       "--truth", str(truth), "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err.startswith("error:") and "must hold a JSON object, got list" in err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

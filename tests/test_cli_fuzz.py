@@ -24,6 +24,10 @@ from privmine.cli import main
 
 EDGES = ("0", "-1", "nan", "inf", "1e308", str(2 ** 64 + 3))
 LIST_EDGES = EDGES + (",", "1,1", "0,0.0", "abc")
+# JSON files of the wrong shape, and values of the wrong type for a number key
+# (1.5 only for an integer key)
+NOT_OBJECTS = ("[1]", "[]", "null", '"x"', "3")
+WRONG_TYPES = ("19", True, None, [1], 1.5)
 
 # five colours times three size bins: a domain of 15 cells, boolean width 8
 SCHEMA = """\
@@ -114,11 +118,14 @@ def ingest_flags(draw) -> dict:
 
 @st.composite
 def metadata_file(draw, tmp: Path, schema: str, mechanism: str) -> str:
+    if draw(st.integers(0, 7)) == 0:
+        return write(tmp / "metadata.json", draw(st.sampled_from(NOT_OBJECTS)))
     meta = {"mechanism": mechanism, "gamma": 19.0, "alpha": 0.001, "mask_p": 0.9, "cp_k": 1,
             "cp_rho": 0.3}
     for key in draw(st.lists(st.sampled_from(sorted(meta.keys() - {"mechanism"})), max_size=2,
                              unique=True)):
-        meta[key] = draw(st.sampled_from([0, -1, float("nan"), float("inf"), 1e308, 2 ** 64 + 3]))
+        meta[key] = draw(st.sampled_from([0, -1, float("nan"), float("inf"), 1e308, 2 ** 64 + 3,
+                                          *WRONG_TYPES]))
     try:
         loaded = builtin_schema(schema) if schema == "census" else load_schema(
             Path(schema).read_text())
@@ -132,8 +139,10 @@ def metadata_file(draw, tmp: Path, schema: str, mechanism: str) -> str:
 def result_dir(draw, tmp: Path, name: str) -> str:
     path = tmp / name
     path.mkdir()
-    summary = {"sup_min": draw(st.sampled_from([0.1, 0.1, float("inf"), -1])), "mechanism": name}
-    write(path / "summary.json", json.dumps(summary))
+    summary = {"sup_min": draw(st.sampled_from([0.1, 0.1, float("inf"), -1, *WRONG_TYPES])),
+               "mechanism": name}
+    write(path / "summary.json", json.dumps(summary) if draw(st.integers(0, 7))
+          else draw(st.sampled_from(NOT_OBJECTS)))
     rows = draw(st.lists(st.sampled_from([
         "colour=red,1,0.4", "colour=red;size=(0-10],2,0.2", "size=>20;colour=green,2,nan",
         "colour=pink,1,0.5", '"colour=red",1,"0.3"', "colour=green,1,inf",

@@ -309,6 +309,22 @@ def test_candidate_ceiling_is_validation_error(monkeypatch, tmp_path, capsys):
     assert "exceed the ceiling of 5 per level" in capsys.readouterr().err
 
 
+@PROPERTIES
+@given(width=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), n_itemsets=st.integers(0, 60))
+def test_join_and_prune_property(width, seed, n_itemsets):
+    # a random level of ``width``-itemsets over 5 attributes of 3 categories
+    rng = np.random.default_rng(seed)
+    level = {tuple((int(a), int(rng.integers(3))) for a in sorted(rng.choice(5, width, False)))
+             for _ in range(n_itemsets)}
+    expected = []
+    for left, right in itertools.permutations(level, 2):
+        cand = left + (right[-1],)
+        if (left[:-1] == right[:-1] and left[-1][0] < right[-1][0]
+                and all(cand[:t] + cand[t + 1:] in level for t in range(len(cand)))):
+            expected.append(cand)
+    assert mining._join_and_prune(list(level)) == sorted(expected)
+
+
 # ---------------------------------------------------------------------------
 # the stop at lengths the mechanism cannot identify
 # ---------------------------------------------------------------------------
@@ -375,7 +391,7 @@ def test_emitted_supports_are_finite_property(sizes, n_rows, seed, mechanism, ga
     try:
         result = apriori_reconstructed(table, sch, spec, sup_min)
     except np.linalg.LinAlgError:
-        assert mining.length_condition(spec, 1) > mining.COND_CEILING
+        assert spec.condition_number(1) > mining.COND_CEILING
         return
     assert all(np.isfinite(s) for _, s in result.itemsets())
     assert all(lv.condition <= mining.COND_CEILING for lv in result.levels)

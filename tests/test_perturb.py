@@ -36,6 +36,7 @@ from privmine import (
     generate_synthetic,
     mask_dataset,
     mask_expand,
+    mask_itemset_condition,
     mask_p_for_gamma,
     mask_perturb,
     perturb_chain,
@@ -692,9 +693,23 @@ def test_condition_number_identity():
 def test_condition_number_gd_closed_form():
     spec = GammaDiagonalSpec(gamma=19.0, schema=make_schema(4, 5, 5, 5, 2, 2))
     # (19 + 2000 - 1)/(19 - 1) = 1009/9
-    assert condition_number(spec) == pytest.approx(1009.0 / 9.0, abs=1e-9)
+    assert spec.condition_number() == pytest.approx(1009.0 / 9.0, abs=1e-9)
     ran = RandomizedGammaSpec.from_fraction(spec, 0.5)
-    assert condition_number(ran) == condition_number(spec)
+    assert ran.condition_number() == spec.condition_number()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
+def test_spec_condition_number_per_length(k):
+    sch = make_schema(4, 5, 5, 5, 2, 2)
+    for p in (0.5001, 0.6, 0.9):
+        assert MaskSpec(p, sch).condition_number(k) == mask_itemset_condition(k, p)
+    assert MaskSpec(0.5, sch).condition_number(k) == math.inf
+    for K, rho in ((0, 0.2), (3, 0.494), (6, 0.9)):
+        cp = CutPasteSpec(K=K, rho_cp=rho, schema=sch)
+        assert cp.condition_number(k) == condition_number(cut_paste_class_matrix(cp, k))
+    gd = GammaDiagonalSpec(gamma=19.0, schema=sch)
+    ran = RandomizedGammaSpec.from_fraction(gd, 0.5)
+    assert gd.condition_number(k) == ran.condition_number(k) == gd.condition_number()
 
 
 def test_condition_number_eigen_matches_closed_form():

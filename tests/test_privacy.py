@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from privmine import (
-    PosteriorAnalysis,
     PrivacyTarget,
-    analyze,
     gamma_for,
     posterior_from_entries,
     posterior_range,
@@ -101,20 +99,6 @@ def test_posterior_from_entries_scale_invariant():
     assert p1 == p2 == 0.5
 
 
-def test_analyze_consistency():
-    res = analyze(PrivacyTarget(0.05, 0.5), 2000)
-    assert res.gamma == 19.0
-    assert res.maxp == pytest.approx(19.0 / 2018.0, abs=1e-15)
-    assert res.minp == pytest.approx(1.0 / 2018.0, abs=1e-15)
-    assert res.posterior == 0.5
-    assert res.posterior_range is None
-
-    res = analyze(PrivacyTarget(0.05, 0.5), 2000, alpha_fraction=0.5)
-    assert res.posterior_range is not None
-    low, high = res.posterior_range
-    assert low < res.posterior < high
-
-
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -154,10 +138,3 @@ def test_posterior_range_validation():
         # n=2: off-diagonal would go negative at this spread
         posterior_range(0.05, 19.0, 0.5, 2)
 
-
-def test_posterior_analysis_validation():
-    with pytest.raises(ValueError):
-        PosteriorAnalysis(gamma=19.0, maxp=20.0, minp=1.0, posterior=0.5)
-    with pytest.raises(ValueError):
-        PosteriorAnalysis(gamma=19.0, maxp=19.0, minp=1.0, posterior=0.5,
-                          posterior_range=(0.6, 0.7))
