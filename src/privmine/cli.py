@@ -206,11 +206,14 @@ def _load_dataset(args, schema: Schema) -> Dataset:
 
 
 def _gamma_value(args) -> float:
-    if args.gamma is not None:
-        return args.gamma
-    if args.rho1 is None or args.rho2 is None:
+    """--gamma if set, else the --rho1/--rho2 target's; a given rho pair must
+    be a valid target either way (privacy, perturb and compare)."""
+    if args.rho1 is not None and args.rho2 is not None:
+        target = PrivacyTarget(args.rho1, args.rho2)
+        return gamma_for(target) if args.gamma is None else args.gamma
+    if args.gamma is None:
         raise ValueError("need either --gamma or both --rho1 and --rho2")
-    return gamma_for(PrivacyTarget(args.rho1, args.rho2))
+    return args.gamma
 
 
 def _params(mechanism: str, base: GammaDiagonalSpec, args, alpha_frac: float) -> dict:
@@ -268,13 +271,7 @@ def _config_hash(config: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_privacy(args) -> int:
-    if args.rho1 is not None and args.rho2 is not None:
-        target = PrivacyTarget(args.rho1, args.rho2)
-        gamma = args.gamma if args.gamma is not None else gamma_for(target)
-    elif args.gamma is not None and args.rho1 is not None:
-        gamma = args.gamma
-    else:
-        raise ValueError("need --rho1 with --rho2 (or --rho1 with --gamma)")
+    gamma = _gamma_value(args)  # --rho1 is required here
     posterior = worst_case_posterior(args.rho1, gamma)
     print(f"gamma = {gamma:.12g}")
     print(f"worst-case posterior = {posterior * 100:.4f}%")

@@ -36,7 +36,7 @@ from .reconstruct import count_subset
 
 # Unused here since supports come from the count lattice: perfbench's tracer
 # wraps these names in this module, and drops them once its metrics are
-# renamed (ROADMAP item 7).
+# renamed (ROADMAP item 2).
 from .reconstruct import (  # noqa: F401
     cut_paste_supports,
     mask_pattern_counts,

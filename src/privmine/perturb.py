@@ -17,7 +17,8 @@ one fresh-bit test per bit, one rank per original item). The dataset
 functions derive every record's PCG64 state and increment in bulk as two
 uint64 arrays, the high and the low 64-bit half (``_record_states``), step
 them one block of records at a time (``_uniform_blocks``) and produce the
-same bytes as the scalar samplers.
+same bytes as the scalar samplers. numpy's SeedSequence mixes the seed's
+words; the bulk path hashes only the index word, for all records at once.
 """
 
 from __future__ import annotations
@@ -137,8 +138,8 @@ class MaskSpec:
 
 @dataclass(frozen=True)
 class CutPasteSpec:
-    """Cut-and-paste operator: keep w = min(j, M) original items with j drawn
-    uniformly from {0..K}, then add every other universe item independently
+    """Cut-and-paste operator: keep j original items with j drawn uniformly
+    from {0..K} (K <= M), then add every other universe item independently
     with probability rho_cp."""
 
     K: int
@@ -219,29 +220,24 @@ def _record_states(seed: int, start: int, stop: int) -> tuple[np.ndarray, np.nda
     """PCG64 ``(state, inc)`` that ``record_rng(seed, i)`` starts from, for
     i in [start, stop): two (2, stop - start) uint64 arrays, rows (hi, lo).
 
-    SeedSequence mixes the seed's 32-bit words (zero-padded to four) and then
-    the index word, so everything before the index is scalar. generate_state
-    yields four uint64 words g; PCG64's srandom takes initstate = g0 << 64 | g1
-    and inc = (g2 << 64 | g3) << 1 | 1, steps once from state 0 (giving inc),
-    adds initstate with a carry between the halves and steps once more.
+    numpy's ``SeedSequence(seed)`` mixes the seed's 32-bit words into its
+    pool, making four hashmix calls per word (at least 16, as the words are
+    zero-padded to four); the bulk path hashes only the index word, from that
+    hash constant on. generate_state yields four uint64 words g; PCG64's
+    srandom takes initstate = g0 << 64 | g1 and inc = (g2 << 64 | g3) << 1 | 1,
+    steps once from state 0 (giving inc), adds initstate with a carry between
+    the halves and steps once more.
     """
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     if not 0 <= start <= stop <= 1 << 32:
         raise ValueError(f"record indices must lie in [0, 2**32), got [{start}, {stop})")
-    words = [(seed >> s) & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words))
-    words.append(np.arange(start, stop, dtype=np.uint64))
-    const = [_SS_INIT_A]
-    pool = [_hashmix(w, const, _SS_MULT_A) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], const, _SS_MULT_A))
-    for w in words[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hashmix(w, const, _SS_MULT_A))
+    n_words = max(4, -(-seed.bit_length() // 32))
+    const = [_SS_INIT_A * pow(_SS_MULT_A, 4 * n_words, 1 << 32) & _M32]
+    index = np.arange(start, stop, dtype=np.uint64)
+    pool = [_mix(p, _hashmix(index, const, _SS_MULT_A))
+            for p in np.random.SeedSequence(seed).pool.tolist()]
     const = [_SS_INIT_B]
     v = np.stack([_hashmix(pool[k % 4], const, _SS_MULT_B) for k in range(8)])
     g = v[::2] | v[1::2] << _S32  # generate_state(4, uint64) from its 32-bit words
@@ -376,8 +372,10 @@ def _chain_bulk(codes: np.ndarray, uniforms: np.ndarray, d: np.ndarray | float,
         u = uniforms[:, j]
         p_keep = (D + m_j * o) / (D + m_prev * o)
         keep = matched & (u < p_keep)
-        t = ((u - p_keep) / (1.0 - p_keep) * (s - 1)).astype(np.int64)
-        np.clip(t, 0, s - 2, out=t)
+        # rows whose p_keep rounds to 1 keep their value (t = 0, unused); the
+        # float is clipped before the cast, which then cannot overflow
+        t = np.divide(u - p_keep, 1.0 - p_keep, out=np.zeros_like(u), where=p_keep < 1)
+        t = np.clip(t * (s - 1), 0, s - 2).astype(np.int64)
         switched = t + (t >= codes[:, j])
         fresh = np.minimum((u * s).astype(np.int64), s - 1)
         out[:, j] = np.where(matched, np.where(keep, codes[:, j], switched), fresh)
@@ -464,14 +462,6 @@ def mask_p_for_gamma(gamma: float, M: int) -> float:
 # cut-and-paste
 # ---------------------------------------------------------------------------
 
-def _cut_count_pmf(K: int, M: int) -> np.ndarray:
-    """Distribution of the number of items cut: w = min(j, M), j ~ U{0..K}."""
-    pmf = np.zeros(min(K, M) + 1)
-    for j in range(K + 1):
-        pmf[min(j, M)] += 1.0 / (K + 1)
-    return pmf
-
-
 @lru_cache(maxsize=256)
 def cut_paste_class_matrix(spec: CutPasteSpec, window: int) -> np.ndarray:
     """Transition matrix between overlap classes of a ``window``-bit itemset:
@@ -485,12 +475,12 @@ def cut_paste_class_matrix(spec: CutPasteSpec, window: int) -> np.ndarray:
     M, M_b, rho = spec.M, spec.M_b, spec.rho_cp
     if not 1 <= window <= M:
         raise ValueError(f"window must lie in [1, {M}], got {window}")
-    pmf_w = _cut_count_pmf(spec.K, M)
+    share = 1.0 / (spec.K + 1)  # each count w = j ~ U{0..K} of items kept (K <= M)
     # p_M[z]: total original items surviving into the output
     p_z = np.zeros(M + 1)
     for z in range(M + 1):
-        for w in range(min(len(pmf_w) - 1, z) + 1):
-            p_z[z] += pmf_w[w] * math.comb(M - w, z - w) * rho ** (z - w) * (1 - rho) ** (M - z)
+        for w in range(min(spec.K, z) + 1):
+            p_z[z] += share * math.comb(M - w, z - w) * rho ** (z - w) * (1 - rho) ** (M - z)
     out = np.zeros((window + 1, window + 1))
     for l_u in range(window + 1):
         for l_vv in range(window + 1):

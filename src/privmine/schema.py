@@ -302,26 +302,17 @@ def discretize(raw_value: float, attribute: Attribute, clamp: bool = False) -> i
 
     Values at an interior boundary fall in the lower interval. Out-of-range
     values raise unless ``clamp`` is set, in which case they map to the
-    nearest end bin.
+    nearest end bin. ``_discretize_many`` applies the rule; this words its error.
     """
     if attribute.bin_edges is None:
         raise ValueError(f"attribute {attribute.name!r} has no discretization rules")
-    edges = attribute.bin_edges
+    [idx] = _discretize_many(np.array([raw_value], dtype=np.float64), attribute, clamp)
+    if idx >= 0:
+        return idx
     if not np.isfinite(raw_value):
         raise ValueError(f"attribute {attribute.name!r}: non-finite value {raw_value!r}")
-    if raw_value <= edges[0]:
-        if clamp:
-            return 0
-        raise ValueError(f"attribute {attribute.name!r}: value {raw_value:g} below first bin")
-    # index of the first edge >= value, minus one, is the (lo, hi] bin
-    idx = int(np.searchsorted(edges, raw_value, side="left")) - 1
-    if idx >= len(edges) - 1:
-        if attribute.open_upper:
-            return len(edges) - 1
-        if clamp:
-            return len(edges) - 2
-        raise ValueError(f"attribute {attribute.name!r}: value {raw_value:g} above last bin")
-    return idx
+    side = "below first" if raw_value <= attribute.bin_edges[0] else "above last"
+    raise ValueError(f"attribute {attribute.name!r}: value {raw_value:g} {side} bin")
 
 
 def encode(record: Sequence[int], schema: Schema) -> int:
@@ -387,7 +378,6 @@ def ingest_csv(
     path: str,
     schema: Schema,
     column_map: Mapping[str, int | str] | None = None,
-    has_header: bool | None = None,
     on_error: str = "skip",
     clamp: bool = False,
 ) -> Dataset:
@@ -399,11 +389,10 @@ def ingest_csv(
         schema: target schema.
         column_map: attribute name -> column (header name or 0-based index).
             Defaults to matching header names, or schema order when the file
-            has no header.
-        has_header: force header presence. By default the first row is a
-            header when it holds every attribute name (no ``column_map``),
-            or when ``column_map`` names any column by header name; a map of
-            indices only reads the first row as data.
+            has no header. The first row is a header when it holds every
+            attribute name (no ``column_map``), or when ``column_map`` names
+            any column by header name; a map of indices only reads the first
+            row as data.
         on_error: 'skip' drops rows with missing or unparseable values and
             logs the count as a warning; 'abort' raises on the first bad row.
         clamp: clamp out-of-range numeric values to the end bins.
@@ -425,7 +414,7 @@ def ingest_csv(
         if first is None:
             return Dataset(schema, np.empty((0, schema.n_attributes), dtype=np.int32),
                            provenance=f"csv:{path} (empty)")
-        has_header, cols = _resolve_columns(first, schema, column_map, has_header)
+        has_header, cols = _resolve_columns(first, schema, column_map)
         blocks = _blocks(fh)
         if not has_header:
             blocks = itertools.chain([(None, [first])], blocks)
@@ -491,18 +480,16 @@ def _flagged(rows, codes) -> np.ndarray:
     return flagged
 
 
-def _resolve_columns(first, schema, column_map, has_header) -> tuple[bool, list[int]]:
+def _resolve_columns(first, schema, column_map) -> tuple[bool, list[int]]:
     """Header presence and each attribute's column index, in schema order."""
     stripped = [f.strip() for f in first]
     if column_map is None:
-        if has_header is None:
-            has_header = all(a.name in stripped for a in schema.attributes)
-        column_map = {a.name: a.name if has_header else j for j, a in enumerate(schema.attributes)}
+        header = all(a.name in stripped for a in schema.attributes)
+        column_map = {a.name: a.name if header else j for j, a in enumerate(schema.attributes)}
     missing = [a.name for a in schema.attributes if a.name not in column_map]
     if missing:
         raise ValueError(f"column_map missing attributes: {missing}")
-    if has_header is None:
-        has_header = any(isinstance(c, str) for c in column_map.values())
+    has_header = any(isinstance(c, str) for c in column_map.values())  # a header name
     cols = []
     for a in schema.attributes:
         col = column_map[a.name]

@@ -51,7 +51,7 @@ def parse_field(field_text, attribute, clamp):
     raise ValueError(f"attribute {attribute.name!r}: unknown category {text!r}")
 
 
-def ingest(path, schema, column_map=None, has_header=None, on_error="skip", clamp=False):
+def ingest(path, schema, column_map=None, on_error="skip", clamp=False):
     """Return (codes as a list of tuples, skipped row count); raise on the
     first bad row when on_error is 'abort'."""
     with open(path, newline="") as fh:
@@ -62,15 +62,13 @@ def ingest(path, schema, column_map=None, has_header=None, on_error="skip", clam
         attrs = schema.attributes
         if column_map is None:
             stripped = [f.strip() for f in first]
-            if has_header is None:
-                has_header = all(a.name in stripped for a in attrs)
+            has_header = all(a.name in stripped for a in attrs)
             if has_header:
                 col_idx = {a.name: stripped.index(a.name) for a in attrs}
             else:
                 col_idx = {a.name: j for j, a in enumerate(attrs)}
         else:
-            if has_header is None:
-                has_header = any(isinstance(c, str) for c in column_map.values())
+            has_header = any(isinstance(c, str) for c in column_map.values())
             if has_header:
                 stripped = [f.strip() for f in first]
                 col_idx = {name: stripped.index(col) if isinstance(col, str) else int(col)

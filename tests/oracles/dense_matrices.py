@@ -16,7 +16,6 @@ import numpy as np
 from privmine.perturb import (
     CutPasteSpec,
     GammaDiagonalSpec,
-    _cut_count_pmf,
     mask_expand_many,
 )
 from privmine.reconstruct import SubsetMarginalSpec
@@ -122,7 +121,9 @@ def cut_paste_entry(q: int, l_v: int, spec: CutPasteSpec) -> float:
     M, M_b, rho = spec.M, spec.M_b, spec.rho_cp
     if not (0 <= q <= min(l_v, M) and l_v - q <= M_b - M):
         raise ValueError(f"infeasible overlap: q={q}, l_v={l_v}")
-    pmf = _cut_count_pmf(spec.K, M)
+    pmf = [0.0] * (min(spec.K, M) + 1)  # cut count w = min(j, M), j ~ U{0..K}
+    for j in range(spec.K + 1):
+        pmf[min(j, M)] += 1.0 / (spec.K + 1)
     total = 0.0
     for w in range(min(len(pmf) - 1, q) + 1):
         total += (

@@ -77,6 +77,12 @@ def test_privacy_needs_rho2_or_gamma(capsys):
     assert "error" in err
 
 
+def test_privacy_rejects_invalid_rho_pair_with_gamma(capsys):
+    code, _, err = run(capsys, "privacy", "--rho1", "0.5", "--rho2", "0.1", "--gamma", "19")
+    assert code == 1
+    assert err.startswith("error: invalid privacy target")
+
+
 @pytest.mark.parametrize("flag, value", [("--gamma", "inf"), ("--rho1", "inf")])
 def test_privacy_rejects_non_finite_numbers(capsys, flag, value):
     args = {"--rho1": "0.05", "--gamma": "19", flag: value}
@@ -266,6 +272,10 @@ _BAD_ARGUMENTS = [
     ("perturb", ["--mechanism", "ran-gd", "--alpha-frac", "3"],
      "alpha fraction must lie in [0, 1], got 3"),
     ("perturb", ["--mechanism", "det-gd", "--gamma", "inf"], "got inf"),
+    # a given rho pair must be a valid target even when --gamma is set
+    ("perturb", ["--mechanism", "det-gd", "--rho1", "0.5", "--rho2", "0.1"],
+     "invalid privacy target"),
+    ("compare", ["--rho1", "0.5", "--rho2", "0.1"], "invalid privacy target"),
 ]
 
 
@@ -285,6 +295,14 @@ def test_bad_argument_exits_before_any_work(tmp_path, capsys, command, extra, me
     assert "error:" in err and message in err
     assert not any(name in err for name in ("_seed", "_seed_list", "_fraction_list"))
     assert not (tmp_path / "x").exists()
+
+
+def test_gamma_overrides_a_valid_rho_pair(tmp_path, capsys):
+    code, _, _ = run(capsys, "perturb", "--schema", "census", "--synthetic", "uniform",
+                     "--n-records", "200", "--mechanism", "det-gd", "--rho1", "0.05",
+                     "--rho2", "0.5", "--gamma", "7", "--seed", "1", "--out", str(tmp_path / "x"))
+    assert code == 0
+    assert json.loads((tmp_path / "x" / "metadata.json").read_text())["gamma"] == 7
 
 
 # ---------------------------------------------------------------------------

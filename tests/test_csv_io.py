@@ -148,7 +148,6 @@ def test_block_ingest_matches_row_ingest(tmp_path, caplog, on_error, clamp):
         (shuffled, {}),
         (shuffled, {"column_map": BY_NAME}),
         (shuffled, {"column_map": BY_INDEX}),  # header read as a data row
-        (shuffled, {"column_map": BY_INDEX, "has_header": True}),
         (plain, {}),
         (plain, {"column_map": {"age": 0, "w": 1, "race": 2, "country": 3, "q": 4}}),
     ]

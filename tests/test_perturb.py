@@ -310,6 +310,17 @@ def test_perturb_dataset_randomized_streams():
         assert got == tuple(out.codes[i])
 
 
+@pytest.mark.filterwarnings("error")
+def test_perturb_dataset_keeps_every_value_when_p_keep_rounds_to_one(census_schema):
+    # at gamma 1e308 every keep probability rounds to 1: no division by zero
+    # or cast of an infinity may warn, and both samplers return their input
+    data = generate_synthetic(census_schema, 500, "uniform", seed=3)
+    base = GammaDiagonalSpec(gamma=1e308, schema=census_schema)
+    ran = RandomizedGammaSpec(base, RandomizedGammaSpec.max_alpha(base) / 2)
+    for spec in (base, ran):
+        assert np.array_equal(perturb_dataset(data, spec, seed=1).codes, data.codes)
+
+
 def test_perturb_dataset_schema_mismatch():
     data = generate_synthetic(make_schema(4, 5), 10, "uniform", seed=0)
     spec = GammaDiagonalSpec(gamma=19.0, schema=make_schema(5, 4))
@@ -330,7 +341,9 @@ def _limbs_to_ints(limbs):
     return [h << 64 | l for h, l in zip(limbs[0].tolist(), limbs[1].tolist())]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7])
+# seeds of 1, 2, 3, exactly 4, 5 and 7 words: numpy pads the seed to four words
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**127 + 99, 2**130 + 7,
+                                  2**200 + 5])
 def test_record_states_match_numpy_seeding(seed):
     # fails if numpy changes SeedSequence mixing or PCG64 seeding
     for i in (0, 1, 4097, 2**32 - 1):

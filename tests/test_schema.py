@@ -1,13 +1,17 @@
 """Schema construction, discretization, encoding, ingestion, synthesis."""
 
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from helpers import gof_chisq, make_schema
+from helpers import PROPERTIES, gof_chisq, make_schema
+from oracles.csv_row_oracle import discretize as row_discretize
 from privmine import (
     Attribute,
     Dataset,
@@ -185,6 +189,31 @@ def test_discretize_closed_upper_requires_clamp():
     assert discretize(3.0, attr, clamp=True) == 1
     with pytest.raises(ValueError):
         discretize(float("nan"), attr)
+
+
+def _bin_or_message(fn, value, attr, clamp):
+    try:
+        return fn(value, attr, clamp=clamp)
+    except ValueError as exc:
+        return str(exc)
+
+
+@PROPERTIES
+@given(edges=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=6,
+                      unique=True).map(sorted),
+       open_upper=st.booleans(), clamp=st.booleans(), extra=st.floats())
+def test_discretize_matches_row_oracle(edges, open_upper, clamp, extra):
+    # the bin or the error message, at every edge and one ulp either side of it
+    n_bins = len(edges) - 1 + open_upper
+    assume(n_bins >= 2)
+    attr = Attribute(name="v", categories=tuple(f"b{i}" for i in range(n_bins)),
+                     bin_edges=tuple(edges), open_upper=open_upper)
+    values = [math.inf, -math.inf, math.nan, extra]
+    for e in edges:
+        values += [math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf)]
+    for value in values:
+        assert (_bin_or_message(discretize, value, attr, clamp)
+                == _bin_or_message(row_discretize, value, attr, clamp)), value
 
 
 # ---------------------------------------------------------------------------
