@@ -342,9 +342,11 @@ def _read_mining_result(directory: Path, schema: Schema) -> MiningResult:
     items = {f"{a.name}={label}": (j, c) for j, a in enumerate(schema.attributes)
              for c, label in enumerate(a.categories)}
     by_length: dict[int, dict] = {}
-    with open(directory / "itemsets.csv", newline="") as fh:
+    path = directory / "itemsets.csv"
+    with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)  # header
+        if next(reader, None) is None:  # the header
+            raise ValueError(f"{path} is empty: it has no header row")
         for label, length, support in reader:
             try:
                 itemset = tuple(sorted(items[part] for part in label.split(";")))

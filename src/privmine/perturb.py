@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -101,12 +100,6 @@ class RandomizedGammaSpec:
                              f"got {alpha_fraction:.12g}")
         return cls(base, alpha_fraction * base.gamma * base.x)
 
-    @property
-    def realized_ratio_bound(self) -> float:
-        """Largest d/o ratio any client's realized matrix can exhibit."""
-        base = self.base
-        return (base.gamma * base.x + self.alpha) / (base.x - self.alpha / (base.n - 1))
-
     def condition_number(self, length: int = 1) -> float:
         """The base's: the miner reconstructs with the expected matrix."""
         return self.base.condition_number(length)
@@ -161,7 +154,12 @@ class CutPasteSpec:
         return self.schema.boolean_width
 
     def condition_number(self, length: int) -> float:
-        """The overlap-class matrix's at this itemset length (``length`` <= M)."""
+        """The overlap-class matrix ``paste @ cut``'s at this itemset length
+        (``length`` <= M). Past K, cut keeps at most K of the window's bits,
+        so the matrix has rank at most K + 1 < length + 1: math.inf, and no
+        matrix is built."""
+        if length > self.K:
+            return math.inf
         # a module-global lookup at call time, so a wrapper put on this
         # module's binding (perfbench's tracer) sees the call
         return condition_number(cut_paste_class_matrix(self, length))
@@ -462,45 +460,31 @@ def mask_p_for_gamma(gamma: float, M: int) -> float:
 # cut-and-paste
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=256)
 def cut_paste_class_matrix(spec: CutPasteSpec, window: int) -> np.ndarray:
     """Transition matrix between overlap classes of a ``window``-bit itemset:
     entry [l_v, l_u] is the probability that a record carrying l_u of the
     window's bits is perturbed into one carrying l_v of them.
 
-    Square (window+1) x (window+1); requires window <= M so that every
-    overlap count 0..window is realizable by a valid record. Cached per
-    (spec, window), so the array is read-only.
+    The operator's two steps, ``paste @ cut``: cut[q, l_u] keeps j ~ U{0..K}
+    of the record's M items, q of them in the window (hypergeometric, so
+    q <= min(j, l_u) <= K); paste[v, q] sets each other window bit with
+    probability rho_cp. cut has no non-zero row past K, so the matrix has rank
+    at most K + 1. Square (window+1) x (window+1); requires window <= M so
+    that every overlap count 0..window is realizable by a valid record.
     """
-    M, M_b, rho = spec.M, spec.M_b, spec.rho_cp
+    M, K, rho = spec.M, spec.K, spec.rho_cp
     if not 1 <= window <= M:
         raise ValueError(f"window must lie in [1, {M}], got {window}")
-    share = 1.0 / (spec.K + 1)  # each count w = j ~ U{0..K} of items kept (K <= M)
-    # p_M[z]: total original items surviving into the output
-    p_z = np.zeros(M + 1)
-    for z in range(M + 1):
-        for w in range(min(spec.K, z) + 1):
-            p_z[z] += share * math.comb(M - w, z - w) * rho ** (z - w) * (1 - rho) ** (M - z)
-    out = np.zeros((window + 1, window + 1))
-    for l_u in range(window + 1):
-        for l_vv in range(window + 1):
-            acc = 0.0
-            for z in range(M + 1):
-                q_lo = max(0, z + l_u - M, l_u + l_vv - window)
-                q_hi = min(z, l_u, l_vv)
-                for q in range(q_lo, q_hi + 1):
-                    hyp = math.comb(l_u, q) * math.comb(M - l_u, z - q) / math.comb(M, z)
-                    acc += (
-                        p_z[z] * hyp * math.comb(window - l_u, l_vv - q)
-                        * rho ** (l_vv - q) * (1 - rho) ** (window - l_u - l_vv + q)
-                    )
-            out[l_vv, l_u] = acc
+    classes = range(window + 1)
+    cut = np.array([[sum(math.comb(l_u, q) * math.comb(M - l_u, j - q) / math.comb(M, j)
+                         for j in range(q, K + 1)) for l_u in classes] for q in classes])
+    paste = np.array([[math.comb(window - q, v - q) * rho ** (v - q) * (1 - rho) ** (window - v)
+                       if v >= q else 0.0 for q in classes] for v in classes])
+    out = paste @ (cut / (K + 1))
     if (out < 0).any():
         raise ValueError("cut-and-paste parameters produced a negative probability")
-    sums = out.sum(axis=0)
-    if np.abs(sums - 1.0).max() > 1e-8:
+    if np.abs(out.sum(axis=0) - 1.0).max() > 1e-8:
         raise ValueError("cut-and-paste class matrix columns do not sum to 1")
-    out.setflags(write=False)
     return out
 
 

@@ -670,6 +670,18 @@ def test_evaluate_rejects_non_object_summary(tmp_path, capsys, plain_csv):
     assert not (tmp_path / "out").exists()
 
 
+def test_evaluate_rejects_empty_itemsets_file(tmp_path, capsys):
+    found = tmp_path / "found"
+    found.mkdir()
+    (found / "summary.json").write_text('{"sup_min": 0.1, "mechanism": "x"}\n')
+    (found / "itemsets.csv").write_text("")
+    code, _, err = run(capsys, "evaluate", "--schema", "census", "--found", str(found),
+                       "--truth", str(found), "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err == f"error: {found / 'itemsets.csv'} is empty: it has no header row\n"
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ Drives ``privmine.cli.main`` in process over every subcommand. Each example
 starts from a valid command line, sets up to two of its numeric flags to an
 edge value, may drop one flag, and points the file arguments at tiny
 generated schema, CSV, metadata and mining-result files, some of them
-malformed. Whatever the input, the CLI ends with one of its documented exit
-codes (0 success, 1 validation, 2 I/O, 3 numerical), never with a traceback,
-and a validation failure leaves ``--out`` absent.
+malformed or empty. Whatever the input, the CLI ends with one of its
+documented exit codes (0 success, 1 validation, 2 I/O, 3 numerical), never
+with a traceback, and a validation failure leaves ``--out`` absent.
 """
 
 import contextlib
@@ -139,6 +139,10 @@ def metadata_file(draw, tmp: Path, schema: str, mechanism: str) -> str:
 def result_dir(draw, tmp: Path, name: str) -> str:
     path = tmp / name
     path.mkdir()
+    if draw(st.integers(0, 3)) == 0:  # a valid summary over an empty itemsets.csv
+        write(path / "summary.json", json.dumps({"sup_min": 0.1, "mechanism": name}))
+        write(path / "itemsets.csv", "")
+        return str(path)
     summary = {"sup_min": draw(st.sampled_from([0.1, 0.1, float("inf"), -1, *WRONG_TYPES])),
                "mechanism": name}
     write(path / "summary.json", json.dumps(summary) if draw(st.integers(0, 7))

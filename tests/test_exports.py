@@ -1,4 +1,5 @@
-"""Every name the package exports is used by the package, the benchmark or a demo.
+"""Every name the package exports is used by the package, the benchmark or a demo,
+and so is every public method or property of an exported class.
 
 A public name whose only callers are tests is dead weight: it belongs in
 tests/oracles/ or nowhere. This test reads the sources as text. For each name
@@ -6,7 +7,9 @@ that ``privmine/__init__.py`` imports it looks for a use in ``src/privmine/``
 (other than ``__init__.py``), ``perfbench/`` and ``demos/``. A use is the name
 as a code token anywhere but right after ``def`` or ``class``, or a string
 literal equal to it (perfbench's tracer wraps functions by name). Comments
-and docstrings do not count.
+and docstrings do not count. Members are matched by name through ``ast``:
+any attribute read of that name, f-strings included, or a string constant
+equal to it counts as a use.
 """
 
 import ast
@@ -16,8 +19,9 @@ import tokenize
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "privmine"
-USERS = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-USERS += sorted((REPO / "perfbench").glob("*.py")) + sorted((REPO / "demos").glob("*.py"))
+MODULES = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+USERS = MODULES + sorted((REPO / "perfbench").glob("*.py"))
+USERS += sorted((REPO / "demos").glob("*.py"))
 
 
 def _exported() -> set[str]:
@@ -48,3 +52,30 @@ def test_every_export_has_a_user_outside_the_tests():
     used = set().union(*map(_used, USERS))
     unused = sorted(_exported() - used)
     assert not unused, f"privmine exports names only the tests use: {unused}"
+
+
+def _public_members() -> set[tuple[str, str]]:
+    """(class, name) of every public method or property of an exported class."""
+    exported = _exported()
+    return {(node.name, item.name) for path in MODULES
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ClassDef) and node.name in exported
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")}
+
+
+def _attributes(path: pathlib.Path) -> set[str]:
+    """Attribute names the code reads, in f-strings too, and string constants
+    (``getattr`` by name)."""
+    return {node.attr if isinstance(node, ast.Attribute) else node.value
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            or isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def test_every_public_member_of_an_exported_class_has_a_user_outside_the_tests():
+    members = _public_members()
+    assert len(members) > 30
+    used = set().union(*map(_attributes, USERS))
+    unused = sorted(f"{cls}.{name}" for cls, name in members if name not in used)
+    assert not unused, f"exported classes have members only the tests use: {unused}"

@@ -1,6 +1,7 @@
 """Perturbation mechanisms: gamma-diagonal family, MASK, cut-and-paste."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import PROPERTIES, FixedUniformRng, gof_chisq, make_schema, two_sample_chisq
+from oracles.cut_paste_classes import class_matrix
 from oracles.dense_matrices import (
     _bits_to_ints,
     cut_paste_entry,
@@ -25,6 +27,7 @@ from privmine import (
     GammaDiagonalSpec,
     MaskSpec,
     RandomizedGammaSpec,
+    builtin_schema,
     chain_column,
     condition_number,
     cut_paste_class_matrix,
@@ -111,17 +114,6 @@ def test_randomized_spec_bounds():
         RandomizedGammaSpec(base, 0.2)  # exceeds (n-1)*x = 3/22
     with pytest.raises(ValueError):
         RandomizedGammaSpec(base, -0.01)
-
-
-def test_realized_ratio_bound():
-    base = GammaDiagonalSpec(gamma=19.0, schema=make_schema(4, 5))
-    spec = RandomizedGammaSpec.from_fraction(base, 0.0)
-    assert spec.realized_ratio_bound == pytest.approx(19.0, abs=1e-12)
-    spec = RandomizedGammaSpec.from_fraction(base, 0.5)
-    x = 1.0 / 38.0
-    expect = (19 * x + 9.5 * x) / (x - 9.5 * x / 19)
-    assert spec.realized_ratio_bound == pytest.approx(expect, abs=1e-12)
-    assert spec.realized_ratio_bound > 19.0
 
 
 def test_draw_client_params_zero_alpha_is_exact():
@@ -603,14 +595,24 @@ def test_cut_paste_class_matrix_consistent_with_dense():
             assert col[in_window == z].sum() == pytest.approx(classes[z, l_u], abs=1e-12)
 
 
-def test_cut_paste_class_matrix_cached_read_only():
-    spec = _cp_spec()
-    a = cut_paste_class_matrix(spec, window=3)
-    b = cut_paste_class_matrix(CutPasteSpec(K=3, rho_cp=0.494, schema=spec.schema), window=3)
-    assert np.array_equal(a, b)
-    assert not a.flags.writeable and not b.flags.writeable
-    with pytest.raises(ValueError):
-        a[0, 0] = 0.0
+@pytest.mark.parametrize("name", ["census", "health"])
+def test_cut_paste_class_matrix_matches_exact_reference(name):
+    # every K and window, against Fraction arithmetic over the survivors;
+    # past K the cut step leaves at most K + 1 independent columns
+    sch = builtin_schema(name)
+    M = sch.n_attributes
+    for K in range(M + 1):
+        for rho in (0.0, 0.1, 0.494, 0.9, 1.0):
+            spec = CutPasteSpec(K=K, rho_cp=rho, schema=sch)
+            for window in range(1, M + 1):
+                got = cut_paste_class_matrix(spec, window)
+                exact = class_matrix(M, K, rho, window)
+                err = max(abs(Fraction(float(got[v, u])) - exact[v][u])
+                          for v in range(window + 1) for u in range(window + 1))
+                assert err <= 1e-15, (K, rho, window, float(err))
+                if window > K:
+                    assert np.linalg.matrix_rank(got) <= K + 1
+                    assert spec.condition_number(window) == math.inf
 
 
 def test_cut_paste_k_zero_is_product_bernoulli():
@@ -719,7 +721,10 @@ def test_spec_condition_number_per_length(k):
     assert MaskSpec(0.5, sch).condition_number(k) == math.inf
     for K, rho in ((0, 0.2), (3, 0.494), (6, 0.9)):
         cp = CutPasteSpec(K=K, rho_cp=rho, schema=sch)
-        assert cp.condition_number(k) == condition_number(cut_paste_class_matrix(cp, k))
+        if k > K:  # rank(paste @ cut) <= K + 1 < k + 1
+            assert cp.condition_number(k) == math.inf
+        else:
+            assert cp.condition_number(k) == condition_number(cut_paste_class_matrix(cp, k))
     gd = GammaDiagonalSpec(gamma=19.0, schema=sch)
     ran = RandomizedGammaSpec.from_fraction(gd, 0.5)
     assert gd.condition_number(k) == ran.condition_number(k) == gd.condition_number()

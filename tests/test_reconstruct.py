@@ -12,7 +12,6 @@ from privmine import (
     SubsetMarginalSpec,
     condition_number,
     count_subset,
-    cut_paste_class_matrix,
     cut_paste_dataset,
     cut_paste_supports,
     generate_synthetic,
@@ -281,21 +280,6 @@ def test_cut_paste_support_recovery_statistical():
     est = cut_paste_supports(cp.bits, (1, 3, 5), spec)
     assert est[-1] == pytest.approx(true_sup, abs=0.06)
     assert est.sum() == pytest.approx(1.0, abs=1e-9)
-
-
-def test_cut_paste_supports_unchanged_by_class_matrix_cache():
-    sch = make_schema(2, 3, 2)
-    spec = CutPasteSpec(K=2, rho_cp=0.3, schema=sch)
-    cp = cut_paste_dataset(generate_synthetic(sch, 2000, "uniform", seed=4), spec, seed=9)
-    positions = (0, 3, 5)
-    counts = cut_paste_class_counts(cp.bits, positions)
-    # the undecorated function rebuilds the matrix on every call
-    expect = np.linalg.solve(cut_paste_class_matrix.__wrapped__(spec, 3), counts / counts.sum())
-    cut_paste_class_matrix.cache_clear()
-    first = cut_paste_supports(cp.bits, positions, spec)
-    second = cut_paste_supports(cp.bits, positions, spec)
-    assert np.array_equal(first, expect)
-    assert np.array_equal(second, expect)
 
 
 # ---------------------------------------------------------------------------
