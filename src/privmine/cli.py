@@ -89,7 +89,7 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
                      help="generate records instead of reading a file")
     p.add_argument("--n-records", type=int, default=10000,
                    help="synthetic record count (default 10000)")
-    p.add_argument("--data-seed", type=int, default=0,
+    p.add_argument("--data-seed", type=_seed, default=0,
                    help="seed for synthetic data generation (default 0)")
     _add_ingest_args(p)
 
@@ -122,7 +122,7 @@ def _add_mechanism_args(p: argparse.ArgumentParser, multi: bool = False) -> None
 
 
 def _seed(text: str) -> int:
-    """argparse type for a perturbation seed: a non-negative integer."""
+    """argparse type for a seed (perturbation or data): a non-negative integer."""
     try:
         seed = int(text)
     except ValueError:
@@ -347,19 +347,21 @@ def _read_mining_result(directory: Path, schema: Schema) -> MiningResult:
         reader = csv.reader(fh)
         if next(reader, None) is None:  # the header
             raise ValueError(f"{path} is empty: it has no header row")
-        for label, length, support in reader:
+        for row, fields in enumerate(reader, 2):  # row 1 is the header
             try:
-                itemset = tuple(sorted(items[part] for part in label.split(";")))
-                validate_itemset(itemset, schema)
-            except KeyError:
-                itemset = parse_itemset(label, schema)
-            by_length.setdefault(int(length), {})[itemset] = float(support)
-    return MiningResult(
-        by_length=by_length,
-        sup_min=summary["sup_min"],
-        mechanism=summary["mechanism"],
-        negative_estimates=summary.get("negative_estimates", 0),
-    )
+                label, length, support = fields
+                try:
+                    itemset = tuple(sorted(items[part] for part in label.split(";")))
+                    validate_itemset(itemset, schema)
+                except KeyError:
+                    itemset = parse_itemset(label, schema)
+                by_length.setdefault(int(length), {})[itemset] = float(support)
+            except ValueError as exc:
+                raise ValueError(f"{path} row {row}: {exc}") from None
+    try:
+        return MiningResult(by_length, summary["sup_min"], summary["mechanism"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_mine(args) -> int:

@@ -98,9 +98,7 @@ class MiningResult:
     by_length: dict[int, dict[Itemset, float]]
     sup_min: float
     mechanism: str
-    negative_estimates: int = 0
     levels: tuple[Level, ...] = ()
-    stop_length: int = 0
     stop_reason: str = ""
 
     def __post_init__(self) -> None:
@@ -108,8 +106,9 @@ class MiningResult:
             for itemset, support in level.items():
                 if len(itemset) != length:
                     raise ValueError(f"itemset {itemset} filed under length {length}")
-                if support < self.sup_min:
-                    raise ValueError(f"itemset {itemset} below threshold: {support}")
+                if not self.sup_min <= support < math.inf:
+                    raise ValueError(f"itemset {itemset} support {support} lies outside "
+                                     f"[{self.sup_min}, inf)")
                 if length > 1:
                     prev = self.by_length.get(length - 1, {})
                     for t in range(length):
@@ -129,6 +128,14 @@ class MiningResult:
     def n_itemsets(self) -> int:
         return sum(len(level) for level in self.by_length.values())
 
+    @property
+    def negative_estimates(self) -> int:
+        return sum(level.negatives for level in self.levels)
+
+    @property
+    def stop_length(self) -> int:
+        return len(self.levels)
+
 
 # ---------------------------------------------------------------------------
 # support estimation from the count lattice
@@ -146,7 +153,15 @@ def _overlap_transform(k: int) -> np.ndarray:
 
 
 class SupportEstimator:
-    """Support estimates for one mechanism from one count lattice.
+    """Support estimates for one mechanism over one table, from one count lattice.
+
+    This is where a table meets its mechanism. ``spec`` is the one the
+    clients used (None: the table is unperturbed and the estimate is the
+    true relative support); the randomized gamma-diagonal spec reconstructs
+    with its base's expected matrix. A gamma-diagonal spec takes a label
+    table, a MASK or cut-and-paste spec a bit table, and the spec's schema
+    must be the table's: anything else is a ValueError here, before any
+    counting. ``mechanism`` names the pair in mining results.
 
     A mechanism's support estimate for an itemset I is a function of the
     all-present counts c(S), for S a subset of I, of I's positions in the boolean
@@ -154,12 +169,23 @@ class SupportEstimator:
     kept as packed bit columns and the counts in a dict keyed by bit
     positions, with c(()) = N; a missing count is one AND of its columns and
     a popcount. Apriori makes every proper subset of a candidate an earlier
-    candidate, so within ``mine`` each candidate costs one new count.
+    candidate, so within ``mine`` each candidate costs one new count."""
 
-    ``spec`` is the mechanism whose reconstruction ``level`` applies (None:
-    the true relative support)."""
-
-    def __init__(self, data: Dataset | BooleanDataset, spec=None, description: str = "plain"):
+    def __init__(self, data: Dataset | BooleanDataset, spec=None):
+        if isinstance(spec, RandomizedGammaSpec):
+            spec = spec.base
+        if spec is None:
+            self.mechanism = "plain"
+        elif isinstance(spec, GammaDiagonalSpec) and isinstance(data, Dataset):
+            self.mechanism = f"gamma-diagonal(gamma={spec.gamma:g})"
+        elif isinstance(spec, MaskSpec) and isinstance(data, BooleanDataset):
+            self.mechanism = f"mask(p={spec.p:g})"
+        elif isinstance(spec, CutPasteSpec) and isinstance(data, BooleanDataset):
+            self.mechanism = f"cut-paste(K={spec.K}, rho={spec.rho_cp:g})"
+        else:
+            raise ValueError(f"cannot mine a {type(data).__name__} with a {type(spec).__name__}")
+        if spec is not None and spec.schema != data.schema:
+            raise ValueError("the mechanism's schema is not the table's")
         if data.n_records == 0:
             raise ValueError("cannot mine an empty dataset")
         bits = data.bits if isinstance(data, BooleanDataset) else mask_expand_many(
@@ -168,12 +194,12 @@ class SupportEstimator:
         self.columns = np.zeros((packed.shape[1], -(-len(packed) // 8)), np.uint64)
         self.columns.view(np.uint8)[:, :len(packed)] = packed.T  # 64 records per word
         self.n = data.n_records
+        self.schema = data.schema
         sizes = data.schema.sizes
         self.offsets = data.schema.boolean_offsets
         self.bit_sizes = np.repeat(sizes, sizes)  # category count of each bit's attribute
         self.counts: dict[tuple[int, ...], int] = {(): self.n}
         self.spec = spec
-        self.description = description
 
     def count(self, bits: tuple[int, ...]) -> int:
         """Records carrying every one of ``bits`` (ascending positions)."""
@@ -208,16 +234,12 @@ class SupportEstimator:
         return out
 
     def estimate(self, candidates: list[Itemset]) -> np.ndarray:
+        """Support estimates for one Apriori level: candidates of one length
+        k, in one step."""
+        if not candidates:
+            raise ValueError("no candidates to estimate")
         offsets = self.offsets
-        out = np.empty(len(candidates))
-        for k in sorted({len(itemset) for itemset in candidates}):
-            pos = [i for i, itemset in enumerate(candidates) if len(itemset) == k]
-            bits = np.array([[offsets[a] + c for a, c in candidates[i]] for i in pos], np.intp)
-            out[pos] = self.level([candidates[i] for i in pos], bits)
-        return out
-
-    def level(self, candidates: list[Itemset], bits: np.ndarray) -> np.ndarray:
-        """Support estimates for candidates of one length k, in one step."""
+        bits = np.array([[offsets[a] + c for a, c in itemset] for itemset in candidates], np.intp)
         spec, n, k = self.spec, self.n, bits.shape[1]
         if spec is None:
             return self.full_counts(bits) / n
@@ -265,13 +287,15 @@ def _join_and_prune(prev_frequent: list[Itemset]) -> list[Itemset]:
     return out
 
 
-def mine(estimator, schema: Schema, sup_min: float) -> MiningResult:
-    """Level-wise mining loop; the estimator supplies support estimates for
-    each pass's candidates. The search stops before a length whose
-    reconstruction condition number exceeds ``COND_CEILING``, and raises
-    ``LinAlgError`` if that is already length 1."""
+def mine(estimator: SupportEstimator, sup_min: float) -> MiningResult:
+    """Level-wise mining loop over the estimator's schema; the estimator
+    supplies the support estimates of each pass's candidates, one length per
+    call. The search stops before a length whose reconstruction condition
+    number exceeds ``COND_CEILING``, and raises ``LinAlgError`` if that is
+    already length 1."""
     if not sup_min > 0:
         raise ValueError(f"sup_min must be positive, got {sup_min}")
+    schema = estimator.schema
     limit = schema.n_attributes
     by_length: dict[int, dict[Itemset, float]] = {}
     levels: list[Level] = []
@@ -302,20 +326,12 @@ def mine(estimator, schema: Schema, sup_min: float) -> MiningResult:
         by_length[length] = level
         if length < limit:
             candidates = _join_and_prune(list(level))
-    return MiningResult(
-        by_length=by_length,
-        sup_min=sup_min,
-        mechanism=estimator.description,
-        negative_estimates=sum(lv.negatives for lv in levels),
-        levels=tuple(levels),
-        stop_length=len(levels),
-        stop_reason=stop,
-    )
+    return MiningResult(by_length, sup_min, estimator.mechanism, tuple(levels), stop)
 
 
 def apriori_plain(dataset: Dataset, sup_min: float) -> MiningResult:
     """Reference miner on unperturbed data; ground truth for accuracy metrics."""
-    return mine(SupportEstimator(dataset), dataset.schema, sup_min)
+    return mine(SupportEstimator(dataset), sup_min)
 
 
 def apriori_reconstructed(
@@ -328,27 +344,9 @@ def apriori_reconstructed(
 
     The spec must be the one used by the clients (its public part: the
     randomized variant reconstructs with the expected matrix)."""
-    if isinstance(spec, RandomizedGammaSpec):
-        spec = spec.base
-    if not isinstance(spec, (GammaDiagonalSpec, MaskSpec, CutPasteSpec)):
-        raise ValueError(f"unsupported mechanism spec: {type(spec).__name__}")
-    if spec.schema != schema:
-        raise ValueError("mechanism schema does not match the mining schema")
-    if isinstance(spec, GammaDiagonalSpec):
-        if not isinstance(perturbed, Dataset):
-            raise ValueError("gamma-diagonal mining expects a categorical dataset")
-        description = f"gamma-diagonal(gamma={spec.gamma:g})"
-    elif isinstance(spec, MaskSpec):
-        if not isinstance(perturbed, BooleanDataset):
-            raise ValueError("mask mining expects a boolean dataset")
-        description = f"mask(p={spec.p:g})"
-    else:
-        if not isinstance(perturbed, BooleanDataset):
-            raise ValueError("cut-and-paste mining expects a boolean dataset")
-        description = f"cut-paste(K={spec.K}, rho={spec.rho_cp:g})"
     if perturbed.schema != schema:
         raise ValueError("perturbed data schema does not match the mining schema")
-    return mine(SupportEstimator(perturbed, spec, description), schema, sup_min)
+    return mine(SupportEstimator(perturbed, spec), sup_min)
 
 
 def brute_force_frequent(dataset: Dataset, sup_min: float) -> MiningResult:

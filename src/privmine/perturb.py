@@ -528,7 +528,8 @@ def cut_paste_dataset(dataset: Dataset, spec: CutPasteSpec, seed: int) -> Boolea
 
 def condition_number(matrix) -> float:
     """Ratio of extreme singular values of a square matrix (each spec has its
-    own per-length ``condition_number``). Singular matrices report math.inf."""
+    own per-length ``condition_number``); math.inf when the smallest is at
+    most largest * size * eps, where numpy's matrix_rank calls it singular."""
     entries = np.asarray(matrix, float)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError("condition number needs a square matrix")
@@ -537,6 +538,6 @@ def condition_number(matrix) -> float:
     else:
         mags = np.linalg.svd(entries, compute_uv=False)
     largest, smallest = mags.max(), mags.min()
-    if smallest == 0.0:
+    if smallest <= largest * len(entries) * np.finfo(float).eps:
         return math.inf
     return float(largest / smallest)

@@ -76,7 +76,7 @@ def posterior_range(
         raise ValueError(f"domain_size must be >= 2, got {n}")
     if not 1 < gamma < math.inf:
         raise ValueError(f"gamma must be a finite number > 1, got {gamma}")
-    if alpha_fraction < 0:
+    if not alpha_fraction >= 0:
         raise ValueError(f"alpha_fraction must be >= 0, got {alpha_fraction}")
     x = 1.0 / (gamma + n - 1)
     alpha = alpha_fraction * gamma * x

@@ -29,46 +29,43 @@ _SUM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SubsetMarginalSpec:
-    """Marginal reconstruction problem over an ordered attribute subset.
+    """A gamma-diagonal spec viewed over an ordered attribute subset.
 
-    The induced transition matrix between subset cells is
-    (gamma-1)*x*I + (n_C/n_Cs)*x*J: column-stochastic, and with condition
-    number (gamma + n_C - 1)/(gamma - 1) regardless of which subset is
-    chosen."""
+    The induced transition matrix between the subset's n_Cs cells is
+    (gamma-1)*x*I + (n/n_Cs)*x*J, with gamma, x and the domain size n the
+    base spec's: column-stochastic, and with condition number
+    (gamma + n - 1)/(gamma - 1) regardless of which subset is chosen."""
 
+    base: GammaDiagonalSpec
     subset: tuple[int, ...]
-    n_Cs: int
-    n_C: int
-    gamma: float
-    x: float
 
     def __post_init__(self) -> None:
         if len(self.subset) == 0:
             raise ValueError("subset must be non-empty")
         if any(b <= a for a, b in zip(self.subset, self.subset[1:])):
             raise ValueError(f"subset indices must be strictly increasing, got {self.subset}")
-        if self.n_Cs <= 0 or self.n_C % self.n_Cs != 0:
-            raise ValueError(f"subset cell count {self.n_Cs} must divide domain size {self.n_C}")
+        if not all(0 <= a < self.base.schema.n_attributes for a in self.subset):
+            raise ValueError(f"subset {self.subset} references unknown attributes")
 
     @classmethod
     def for_subset(cls, spec: GammaDiagonalSpec, subset: tuple[int, ...]) -> "SubsetMarginalSpec":
-        schema = spec.schema
-        if not all(0 <= a < schema.n_attributes for a in subset):
-            raise ValueError(f"subset {subset} references unknown attributes")
-        n_Cs = math.prod(schema.sizes[a] for a in subset)
-        return cls(tuple(subset), n_Cs, spec.n, spec.gamma, spec.x)
+        return cls(spec, tuple(subset))
+
+    @property
+    def n_Cs(self) -> int:
+        return math.prod(self.base.schema.sizes[a] for a in self.subset)
 
     @property
     def diag(self) -> float:
-        return (self.gamma - 1) * self.x + self.off
+        return (self.base.gamma - 1) * self.base.x + self.off
 
     @property
     def off(self) -> float:
-        return (self.n_C // self.n_Cs) * self.x
+        return (self.base.n // self.n_Cs) * self.base.x
 
     def condition_number(self) -> float:
-        """1/((gamma-1)*x) = (gamma + n_C - 1)/(gamma - 1); subset-independent."""
-        return 1.0 / ((self.gamma - 1) * self.x)
+        """1/((gamma-1)*x) = (gamma + n - 1)/(gamma - 1); subset-independent."""
+        return 1.0 / ((self.base.gamma - 1) * self.base.x)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +94,7 @@ def reconstruct_subset(perturbed_supports: np.ndarray, spec: SubsetMarginalSpec)
         raise ValueError(f"expected length {spec.n_Cs}, got {len(s)}")
     if not abs(s.sum() - 1.0) <= _SUM_TOL:
         raise ValueError(f"relative supports must sum to 1, got {s.sum()!r}")
-    return (s - spec.off) / ((spec.gamma - 1) * spec.x)
+    return (s - spec.off) / ((spec.base.gamma - 1) * spec.base.x)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +166,8 @@ def cut_paste_supports(bits: np.ndarray, positions: tuple[int, ...], spec) -> np
     estimated support."""
     from .perturb import cut_paste_class_matrix
 
+    if len(positions) > spec.K:  # the class matrix has rank at most K + 1
+        raise np.linalg.LinAlgError(f"{len(positions)} positions exceed K = {spec.K}")
     counts = cut_paste_class_counts(bits, positions)
     total = counts.sum()
     if total <= 0:

@@ -276,6 +276,10 @@ _BAD_ARGUMENTS = [
     ("perturb", ["--mechanism", "det-gd", "--rho1", "0.5", "--rho2", "0.1"],
      "invalid privacy target"),
     ("compare", ["--rho1", "0.5", "--rho2", "0.1"], "invalid privacy target"),
+    ("perturb", ["--mechanism", "det-gd", "--data-seed", "-1"],
+     "argument --data-seed: seed must be a non-negative integer, got '-1'"),
+    ("compare", ["--data-seed", "-1"],
+     "argument --data-seed: seed must be a non-negative integer, got '-1'"),
 ]
 
 
@@ -679,6 +683,32 @@ def test_evaluate_rejects_empty_itemsets_file(tmp_path, capsys):
                        "--truth", str(found), "--out", str(tmp_path / "out"))
     assert code == 1
     assert err == f"error: {found / 'itemsets.csv'} is empty: it has no header row\n"
+    assert not (tmp_path / "out").exists()
+
+
+_BAD_ITEMSET_ROWS = [
+    # (the second row of itemsets.csv, text the error line holds after the path)
+    ("AGE=(0-20],1,nan", ": itemset ((0, 0),) support nan lies outside [0.1, inf)"),
+    ("AGE=(0-20],1,inf", ": itemset ((0, 0),) support inf lies outside [0.1, inf)"),
+    ("BDDAY12=>60,1", " row 3: not enough values to unpack"),
+    ("BDDAY12=>60,2,0.5", ": itemset ((1, 4),) filed under length 2"),
+    ("BDDAY12=>60,x,0.5", " row 3: invalid literal for int()"),
+    ("BDDAY12=none,1,0.5", " row 3: attribute 'BDDAY12': unknown category 'none'"),
+]
+
+
+@pytest.mark.parametrize("row, message", _BAD_ITEMSET_ROWS, ids=[r for r, _ in _BAD_ITEMSET_ROWS])
+def test_evaluate_names_the_file_and_row_of_a_bad_itemset(tmp_path, capsys, row, message):
+    # the header is row 1, so the second itemset is row 3; a support must be
+    # a number in [sup_min, inf), which NaN is not
+    found = tmp_path / "found"
+    found.mkdir()
+    (found / "summary.json").write_text('{"sup_min": 0.1, "mechanism": "x"}\n')
+    (found / "itemsets.csv").write_text(f"itemset,length,support\nAGE=(20-40],1,0.5\n{row}\n")
+    code, _, err = run(capsys, "evaluate", "--schema", "health", "--found", str(found),
+                       "--truth", str(found), "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err.startswith(f"error: {found / 'itemsets.csv'}{message}"), err
     assert not (tmp_path / "out").exists()
 
 

@@ -149,10 +149,11 @@ def result_dir(draw, tmp: Path, name: str) -> str:
           else draw(st.sampled_from(NOT_OBJECTS)))
     rows = draw(st.lists(st.sampled_from([
         "colour=red,1,0.4", "colour=red;size=(0-10],2,0.2", "size=>20;colour=green,2,nan",
-        "colour=pink,1,0.5", '"colour=red",1,"0.3"', "colour=green,1,inf",
+        "colour=pink,1,0.5", '"colour=red",1,"0.3"', "colour=green,1,inf", "colour=red,1,nan",
     ]), max_size=3, unique=True))
     if draw(st.integers(0, 7)) == 0:
-        rows.append(draw(st.sampled_from(["colour=red,x,0.5", "colour=red", "size=5,1,0.2"])))
+        rows.append(draw(st.sampled_from(["colour=red,x,0.5", "colour=red", "size=5,1,0.2",
+                                          "colour=red,1", "colour=red,2,0.5"])))
     write(path / "itemsets.csv", "itemset,length,support\r\n" + "".join(r + "\n" for r in rows))
     return str(path)
 

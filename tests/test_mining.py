@@ -15,6 +15,7 @@ from privmine import (
     GammaDiagonalSpec,
     MaskSpec,
     MiningResult,
+    RandomizedGammaSpec,
     SubsetMarginalSpec,
     SupportEstimator,
     apriori_plain,
@@ -123,7 +124,7 @@ def test_sup_min_must_be_positive():
     with pytest.raises(ValueError):
         apriori_plain(toy_dataset(), 0.0)
     with pytest.raises(ValueError):
-        mine(SupportEstimator(toy_dataset()), make_schema(2, 2, 2), -0.1)
+        mine(SupportEstimator(toy_dataset()), -0.1)
     with pytest.raises(ValueError):
         brute_force_frequent(toy_dataset(), 0.0)
 
@@ -147,9 +148,9 @@ def test_empty_dataset_is_rejected():
 
 def test_one_record_mining():
     one = Dataset(make_schema(2, 3, 2), np.array([[1, 2, 0]]))
-    supports = SupportEstimator(one).estimate(
-        [((0, 0),), ((0, 1),), ((1, 1), (2, 0)), ((1, 2), (2, 0))])
-    assert supports.tolist() == [0.0, 1.0, 0.0, 1.0]
+    estimator = SupportEstimator(one)
+    assert estimator.estimate([((0, 0),), ((0, 1),)]).tolist() == [0.0, 1.0]
+    assert estimator.estimate([((1, 1), (2, 0)), ((1, 2), (2, 0))]).tolist() == [0.0, 1.0]
     result = apriori_plain(one, 0.5)
     assert result.counts_per_length() == {1: 3, 2: 3, 3: 1}
     assert {s for _, s in result.itemsets()} == {1.0}
@@ -211,16 +212,17 @@ def test_noiseless_estimator_is_support_neutral():
     plain = apriori_plain(data, 0.0415)
 
     class Noiseless(SupportEstimator):
-        def level(self, candidates, bits):
+        def estimate(self, candidates):
             # apply the subset matrix to the true support analytically, then invert
             out = []
-            for itemset, count in zip(candidates, self.full_counts(bits)):
+            for itemset in candidates:
                 sub = SubsetMarginalSpec.for_subset(spec, tuple(a for a, _ in itemset))
+                count = self.count(tuple(self.offsets[a] + c for a, c in itemset))
                 expected = (sub.diag - sub.off) * (count / self.n) + sub.off
-                out.append((expected - sub.off) / ((sub.gamma - 1) * sub.x))
+                out.append((expected - sub.off) / ((sub.base.gamma - 1) * sub.base.x))
             return np.array(out)
 
-    noiseless = mine(Noiseless(data), sch, 0.0415)
+    noiseless = mine(Noiseless(data), 0.0415)
     assert plain.by_length.keys() == noiseless.by_length.keys()
     for length in plain.by_length:
         assert plain.by_length[length].keys() == noiseless.by_length[length].keys()
@@ -296,12 +298,12 @@ def test_apriori_reconstructed_type_checks(census_schema):
 
 
 MISMATCH_MESSAGES = {
-    "gd-on-bits": "gamma-diagonal mining expects a categorical dataset",
-    "mask-on-labels": "mask mining expects a boolean dataset",
-    "cut-paste-on-labels": "cut-and-paste mining expects a boolean dataset",
-    "spec-schema": "mechanism schema does not match the mining schema",
+    "gd-on-bits": "cannot mine a BooleanDataset with a GammaDiagonalSpec",
+    "mask-on-labels": "cannot mine a Dataset with a MaskSpec",
+    "cut-paste-on-labels": "cannot mine a Dataset with a CutPasteSpec",
+    "spec-schema": "the mechanism's schema is not the table's",
     "data-schema": "perturbed data schema does not match the mining schema",
-    "unsupported-spec": "unsupported mechanism spec: str",
+    "unsupported-spec": "cannot mine a Dataset with a str",
 }
 
 
@@ -314,12 +316,66 @@ def test_apriori_reconstructed_rejects_each_mismatch(case):
         "gd-on-bits": (mask_dataset(data, MaskSpec(p=0.9, schema=sch), seed=0), sch, gd),
         "mask-on-labels": (data, sch, MaskSpec(p=0.9, schema=sch)),
         "cut-paste-on-labels": (data, sch, CutPasteSpec(K=1, rho_cp=0.3, schema=sch)),
-        "spec-schema": (data, other, gd),
+        "spec-schema": (data, sch, GammaDiagonalSpec(gamma=19.0, schema=other)),
         "data-schema": (generate_synthetic(other, 10, "uniform", seed=0), sch, gd),
         "unsupported-spec": (data, sch, "not-a-spec"),
     }[case]
     with pytest.raises(ValueError, match=MISMATCH_MESSAGES[case]):
         apriori_reconstructed(perturbed, schema, spec, 0.1)
+
+
+ESTIMATOR_MISMATCHES = {
+    "gd-on-bits": "cannot mine a BooleanDataset with a GammaDiagonalSpec",
+    "mask-on-labels": "cannot mine a Dataset with a MaskSpec",
+    "cut-paste-on-labels": "cannot mine a Dataset with a CutPasteSpec",
+    "spec-schema": "the mechanism's schema is not the table's",
+    "unsupported-spec": "cannot mine a Dataset with a str",
+}
+
+
+@pytest.mark.parametrize("case", list(ESTIMATOR_MISMATCHES))
+def test_support_estimator_rejects_each_mismatch(case):
+    # the estimator is where a table meets its mechanism: a wrong pair fails
+    # when it is built, before any count or any mining
+    sch = make_schema(2, 2)
+    data = generate_synthetic(sch, 10, "uniform", seed=0)
+    data, spec = {
+        "gd-on-bits": (mask_dataset(data, MaskSpec(p=0.9, schema=sch), seed=0),
+                       GammaDiagonalSpec(gamma=19.0, schema=sch)),
+        "mask-on-labels": (data, MaskSpec(p=0.9, schema=sch)),
+        "cut-paste-on-labels": (data, CutPasteSpec(K=1, rho_cp=0.3, schema=sch)),
+        "spec-schema": (data, GammaDiagonalSpec(gamma=19.0, schema=make_schema(2, 3))),
+        "unsupported-spec": (data, "not-a-spec"),
+    }[case]
+    with pytest.raises(ValueError, match=ESTIMATOR_MISMATCHES[case]):
+        SupportEstimator(data, spec)
+
+
+def test_randomized_spec_estimates_as_its_base(census_schema):
+    data = generate_synthetic(census_schema, 2000, builtin_distribution("census"), seed=5)
+    ran = RandomizedGammaSpec.from_fraction(GammaDiagonalSpec(gamma=19.0, schema=census_schema),
+                                            0.5)
+    perturbed = perturb_dataset(data, ran, seed=3)
+    with_ran, with_base = SupportEstimator(perturbed, ran), SupportEstimator(perturbed, ran.base)
+    assert with_ran.mechanism == with_base.mechanism == "gamma-diagonal(gamma=19)"
+    for level in apriori_plain(data, 0.05).by_length.values():
+        assert np.array_equal(with_ran.estimate(list(level)), with_base.estimate(list(level)))
+    assert mine(with_ran, 0.05) == mine(with_base, 0.05)
+
+
+def test_mining_result_derives_its_summary_from_levels():
+    result = MiningResult(by_length={1: {((0, 0),): 0.5}}, sup_min=0.1, mechanism="test",
+                          levels=(mining.Level(1, 4, 1, 2, 3.0), mining.Level(2, 6, 0, 5, 3.0)))
+    assert result.negative_estimates == 7
+    assert result.stop_length == 2
+    empty = MiningResult(by_length={}, sup_min=0.1, mechanism="test")
+    assert (empty.negative_estimates, empty.stop_length) == (0, 0)
+
+
+@pytest.mark.parametrize("support", [float("nan"), float("inf"), 0.05])
+def test_mining_result_rejects_support_outside_threshold_and_infinity(support):
+    with pytest.raises(ValueError, match=f"support {support} lies outside"):
+        MiningResult(by_length={1: {((0, 0),): support}}, sup_min=0.1, mechanism="test")
 
 
 def test_candidate_ceiling_is_validation_error(monkeypatch, tmp_path, capsys):
@@ -430,7 +486,9 @@ def test_mask_closed_form_matches_exact_kronecker_inverse():
     bits = BooleanDataset(sch, rng.random((97, sch.boolean_width)) < 0.4)
     p = 0.8
     level = [((1, 2),), ((0, 1), (2, 0)), ((0, 1), (1, 2), (2, 0)), ((0, 0), (1, 1), (2, 1))]
-    found = SupportEstimator(bits, MaskSpec(p=p, schema=sch)).estimate(level)
+    estimator = SupportEstimator(bits, MaskSpec(p=p, schema=sch))
+    found = [float(s) for k in (1, 2, 3)
+             for s in estimator.estimate([itemset for itemset in level if len(itemset) == k])]
     for itemset, estimate in zip(level, found):
         k = len(itemset)
         positions = [sch.boolean_offsets[a] + c for a, c in itemset]

@@ -744,6 +744,27 @@ def test_condition_number_singular_and_invalid():
         condition_number(np.ones((2, 3)) / 2)
 
 
+def test_condition_number_below_rank_tolerance_is_infinite():
+    # numpy's matrix_rank tolerance: smallest singular value <= largest * size * eps
+    assert condition_number(np.diag([1.0, 1e-17])) == math.inf
+    assert condition_number(np.diag([1.0, 1e-12])) == pytest.approx(1e12, rel=1e-12)
+    assert condition_number(np.array([[1.0, 2.0], [0.5, 1.0 + 1e-17]])) == math.inf
+
+
+@pytest.mark.parametrize("name", ["census", "health"])
+def test_condition_number_of_every_class_matrix_past_k_is_infinite(name):
+    # rank <= K + 1 < length + 1 past K, so the SVD's smallest value is
+    # rounding noise; it must read inf, as CutPasteSpec.condition_number does
+    sch = builtin_schema(name)
+    M = sch.n_attributes
+    for K in range(M):
+        for i in range(41):
+            spec = CutPasteSpec(K=K, rho_cp=i / 40, schema=sch)
+            for length in range(K + 1, M + 1):
+                assert condition_number(cut_paste_class_matrix(spec, length)) == math.inf, (
+                    K, i / 40, length)
+
+
 def test_materialized_matrix_validation():
     with pytest.raises(ValueError):
         MaterializedMatrix(np.array([[0.9, 0.2], [0.2, 0.9]]))  # columns sum to 1.1

@@ -12,6 +12,7 @@ from privmine import (
     posterior_range,
     worst_case_posterior,
 )
+from privmine.cli import main
 
 
 # ---------------------------------------------------------------------------
@@ -138,3 +139,13 @@ def test_posterior_range_validation():
         # n=2: off-diagonal would go negative at this spread
         posterior_range(0.05, 19.0, 0.5, 2)
 
+
+
+def test_nan_alpha_fraction_is_named(capsys):
+    # NaN fails every comparison, so the check must be stated as "not >= 0"
+    with pytest.raises(ValueError, match="alpha_fraction must be >= 0, got nan"):
+        posterior_range(0.05, 19.0, float("nan"), 2000)
+    code = main(["privacy", "--rho1", "0.05", "--rho2", "0.5", "--alpha-frac", "nan",
+                 "--domain-size", "2000"])
+    assert code == 1
+    assert "error: alpha_fraction must be >= 0, got nan" in capsys.readouterr().err

@@ -125,8 +125,8 @@ def test_reconstructed_error_within_amplification_bound():
 def test_subset_spec_census_values(census_schema):
     spec = GammaDiagonalSpec(gamma=19.0, schema=census_schema)
     sub = SubsetMarginalSpec.for_subset(spec, (0,))
-    assert sub.n_Cs == 4 and sub.n_C == 2000
-    assert sub.x == pytest.approx(1 / 2018, abs=1e-18)
+    assert sub.n_Cs == 4 and sub.base.n == 2000
+    assert sub.base.x == pytest.approx(1 / 2018, abs=1e-18)
     assert sub.diag == pytest.approx(259 / 1009, abs=1e-15)
     assert sub.off == pytest.approx(250 / 1009, abs=1e-15)
     assert sub.condition_number() == pytest.approx(1009 / 9, abs=1e-9)
@@ -174,8 +174,6 @@ def test_subset_validation(census_schema):
         SubsetMarginalSpec.for_subset(spec, (6,))
     with pytest.raises(ValueError):
         SubsetMarginalSpec.for_subset(spec, ())
-    with pytest.raises(ValueError):
-        SubsetMarginalSpec(subset=(0,), n_Cs=3, n_C=2000, gamma=19.0, x=1 / 2018)
     sub = SubsetMarginalSpec.for_subset(spec, (0,))
     with pytest.raises(ValueError):
         reconstruct_subset(np.array([0.9, 0.05, 0.04, 0.02]), sub)  # sums past 1
@@ -280,6 +278,19 @@ def test_cut_paste_support_recovery_statistical():
     est = cut_paste_supports(cp.bits, (1, 3, 5), spec)
     assert est[-1] == pytest.approx(true_sup, abs=0.06)
     assert est.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_cut_paste_supports_past_k_raises(census_schema):
+    # past K the class matrix has rank <= K + 1: a solve returns values of
+    # order 1e14, so the function refuses and names K
+    spec = CutPasteSpec(K=3, rho_cp=0.494, schema=census_schema)
+    data = generate_synthetic(census_schema, 2000, "uniform", seed=1)
+    bits = cut_paste_dataset(data, spec, seed=2).bits
+    with pytest.raises(np.linalg.LinAlgError, match="5 positions exceed K = 3"):
+        cut_paste_supports(bits, (0, 4, 8, 12, 16), spec)
+    within = cut_paste_supports(bits, (0, 4, 8), spec)
+    assert within.sum() == pytest.approx(1.0, abs=1e-9)
+    assert np.abs(within).max() < 10
 
 
 # ---------------------------------------------------------------------------
