@@ -42,6 +42,7 @@ from .perturb import (
     mask_dataset,
     mask_p_for_gamma,
     perturb_dataset,
+    perturb_tables,
 )
 from .privacy import PrivacyTarget, gamma_for, posterior_range, worst_case_posterior
 from .schema import (
@@ -337,6 +338,8 @@ def _write_mining_result(out: Path, result: MiningResult, schema: Schema, runtim
 
 def _read_mining_result(directory: Path, schema: Schema) -> MiningResult:
     summary = _read_object(directory / "summary.json", ("sup_min",))
+    if missing := [key for key in ("sup_min", "mechanism") if key not in summary]:
+        raise ValueError(f'{directory / "summary.json"} lacks "{missing[0]}"')
     # each distinct item label parses once; parse_itemset handles the rest
     # (default categories) and words the errors
     items = {f"{a.name}={label}": (j, c) for j, a in enumerate(schema.attributes)
@@ -426,21 +429,22 @@ def _seed_means(rows: list[LengthAccuracy]) -> dict:
             for f in dataclasses.fields(LengthAccuracy) if f.name != "length"}
 
 
-def _seed_runs(data: Dataset, spec, seeds: list[int], truth: MiningResult, sup_min: float):
-    """Perturb, mine and score once per seed: the per-seed accuracy reports,
-    (negative estimates, stop length, stop reason), and perturb and mine
-    seconds. The itemsets themselves are dropped once scored."""
-    reports, outcomes, perturb_s, mine_s = [], [], [], []
+def _seed_runs(data: Dataset, specs, seeds: list[int], truth: MiningResult, sup_min: float):
+    """Per spec, per seed: accuracy report, (negative estimates, stop length, stop
+    reason), perturb and mine seconds. Each seed's one pass is split equally."""
+    runs = {spec: ([], [], [], []) for spec in specs}
     for seed in seeds:
         started = time.perf_counter()
-        perturbed = _perturb(data, spec, seed)
-        perturbed_at = time.perf_counter()
-        result = apriori_reconstructed(perturbed, data.schema, spec, sup_min)
-        perturb_s.append(perturbed_at - started)
-        mine_s.append(time.perf_counter() - perturbed_at)
-        outcomes.append((result.negative_estimates, result.stop_length, result.stop_reason))
-        reports.append(accuracy_report(result, truth))
-    return reports, outcomes, perturb_s, mine_s
+        tables = perturb_tables(data, specs, seed)
+        share = (time.perf_counter() - started) / len(specs)
+        for spec, (reports, outcomes, perturb_s, mine_s) in runs.items():
+            mined_from = time.perf_counter()
+            result = apriori_reconstructed(tables.pop(0), data.schema, spec, sup_min)
+            perturb_s.append(share)
+            mine_s.append(time.perf_counter() - mined_from)
+            outcomes.append((result.negative_estimates, result.stop_length, result.stop_reason))
+            reports.append(accuracy_report(result, truth))
+    return runs
 
 
 def cmd_compare(args) -> int:
@@ -461,8 +465,8 @@ def cmd_compare(args) -> int:
 
     truth = apriori_plain(data, args.sup_min)
     lengths = sorted(truth.by_length)
-    runs = {spec: _seed_runs(data, spec, args.seeds, truth, args.sup_min)
-            for spec in dict.fromkeys([*specs.values(), *sweep.values()])}
+    runs = _seed_runs(data, list(dict.fromkeys([*specs.values(), *sweep.values()])),
+                      args.seeds, truth, args.sup_min)
     support_rows, identity_rows, cond_rows, sweep_rows = [], [], [], []
     summary_mechs = {}
     for mechanism, spec in specs.items():

@@ -13,12 +13,12 @@ only on (seed, i): results are reproducible and independent of record order.
 a fixed number of ``random()`` doubles from it: det-gd M (one per attribute
 for the chain sampler); ran-gd 1 + M (the client's shift r, then the chain);
 MASK M_b (one flip test per bit); cut-and-paste 1 + M_b + M (the cut count,
-one fresh-bit test per bit, one rank per original item). The dataset
-functions derive every record's PCG64 state and increment in bulk as two
-uint64 arrays, the high and the low 64-bit half (``_record_states``), step
-them one block of records at a time (``_uniform_blocks``) and produce the
-same bytes as the scalar samplers. numpy's SeedSequence mixes the seed's
-words; the bulk path hashes only the index word, for all records at once.
+one fresh-bit test per bit, one rank per original item): a prefix of the
+stream, so ``perturb_tables`` perturbs under several specs in one pass. It
+derives every record's PCG64 state and increment in bulk as two uint64
+arrays, high and low halves (``_record_states``), steps them one block at a
+time to the widest spec's width (``_uniform_blocks``) and gives the scalar
+samplers' bytes. It hashes only the index word, for all records at once.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ class CutPasteSpec:
 
 
 # ---------------------------------------------------------------------------
-# per-record random streams
+# per-record random streams, and one pass over them for several specs
 # ---------------------------------------------------------------------------
 
 def record_rng(seed: int, index: int) -> np.random.Generator:
@@ -270,6 +270,57 @@ def _uniform_blocks(seed: int, n_records: int, width: int):
             x >>= _S11  # random(): the top 53 bits times 2**-53
             np.multiply(x, 2.0 ** -53, out=draws[k])
         yield slice(start, stop), draws.T
+
+
+def _kernel(dataset: Dataset, spec, seed: int):
+    """One spec's share of a pass, ``(width, fill, table)``: ``fill(rows, u)``
+    perturbs the records ``rows`` from ``u``, their first ``width`` draws."""
+    schema, codes = dataset.schema, dataset.codes
+    base = spec.base if isinstance(spec, RandomizedGammaSpec) else spec
+    if base.schema is not schema and base.schema != schema:
+        raise ValueError("mechanism schema does not match dataset schema")
+    if isinstance(base, GammaDiagonalSpec):
+        randomized, out = base is not spec, np.empty_like(codes)
+
+        def fill(rows, u):
+            d, o = base.diag, base.off
+            if randomized:
+                r = spec.alpha * (2.0 * u[:, 0] - 1.0)
+                d, o = base.gamma * base.x + r, base.x - r / (base.n - 1)
+            out[rows] = _chain_bulk(codes[rows], u[:, randomized:], d, o, schema)
+        label = (f"ran-gd(gamma={base.gamma:g}, alpha={spec.alpha:g}, seed={seed})" if randomized
+                 else f"det-gd(gamma={base.gamma:g}, seed={seed})")
+        return schema.n_attributes + randomized, fill, lambda: Dataset(schema, out, label)
+    out = np.empty((dataset.n_records, spec.M_b), dtype=bool)
+    if isinstance(spec, MaskSpec):
+        def fill(rows, u):
+            out[rows] = mask_expand_many(codes[rows], schema) ^ (u >= spec.p)
+        width, label = spec.M_b, f"mask(p={spec.p:g}, seed={seed})"
+    else:
+        K, M_b, offsets = spec.K, spec.M_b, np.asarray(schema.boolean_offsets)
+
+        def fill(rows, u):
+            w = np.minimum((u[:, 0] * (K + 1)).astype(np.int64), K)  # K <= M
+            rank = np.argsort(np.argsort(u[:, 1 + M_b:], axis=1, kind="stable"), axis=1)
+            block = out[rows]
+            np.less(u[:, 1:1 + M_b], spec.rho_cp, out=block)
+            ones = offsets + codes[rows]  # the record's ones, in bit order
+            kept = np.take_along_axis(block, ones, 1) | (rank < w[:, None])
+            np.put_along_axis(block, ones, kept, 1)
+        width, label = 1 + M_b + spec.M, f"cut-paste(K={K}, rho={spec.rho_cp:g}, seed={seed})"
+    return width, fill, lambda: BooleanDataset(schema, out, label)
+
+
+def perturb_tables(dataset: Dataset, specs, seed: int) -> list[Dataset | BooleanDataset]:
+    """``dataset`` perturbed under each spec with ``seed`` in one pass: table k
+    is byte-equal to perturbing under ``specs[k]`` alone. Each block draws its
+    streams once, to the widest width; every spec's schema must be the table's."""
+    kernels = [_kernel(dataset, spec, seed) for spec in specs]
+    width = max((w for w, _, _ in kernels), default=0)
+    for rows, u in _uniform_blocks(seed, dataset.n_records, width) if kernels else ():
+        for w, fill, _ in kernels:
+            fill(rows, u[:, :w])
+    return [table() for _, _, table in kernels]
 
 
 # ---------------------------------------------------------------------------
@@ -382,32 +433,11 @@ def _chain_bulk(codes: np.ndarray, uniforms: np.ndarray, d: np.ndarray | float,
     return out
 
 
-def perturb_dataset(
-    dataset: Dataset,
-    spec: GammaDiagonalSpec | RandomizedGammaSpec,
-    seed: int,
-) -> Dataset:
-    """Perturb every record through the gamma-diagonal family.
-
-    Record i's stream supplies, in order: the client's r draw (randomized
-    spec only), then one uniform per attribute for the chain sampler.
-    """
-    randomized = isinstance(spec, RandomizedGammaSpec)
-    base = spec.base if randomized else spec
-    if base.schema is not dataset.schema and base.schema != dataset.schema:
-        raise ValueError("mechanism schema does not match dataset schema")
-    out = np.empty_like(dataset.codes)
-    width = dataset.schema.n_attributes + randomized
-    d, o = base.diag, base.off
-    for rows, uniforms in _uniform_blocks(seed, dataset.n_records, width):
-        if randomized:
-            r = spec.alpha * (2.0 * uniforms[:, 0] - 1.0)
-            d, o = base.gamma * base.x + r, base.x - r / (base.n - 1)
-        out[rows] = _chain_bulk(dataset.codes[rows], uniforms[:, randomized:], d, o,
-                                dataset.schema)
-    label = (f"ran-gd(gamma={base.gamma:g}, alpha={spec.alpha:g}, seed={seed})" if randomized
-             else f"det-gd(gamma={base.gamma:g}, seed={seed})")
-    return Dataset(dataset.schema, out, provenance=label)
+def perturb_dataset(dataset: Dataset, spec: GammaDiagonalSpec | RandomizedGammaSpec,
+                    seed: int) -> Dataset:
+    """Perturb every record through the gamma-diagonal family: record i's stream
+    supplies the client's r draw (randomized spec only), then the chain's."""
+    return perturb_tables(dataset, [spec], seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +469,7 @@ def mask_perturb(bits: np.ndarray, p: float, rng: np.random.Generator) -> np.nda
 
 def mask_dataset(dataset: Dataset, spec: MaskSpec, seed: int) -> BooleanDataset:
     """Expand every record to its boolean form and flip bits independently."""
-    out = np.empty((dataset.n_records, spec.M_b), dtype=bool)
-    for rows, uniforms in _uniform_blocks(seed, dataset.n_records, spec.M_b):
-        out[rows] = mask_expand_many(dataset.codes[rows], dataset.schema) ^ (uniforms >= spec.p)
-    return BooleanDataset(dataset.schema, out, provenance=f"mask(p={spec.p:g}, seed={seed})")
+    return perturb_tables(dataset, [spec], seed)[0]
 
 
 def mask_p_for_gamma(gamma: float, M: int) -> float:
@@ -508,18 +535,7 @@ def cut_paste_perturb(bits: np.ndarray, spec: CutPasteSpec, rng: np.random.Gener
 def cut_paste_dataset(dataset: Dataset, spec: CutPasteSpec, seed: int) -> BooleanDataset:
     """Cut-and-paste every record; row i equals ``cut_paste_perturb`` on
     record i's expansion with ``record_rng(seed, i)``."""
-    K, M_b = spec.K, spec.M_b
-    offsets = np.asarray(dataset.schema.boolean_offsets)
-    out = np.empty((dataset.n_records, M_b), dtype=bool)
-    for rows, u in _uniform_blocks(seed, dataset.n_records, 1 + M_b + spec.M):
-        w = np.minimum((u[:, 0] * (K + 1)).astype(np.int64), K)  # K <= M
-        rank = np.argsort(np.argsort(u[:, 1 + M_b:], axis=1, kind="stable"), axis=1)
-        block = out[rows]
-        np.less(u[:, 1:1 + M_b], spec.rho_cp, out=block)
-        ones = offsets + dataset.codes[rows]  # the record's ones, in bit order
-        np.put_along_axis(block, ones, np.take_along_axis(block, ones, 1) | (rank < w[:, None]), 1)
-    return BooleanDataset(dataset.schema, out,
-                          provenance=f"cut-paste(K={spec.K}, rho={spec.rho_cp:g}, seed={seed})")
+    return perturb_tables(dataset, [spec], seed)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .perturb import GammaDiagonalSpec
+from .perturb import GammaDiagonalSpec, RandomizedGammaSpec
 from .schema import Dataset, encode_rows
 
 _SUM_TOL = 1e-9
@@ -48,8 +48,8 @@ class SubsetMarginalSpec:
             raise ValueError(f"subset {self.subset} references unknown attributes")
 
     @classmethod
-    def for_subset(cls, spec: GammaDiagonalSpec, subset: tuple[int, ...]) -> "SubsetMarginalSpec":
-        return cls(spec, tuple(subset))
+    def for_subset(cls, spec: GammaDiagonalSpec | RandomizedGammaSpec, subset):
+        return cls(spec.base if isinstance(spec, RandomizedGammaSpec) else spec, tuple(subset))
 
     @property
     def n_Cs(self) -> int:

@@ -686,6 +686,21 @@ def test_evaluate_rejects_empty_itemsets_file(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["sup_min", "mechanism"])
+def test_evaluate_names_a_missing_summary_key(tmp_path, capsys, key):
+    found = tmp_path / "found"
+    found.mkdir()
+    summary = {"sup_min": 0.1, "mechanism": "x"}
+    del summary[key]
+    (found / "summary.json").write_text(json.dumps(summary) + "\n")
+    (found / "itemsets.csv").write_text("itemset,length,support\n")
+    code, _, err = run(capsys, "evaluate", "--schema", "health", "--found", str(found),
+                       "--truth", str(found), "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err == f'error: {found / "summary.json"} lacks "{key}"\n'
+    assert not (tmp_path / "out").exists()
+
+
 _BAD_ITEMSET_ROWS = [
     # (the second row of itemsets.csv, text the error line holds after the path)
     ("AGE=(0-20],1,nan", ": itemset ((0, 0),) support nan lies outside [0.1, inf)"),
@@ -843,6 +858,22 @@ def test_compare_runs_each_distinct_spec_once(tmp_path, capsys, monkeypatch):
     for row in sweep:
         mechanism = "det-gd" if row["alpha_fraction"] == "0.0" else "ran-gd"
         assert row["support_error_pct"] == by_mechanism[mechanism, row["length"]]
+
+
+def test_compare_draws_each_block_of_streams_once_per_seed(tmp_path, capsys, monkeypatch):
+    """Every mechanism reads a prefix of the record's stream, so each seed
+    derives each 4096-record block's states once for all four mechanisms:
+    2 seeds x 2 blocks, not 2 x 2 per mechanism."""
+    calls = []
+    states = privmine.perturb._record_states
+    monkeypatch.setattr(privmine.perturb, "_record_states",
+                        lambda *a: calls.append(a) or states(*a))
+    code, _, err = run(capsys, "compare", "--schema", "census", "--synthetic", "uniform",
+                       "--n-records", "5000", "--gamma", "19", "--sup-min", "0.05",
+                       "--mechanisms", "det-gd,ran-gd,mask,cut-paste", "--seeds", "1,2",
+                       "--out", str(tmp_path / "cmp"))
+    assert code == 0, err
+    assert calls == [(1, 0, 4096), (1, 4096, 5000), (2, 0, 4096), (2, 4096, 5000)]
 
 
 def test_alpha_sweep_posterior_columns_need_rho1(tmp_path, capsys):

@@ -52,6 +52,7 @@ from privmine.perturb import (
     _record_states,
     _uniform_blocks,
     mask_expand_many,
+    perturb_tables,
 )
 
 CHI2_999_DF5 = 20.515006    # tests/oracles/critical_values_oracle.py
@@ -320,6 +321,19 @@ def test_perturb_dataset_schema_mismatch():
         perturb_dataset(data, spec, seed=0)
 
 
+@pytest.mark.parametrize("dataset_fn", [mask_dataset, cut_paste_dataset])
+@pytest.mark.parametrize("table_schema, spec_schema", [
+    (builtin_schema("census"), builtin_schema("health")),
+    (make_schema(4, 5), make_schema(5, 4)),  # the same widths, another schema
+], ids=["census-health", "same-widths"])
+def test_boolean_dataset_schema_mismatch(dataset_fn, table_schema, spec_schema):
+    data = generate_synthetic(table_schema, 100, "uniform", seed=0)
+    spec = (MaskSpec(p=0.9, schema=spec_schema) if dataset_fn is mask_dataset
+            else CutPasteSpec(K=1, rho_cp=0.3, schema=spec_schema))
+    with pytest.raises(ValueError, match="mechanism schema does not match dataset schema"):
+        dataset_fn(data, spec, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # bulk per-record streams against the record_rng oracle
 # ---------------------------------------------------------------------------
@@ -433,6 +447,35 @@ def test_dataset_streams_match_record_rng_property(sizes, n_rows, seed, gamma, a
         assert perturb_chain(record, d, o, sch, stream) == tuple(ran_out[i])
         assert np.array_equal(mask_perturb(bits[i], p, record_rng(seed, i)), mask_out[i])
         assert np.array_equal(cut_paste_perturb(bits[i], cp, record_rng(seed, i)), cp_out[i])
+
+
+_PASS_TABLES = {name: generate_synthetic(builtin_schema(name), 9000, "uniform", seed=4)
+                for name in ("census", "health")}
+_SINGLE_SPEC_FNS = {MaskSpec: mask_dataset, CutPasteSpec: cut_paste_dataset}
+
+
+def _pass_menu(sch):
+    base = GammaDiagonalSpec(gamma=19.0, schema=sch)
+    return [base, *(RandomizedGammaSpec.from_fraction(base, f) for f in (0.25, 0.5, 1.0)),
+            MaskSpec(p=0.7, schema=sch), CutPasteSpec(K=3, rho_cp=0.494, schema=sch)]
+
+
+@settings(PROPERTIES, max_examples=60)
+@given(name=st.sampled_from(sorted(_PASS_TABLES)),
+       picks=st.lists(st.integers(0, 5), min_size=1, max_size=6, unique=True),
+       n_records=st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1]) | st.integers(1, 9000),
+       seed=st.sampled_from([0, 2**32, 2**64 + 3]))
+def test_one_pass_equals_each_spec_alone_property(name, picks, n_records, seed):
+    # a shared pass draws to the widest spec's width; each spec reads its prefix
+    full = _PASS_TABLES[name]
+    data = Dataset(full.schema, full.codes[:n_records])
+    specs = [_pass_menu(full.schema)[k] for k in picks]
+    for spec, table in zip(specs, perturb_tables(data, specs, seed), strict=True):
+        alone = _SINGLE_SPEC_FNS.get(type(spec), perturb_dataset)(data, spec, seed)
+        assert type(table) is type(alone) and table.provenance == alone.provenance
+        values = table.codes if isinstance(table, Dataset) else table.bits
+        expect = alone.codes if isinstance(alone, Dataset) else alone.bits
+        assert values.dtype == expect.dtype and values.tobytes() == expect.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from privmine import (
     CutPasteSpec,
     GammaDiagonalSpec,
     MaskSpec,
+    RandomizedGammaSpec,
     SubsetMarginalSpec,
     condition_number,
     count_subset,
@@ -164,6 +165,15 @@ def test_uniform_is_fixed_point(census_schema):
     uniform = np.full(25, 1 / 25)
     assert subset_matrix(sub).entries @ uniform == pytest.approx(uniform, abs=1e-15)
     assert reconstruct_subset(uniform, sub) == pytest.approx(uniform, abs=1e-12)
+
+
+def test_subset_of_randomized_spec_is_its_base_view(census_schema):
+    base = GammaDiagonalSpec(gamma=19.0, schema=census_schema)
+    ran = RandomizedGammaSpec.from_fraction(base, 0.5)
+    for subset in ((0,), (1, 3), (0, 1, 2, 3, 4, 5)):
+        sub = SubsetMarginalSpec.for_subset(ran, subset)
+        assert sub == SubsetMarginalSpec.for_subset(ran.base, subset)
+        assert sub.condition_number() == base.condition_number()
 
 
 def test_subset_validation(census_schema):
