@@ -316,8 +316,7 @@ def perturb_tables(dataset: Dataset, specs, seed: int) -> list[Dataset | Boolean
     is byte-equal to perturbing under ``specs[k]`` alone. Each block draws its
     streams once, to the widest width; every spec's schema must be the table's."""
     kernels = [_kernel(dataset, spec, seed) for spec in specs]
-    width = max((w for w, _, _ in kernels), default=0)
-    for rows, u in _uniform_blocks(seed, dataset.n_records, width) if kernels else ():
+    for rows, u in _uniform_blocks(seed, dataset.n_records, max(w for w, _, _ in kernels)):
         for w, fill, _ in kernels:
             fill(rows, u[:, :w])
     return [table() for _, _, table in kernels]
