@@ -63,7 +63,10 @@ from .schema import (
 
 EXIT_OK, EXIT_VALIDATION, EXIT_IO, EXIT_NUMERICAL = 0, 1, 2, 3
 
-MECHANISMS = ("det-gd", "ran-gd", "mask", "cut-paste")
+# each mechanism's public parameters, under their metadata.json keys
+SPEC_KEYS = {"det-gd": (), "ran-gd": ("alpha",), "mask": ("mask_p",),
+             "cut-paste": ("cp_k", "cp_rho")}
+MECHANISMS = tuple(SPEC_KEYS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,6 +168,12 @@ def _read_object(path: Path, numbers: tuple[str, ...] = (), integers: tuple[str,
         if key in obj and (isinstance(obj[key], bool) or not isinstance(obj[key], kind)):
             raise ValueError(f"{path}: {key!r} must be {noun}, got {obj[key]!r}")
     return obj
+
+
+def _require(obj: dict, path: Path, keys) -> None:
+    """Raise a ValueError naming ``path`` and the first of ``keys`` that ``obj`` lacks."""
+    if missing := [key for key in keys if key not in obj]:
+        raise ValueError(f'{path} lacks "{missing[0]}"')
 
 
 def _load_schema_arg(name_or_path: str) -> Schema:
@@ -338,8 +347,7 @@ def _write_mining_result(out: Path, result: MiningResult, schema: Schema, runtim
 
 def _read_mining_result(directory: Path, schema: Schema) -> MiningResult:
     summary = _read_object(directory / "summary.json", ("sup_min",))
-    if missing := [key for key in ("sup_min", "mechanism") if key not in summary]:
-        raise ValueError(f'{directory / "summary.json"} lacks "{missing[0]}"')
+    _require(summary, directory / "summary.json", ("sup_min", "mechanism"))
     # each distinct item label parses once; parse_itemset handles the rest
     # (default categories) and words the errors
     items = {f"{a.name}={label}": (j, c) for j, a in enumerate(schema.attributes)
@@ -373,16 +381,19 @@ def cmd_mine(args) -> int:
     if args.metadata is None:
         result = apriori_plain(_ingest(args, schema), args.sup_min)
     else:
-        meta = _read_object(Path(args.metadata), ("gamma", "alpha", "mask_p", "cp_rho"),
-                            ("cp_k",))
+        path = Path(args.metadata)
+        meta = _read_object(path, ("gamma", "alpha", "mask_p", "cp_rho"), ("cp_k",))
+        _require(meta, path, ("schema_fingerprint", "gamma", "mechanism"))
         if meta["schema_fingerprint"] != schema_fingerprint(schema):
             raise ValueError("metadata was produced under a different schema")
-        spec = _spec(meta["mechanism"], GammaDiagonalSpec(meta["gamma"], schema), meta)
+        mechanism = meta["mechanism"]  # tested against the tuple: it may be unhashable
+        _require(meta, path, SPEC_KEYS[mechanism] if mechanism in MECHANISMS else ())
+        spec = _spec(mechanism, GammaDiagonalSpec(meta["gamma"], schema), meta)
         if not isinstance(spec, (MaskSpec, CutPasteSpec)):
             perturbed: Dataset | BooleanDataset = _ingest(args, schema)
         elif (args.column_map, args.on_error, args.clamp) != (None, "skip", False):
             raise ValueError("--column-map, --on-error and --clamp apply to label tables "
-                             f"only, not to {meta['mechanism']} bit tables")
+                             f"only, not to {mechanism} bit tables")
         else:
             perturbed = read_boolean_csv(args.input, schema)
         result = apriori_reconstructed(perturbed, schema, spec, args.sup_min)

@@ -1,13 +1,11 @@
 """Frequent-itemset mining with per-level support reconstruction.
 
-The miner never sees original records. Every mechanism's estimate for an
-itemset I is a function of the all-present counts c(S), for S a subset of I,
-in the perturbed table's boolean expansion, and all itemsets of one length
-share one transition matrix. So one estimator keeps those counts (the count
-lattice) and maps a whole Apriori level at once: c(I)/N for ground truth, the
-closed-form subset inverse for the gamma-diagonal family, the closed-form
-Kronecker inverse for MASK, and one overlap-class solve per length for
-cut-and-paste.
+The miner never sees original records. Every mechanism estimates a k-itemset
+I's support as (sum_l w[l]·N_l(I)/N - offset(I)) / scale, where N_l(I) counts
+the records carrying exactly l of I's k bits; the mechanisms differ only in
+these parameters (each spec's ``lattice_weights``). N_l follows exactly from
+the all-present counts c(S), S a subset of I, that one estimator keeps (the
+count lattice), for a whole Apriori level at once. Ground truth is c(I)/N.
 
 The level loop stops before a length whose reconstruction condition number
 exceeds ``COND_CEILING``: estimates there are amplified rounding noise.
@@ -36,7 +34,7 @@ from .reconstruct import count_subset
 
 # Unused here since supports come from the count lattice: perfbench's tracer
 # wraps these names in this module, and drops them once its metrics are
-# renamed (ROADMAP item 2).
+# renamed (ROADMAP item 1).
 from .reconstruct import (  # noqa: F401
     cut_paste_supports,
     mask_pattern_counts,
@@ -145,13 +143,6 @@ COND_CEILING = 1e12  # a length whose reconstruction is worse conditioned is not
 _BLOCK_BYTES = 1 << 16  # column bytes gathered per counting block
 
 
-def _overlap_transform(k: int) -> np.ndarray:
-    """(2^k, k+1) integer map from subset counts c(S) to overlap classes:
-    records carrying exactly l of k bits number sum_S (-1)^(|S|-l) C(|S|, l) c(S)."""
-    sizes = np.bitwise_count(np.arange(1 << k)).tolist()
-    return np.array([[(-1) ** (s + l) * math.comb(s, l) for l in range(k + 1)] for s in sizes])
-
-
 class SupportEstimator:
     """Support estimates for one mechanism over one table, from one count lattice.
 
@@ -234,28 +225,23 @@ class SupportEstimator:
         return out
 
     def estimate(self, candidates: list[Itemset]) -> np.ndarray:
-        """Support estimates for one Apriori level: candidates of one length
-        k, in one step."""
+        """Support estimates for one Apriori level (candidates of one length k),
+        each (sum_l w[l]·N_l/N - offset) / scale from its own row alone."""
         if not candidates:
             raise ValueError("no candidates to estimate")
         offsets = self.offsets
         bits = np.array([[offsets[a] + c for a, c in itemset] for itemset in candidates], np.intp)
-        spec, n, k = self.spec, self.n, bits.shape[1]
-        if spec is None:
-            return self.full_counts(bits) / n
-        if isinstance(spec, GammaDiagonalSpec):
-            # the closed-form subset inverse of reconstruct_subset, per cell
-            off = (spec.n // self.bit_sizes[bits].prod(axis=1)) * spec.x
-            return (self.full_counts(bits) / n - off) / ((spec.gamma - 1) * spec.x)
-        if isinstance(spec, MaskSpec):
-            # the all-present row of the inverse Kronecker power, over c(S):
-            # sum_S (-(1-p))^(k-|S|) c(S) / (N (2p-1)^k)
-            coef = (-(1 - spec.p)) ** (k - np.bitwise_count(np.arange(1 << k)))
-            return self.lattice(bits) @ coef / n / (2 * spec.p - 1) ** k
-        from .perturb import cut_paste_class_matrix
-
-        classes = self.lattice(bits) @ _overlap_transform(k)
-        return np.linalg.solve(cut_paste_class_matrix(spec, k), classes.T / n)[-1]
+        if self.spec is None:
+            return self.full_counts(bits) / self.n
+        k = bits.shape[1]
+        weights, offset, scale = self.spec.lattice_weights(k, self.bit_sizes[bits].prod(axis=1))
+        if weights[:k].any():  # N_l = sum_S (-1)^(|S|-l) C(|S|, l) c(S), exact in integers
+            sizes = np.bitwise_count(np.arange(1 << k)).tolist()
+            signs = [[(-1) ** (s + l) * math.comb(s, l) for l in range(k + 1)] for s in sizes]
+            sums = (self.lattice(bits) @ np.array(signs) * weights).sum(axis=1)  # row by row
+        else:  # N_k is c(I): one count per candidate, no lattice
+            sums = self.full_counts(bits) * weights[k]
+        return (sums / self.n - offset) / scale
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,10 @@ class GammaDiagonalSpec:
         subset marginal has it too, so it is the same at every itemset length."""
         return (self.gamma + self.n - 1) / (self.gamma - 1)
 
+    def lattice_weights(self, k: int, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """c(I) alone (N_k), less its subset marginal's (n // cells)·x, over (gamma - 1)·x."""
+        return np.eye(k + 1)[k], (self.n // cells) * self.x, (self.gamma - 1) * self.x
+
 
 @dataclass(frozen=True)
 class RandomizedGammaSpec:
@@ -128,6 +132,12 @@ class MaskSpec:
         except (ZeroDivisionError, OverflowError):  # p = 0.5, or within ulps of it
             return math.inf
 
+    def lattice_weights(self, k: int, cells: np.ndarray) -> tuple[np.ndarray, float, float]:
+        """The inverse Kronecker power's all-present row: a record carrying l of
+        the k bits weighs p^l (p - 1)^(k - l), over (2p - 1)^k."""
+        l = np.arange(k + 1)
+        return self.p ** l * (self.p - 1) ** (k - l), 0.0, (2 * self.p - 1) ** k
+
 
 @dataclass(frozen=True)
 class CutPasteSpec:
@@ -163,6 +173,10 @@ class CutPasteSpec:
         # a module-global lookup at call time, so a wrapper put on this
         # module's binding (perfbench's tracer) sees the call
         return condition_number(cut_paste_class_matrix(self, length))
+
+    def lattice_weights(self, k: int, cells: np.ndarray) -> tuple[np.ndarray, float, float]:
+        """The inverse overlap-class matrix's last row, entry l for a record with l of k bits."""
+        return np.linalg.solve(cut_paste_class_matrix(self, k).T, np.eye(k + 1)[k]), 0.0, 1.0
 
 
 # ---------------------------------------------------------------------------

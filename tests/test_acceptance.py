@@ -18,6 +18,7 @@ import pytest
 from helpers import make_schema, reconstruct_all
 from oracles.dense_matrices import MaterializedMatrix, gd_matrix, subset_matrix
 from privmine import (
+    CutPasteSpec,
     GammaDiagonalSpec,
     MaskSpec,
     PrivacyTarget,
@@ -31,6 +32,7 @@ from privmine import (
     builtin_schema,
     chain_column,
     condition_number,
+    cut_paste_dataset,
     decode,
     gamma_for,
     generate_synthetic,
@@ -275,8 +277,9 @@ def census_runs():
     gd = GammaDiagonalSpec(schema=census, gamma=GAMMA)
     ran = RandomizedGammaSpec.from_fraction(gd, 0.5)
     mask = MaskSpec(schema=census, p=mask_p_for_gamma(GAMMA, census.n_attributes))
+    cut_paste = CutPasteSpec(K=3, rho_cp=0.494, schema=census)
     t0 = time.time()
-    reports = {"det": [], "ran": [], "mask": []}
+    reports = {"det": [], "ran": [], "mask": [], "cut-paste": []}
     for seed in SEEDS:
         reports["det"].append(accuracy_report(
             apriori_reconstructed(perturb_dataset(data, gd, seed), census, gd, SUP_MIN),
@@ -286,6 +289,10 @@ def census_runs():
             truth))
         reports["mask"].append(accuracy_report(
             apriori_reconstructed(mask_dataset(data, mask, seed), census, mask, SUP_MIN),
+            truth))
+        reports["cut-paste"].append(accuracy_report(
+            apriori_reconstructed(cut_paste_dataset(data, cut_paste, seed), census, cut_paste,
+                                  SUP_MIN),
             truth))
     return SimpleNamespace(schema=census, truth=truth, gd=gd, mask_spec=mask,
                            reports=reports, elapsed=time.time() - t0)
@@ -303,20 +310,21 @@ def test_criterion_08_mask_degrades_on_long_itemsets(census_runs):
     lengths = sorted(runs.truth.by_length)
     ok = True
     notes = []
-    # (a) gamma-diagonal support error beats mask at lengths >= 3; where the
-    # mask recovers no true itemset at all its error is undefined and every
-    # true itemset is a miss, which is strictly worse
+    # (a) gamma-diagonal support error beats mask and cut-and-paste at lengths
+    # >= 3; where a mechanism recovers no true itemset at all its error is
+    # undefined and every true itemset is a miss, which is strictly worse
     for length in (l for l in lengths if l >= 3):
         det = _mean_rho(runs.reports["det"], length)
-        msk = _mean_rho(runs.reports["mask"], length)
-        if msk is None:
-            det_fn = max(r.row(length).false_negative_pct for r in runs.reports["det"])
-            msk_fn = min(r.row(length).false_negative_pct for r in runs.reports["mask"])
-            ok &= msk_fn == 100.0 and det_fn < 100.0
-            notes.append(f"L{length} det {det:.0f}% vs mask all-miss")
-        else:
-            ok &= det < msk
-            notes.append(f"L{length} det {det:.0f}% < mask {msk:.0f}%")
+        for name in ("mask", "cut-paste"):
+            other = _mean_rho(runs.reports[name], length)
+            if other is None:
+                det_fn = max(r.row(length).false_negative_pct for r in runs.reports["det"])
+                other_fn = min(r.row(length).false_negative_pct for r in runs.reports[name])
+                ok &= other_fn == 100.0 and det_fn < 100.0
+                notes.append(f"L{length} det {det:.0f}% vs {name} all-miss")
+            else:
+                ok &= det < other
+                notes.append(f"L{length} det {det:.0f}% < {name} {other:.0f}%")
     # (b) the mask recovers nothing useful above length 4
     for rep in runs.reports["mask"]:
         for length in (l for l in lengths if l > 4):

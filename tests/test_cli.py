@@ -22,6 +22,7 @@ from privmine import (
     perturb_chain,
     posterior_range,
     record_rng,
+    schema_fingerprint,
     write_csv,
 )
 from privmine.cli import main
@@ -659,6 +660,25 @@ def test_mine_rejects_malformed_metadata(tmp_path, capsys, edit, message):
                        "--sup-min", "0.1", "--out", str(tmp_path / "out"))
     assert code == 1
     assert err.startswith("error:") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mechanism, key", [
+    ("det-gd", "schema_fingerprint"), ("det-gd", "gamma"), ("det-gd", "mechanism"),
+    ("ran-gd", "alpha"), ("mask", "mask_p"), ("cut-paste", "cp_k"), ("cut-paste", "cp_rho"),
+])
+def test_mine_names_a_missing_metadata_key(tmp_path, capsys, mechanism, key):
+    params = {"ran-gd": {"alpha": 0.001}, "mask": {"mask_p": 0.9},
+              "cut-paste": {"cp_k": 2, "cp_rho": 0.3}}.get(mechanism, {})
+    meta = {"mechanism": mechanism, "gamma": 19.0,
+            "schema_fingerprint": schema_fingerprint(builtin_schema("census")), **params}
+    del meta[key]
+    path = tmp_path / "metadata.json"
+    path.write_text(json.dumps(meta))
+    code, _, err = run(capsys, "mine", "--schema", "census", "--input", str(tmp_path / "t.csv"),
+                       "--metadata", str(path), "--sup-min", "0.1", "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err == f'error: {path} lacks "{key}"\n'
     assert not (tmp_path / "out").exists()
 
 

@@ -135,13 +135,23 @@ def metadata_file(draw, tmp: Path, schema: str, mechanism: str) -> str:
     return write(tmp / "metadata.json", json.dumps(meta))
 
 
+# closed results over the tiny schema (every subset of a listed itemset is listed)
+CLOSED_BODIES = (
+    "colour=red,1,0.4\n",
+    "colour=red,1,0.4\nsize=(0-10],1,0.3\ncolour=red;size=(0-10],2,0.2\n",
+    "size=>20,1,0.5\ncolour=green,1,0.25\ncolour=red,1,0.1\n",
+)
+
+
 @st.composite
 def result_dir(draw, tmp: Path, name: str) -> str:
     path = tmp / name
     path.mkdir()
-    if draw(st.integers(0, 3)) == 0:  # a valid summary over an empty itemsets.csv
+    kind = draw(st.sampled_from(["empty"] + ["closed"] * 3 + ["drawn"] * 2))
+    if kind != "drawn":  # a valid summary over an empty itemsets.csv or a closed result
         write(path / "summary.json", json.dumps({"sup_min": 0.1, "mechanism": name}))
-        write(path / "itemsets.csv", "")
+        write(path / "itemsets.csv", "" if kind == "empty" else
+              "itemset,length,support\n" + draw(st.sampled_from(CLOSED_BODIES)))
         return str(path)
     summary = {"sup_min": draw(st.sampled_from([0.1, 0.1, float("inf"), -1, *WRONG_TYPES])),
                "mechanism": name}

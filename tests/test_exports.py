@@ -79,3 +79,25 @@ def test_every_public_member_of_an_exported_class_has_a_user_outside_the_tests()
     used = set().union(*map(_attributes, USERS))
     unused = sorted(f"{cls}.{name}" for cls, name in members if name not in used)
     assert not unused, f"exported classes have members only the tests use: {unused}"
+
+
+def test_support_estimate_holds_no_mechanism_formula():
+    """Each spec states its own inverse (``lattice_weights``); ``estimate``
+    applies it without asking which spec it has, and ``mining.py`` carries no
+    mechanism's arithmetic."""
+    specs = {node.name for path in MODULES for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ClassDef) and node.name.endswith("Spec")}
+    assert {"GammaDiagonalSpec", "MaskSpec", "CutPasteSpec"} <= specs
+    tree = ast.parse((PACKAGE / "mining.py").read_text())
+    estimator = next(node for node in tree.body
+                     if isinstance(node, ast.ClassDef) and node.name == "SupportEstimator")
+    estimate = next(node for node in estimator.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "estimate")
+    names = {node.id for node in ast.walk(estimate) if isinstance(node, ast.Name)}
+    banned = specs | {"isinstance", "type"}
+    assert not names & banned, sorted(names & banned)
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "_overlap_transform" not in defined
+    assert "cut_paste_class_matrix" not in imported

@@ -1,6 +1,7 @@
 """Level-wise mining with reconstructed supports."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -531,6 +532,7 @@ def test_lattice_matches_reference_paths_property(sizes, n_rows, seed, gamma, p,
     mask = MaskSpec(p=p, schema=sch)
     cp = CutPasteSpec(K=1 + k_pick % len(sizes), rho_cp=rho_cp, schema=sch)
     on_bits = SupportEstimator(bits)
+    mask_on_bits, cp_on_bits = SupportEstimator(bits, mask), SupportEstimator(bits, cp)
     for k in range(1, len(sizes) + 1):
         level = [tuple((a, int(rng.integers(0, sizes[a]))) for a in attrs)
                  for attrs in itertools.combinations(range(len(sizes)), k)]
@@ -541,11 +543,14 @@ def test_lattice_matches_reference_paths_property(sizes, n_rows, seed, gamma, p,
             for code in range(1 << k):
                 subset = [pos[j] for j in range(k) if code >> j & 1]
                 assert row[code] == bits.bits[:, subset].all(axis=1).sum()
-        classes = lattice @ mining._overlap_transform(k)
+        # records carrying exactly l of the k bits: sum_S (-1)^(|S|-l) C(|S|, l) c(S)
+        overlap = np.array([[(-1) ** (s + l) * math.comb(s, l) for l in range(k + 1)]
+                            for s in (bin(code).count("1") for code in range(1 << k))])
+        classes = lattice @ overlap
         plain = SupportEstimator(data).estimate(level)
         gd_est = SupportEstimator(data, gd).estimate(level)
-        mask_est = SupportEstimator(bits, mask).estimate(level)
-        cp_est = SupportEstimator(bits, cp).estimate(level) if k <= cp.K else None
+        mask_est = mask_on_bits.estimate(level)
+        cp_est = cp_on_bits.estimate(level) if k <= cp.K else None
         for i, (itemset, pos) in enumerate(zip(level, positions.tolist())):
             attrs = tuple(a for a, _ in itemset)
             assert np.array_equal(classes[i], cut_paste_class_counts(bits.bits, tuple(pos)))
@@ -557,8 +562,35 @@ def test_lattice_matches_reference_paths_property(sizes, n_rows, seed, gamma, p,
             assert gd_est[i] == gd_rel[cell]
             assert _close(mask_est[i], reconstruct_mask_support(
                 mask_pattern_counts(bits.bits, tuple(pos)), k, p), 1e-10)
+            # an estimate does not depend on the other candidates of its level
+            assert mask_est[i] == mask_on_bits.estimate([itemset])[0]
             if cp_est is not None:  # wider class matrices may be singular
                 assert _close(cp_est[i], cut_paste_supports(bits.bits, tuple(pos), cp)[-1], 1e-12)
+                assert cp_est[i] == cp_on_bits.estimate([itemset])[0]
+
+
+def test_gamma_diagonal_and_plain_mining_build_no_lattice(monkeypatch):
+    # the gamma-diagonal weights count c(I) alone, so gd mining keeps one
+    # count per candidate: on 12 attributes it reaches length 6 or 7 without
+    # a single subset lattice
+    sch = make_schema(*[10] * 12)
+    data = generate_synthetic(sch, 5000, "uniform", seed=1)
+    gd = GammaDiagonalSpec(gamma=19.0, schema=sch)
+    ran = RandomizedGammaSpec.from_fraction(gd, 0.5)
+    runs = [lambda: apriori_plain(data, 0.01)] + [
+        lambda spec=spec, seed=seed: apriori_reconstructed(perturb_dataset(data, spec, seed),
+                                                           sch, spec, 0.01)
+        for spec, seed in ((gd, 2), (ran, 3))]
+    expected = [run() for run in runs]
+    assert [result.stop_length for result in expected] == [3, 6, 7]
+
+    def no_lattice(self, bits):
+        raise AssertionError(f"a lattice was built for {len(bits)} candidates")
+
+    monkeypatch.setattr(SupportEstimator, "lattice", no_lattice)
+    for run, result in zip(runs, expected):
+        found = run()
+        assert (found.by_length, found.levels) == (result.by_length, result.levels)
 
 
 @PROPERTIES
