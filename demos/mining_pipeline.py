@@ -37,7 +37,7 @@ def main() -> None:
     spec = GammaDiagonalSpec(schema=schema, gamma=gamma)
     perturbed = perturb_dataset(data, spec, seed=17)
     print(f"\nperturbed {perturbed.n_records} records "
-          f"({perturbed.provenance})")
+          f"(det-gd, gamma={spec.gamma:g}, x={spec.x:.6g})")
 
     truth = apriori_plain(data, SUP_MIN)
     mined = apriori_reconstructed(perturbed, schema, spec, SUP_MIN)

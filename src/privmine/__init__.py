@@ -16,7 +16,6 @@ from .mining import (
     brute_force_frequent,
     itemset_label,
     mine,
-    parse_itemset,
     validate_itemset,
 )
 from .perturb import (

@@ -30,7 +30,6 @@ from .mining import (
     apriori_plain,
     apriori_reconstructed,
     itemset_label,
-    parse_itemset,
     validate_itemset,
 )
 from .perturb import (
@@ -348,10 +347,8 @@ def _write_mining_result(out: Path, result: MiningResult, schema: Schema, runtim
 def _read_mining_result(directory: Path, schema: Schema) -> MiningResult:
     summary = _read_object(directory / "summary.json", ("sup_min",))
     _require(summary, directory / "summary.json", ("sup_min", "mechanism"))
-    # each distinct item label parses once; parse_itemset handles the rest
-    # (default categories) and words the errors
-    items = {f"{a.name}={label}": (j, c) for j, a in enumerate(schema.attributes)
-             for c, label in enumerate(a.categories)}
+    items = dict(zip(schema.item_labels, ((j, c) for j, size in enumerate(schema.sizes)
+                                          for c in range(size))))
     by_length: dict[int, dict] = {}
     path = directory / "itemsets.csv"
     with open(path, newline="") as fh:
@@ -361,12 +358,14 @@ def _read_mining_result(directory: Path, schema: Schema) -> MiningResult:
         for row, fields in enumerate(reader, 2):  # row 1 is the header
             try:
                 label, length, support = fields
-                try:
-                    itemset = tuple(sorted(items[part] for part in label.split(";")))
-                    validate_itemset(itemset, schema)
-                except KeyError:
-                    itemset = parse_itemset(label, schema)
-                by_length.setdefault(int(length), {})[itemset] = float(support)
+                if unknown := [part for part in label.split(";") if part not in items]:
+                    raise ValueError(f"unknown item {unknown[0]!r}")
+                itemset = tuple(sorted(items[part] for part in label.split(";")))
+                validate_itemset(itemset, schema)
+                level = by_length.setdefault(int(length), {})
+                if itemset in level:
+                    raise ValueError(f"itemset {label!r} repeated")
+                level[itemset] = float(support)
             except ValueError as exc:
                 raise ValueError(f"{path} row {row}: {exc}") from None
     try:

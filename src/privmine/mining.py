@@ -61,20 +61,8 @@ def validate_itemset(itemset: Itemset, schema: Schema) -> None:
 
 
 def itemset_label(itemset: Itemset, schema: Schema) -> str:
-    return ";".join(
-        f"{schema.attributes[a].name}={schema.attributes[a].categories[c]}" for a, c in itemset
-    )
-
-
-def parse_itemset(label: str, schema: Schema) -> Itemset:
-    items = []
-    for part in label.split(";"):
-        name, _, category = part.partition("=")
-        a = schema.attribute_index(name)
-        items.append((a, schema.attributes[a].index_of(category)))
-    itemset = tuple(sorted(items))
-    validate_itemset(itemset, schema)
-    return itemset
+    labels, offsets = schema.item_labels, schema.boolean_offsets
+    return ";".join(labels[offsets[a] + c] for a, c in itemset)
 
 
 @dataclass(frozen=True)

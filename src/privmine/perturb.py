@@ -286,7 +286,7 @@ def _uniform_blocks(seed: int, n_records: int, width: int):
         yield slice(start, stop), draws.T
 
 
-def _kernel(dataset: Dataset, spec, seed: int):
+def _kernel(dataset: Dataset, spec):
     """One spec's share of a pass, ``(width, fill, table)``: ``fill(rows, u)``
     perturbs the records ``rows`` from ``u``, their first ``width`` draws."""
     schema, codes = dataset.schema, dataset.codes
@@ -302,14 +302,12 @@ def _kernel(dataset: Dataset, spec, seed: int):
                 r = spec.alpha * (2.0 * u[:, 0] - 1.0)
                 d, o = base.gamma * base.x + r, base.x - r / (base.n - 1)
             out[rows] = _chain_bulk(codes[rows], u[:, randomized:], d, o, schema)
-        label = (f"ran-gd(gamma={base.gamma:g}, alpha={spec.alpha:g}, seed={seed})" if randomized
-                 else f"det-gd(gamma={base.gamma:g}, seed={seed})")
-        return schema.n_attributes + randomized, fill, lambda: Dataset(schema, out, label)
+        return schema.n_attributes + randomized, fill, lambda: Dataset(schema, out)
     out = np.empty((dataset.n_records, spec.M_b), dtype=bool)
     if isinstance(spec, MaskSpec):
         def fill(rows, u):
             out[rows] = mask_expand_many(codes[rows], schema) ^ (u >= spec.p)
-        width, label = spec.M_b, f"mask(p={spec.p:g}, seed={seed})"
+        width = spec.M_b
     else:
         K, M_b, offsets = spec.K, spec.M_b, np.asarray(schema.boolean_offsets)
 
@@ -321,15 +319,15 @@ def _kernel(dataset: Dataset, spec, seed: int):
             ones = offsets + codes[rows]  # the record's ones, in bit order
             kept = np.take_along_axis(block, ones, 1) | (rank < w[:, None])
             np.put_along_axis(block, ones, kept, 1)
-        width, label = 1 + M_b + spec.M, f"cut-paste(K={K}, rho={spec.rho_cp:g}, seed={seed})"
-    return width, fill, lambda: BooleanDataset(schema, out, label)
+        width = 1 + M_b + spec.M
+    return width, fill, lambda: BooleanDataset(schema, out)
 
 
 def perturb_tables(dataset: Dataset, specs, seed: int) -> list[Dataset | BooleanDataset]:
     """``dataset`` perturbed under each spec with ``seed`` in one pass: table k
     is byte-equal to perturbing under ``specs[k]`` alone. Each block draws its
     streams once, to the widest width; every spec's schema must be the table's."""
-    kernels = [_kernel(dataset, spec, seed) for spec in specs]
+    kernels = [_kernel(dataset, spec) for spec in specs]
     for rows, u in _uniform_blocks(seed, dataset.n_records, max(w for w, _, _ in kernels)):
         for w, fill, _ in kernels:
             fill(rows, u[:, :w])
@@ -562,10 +560,7 @@ def condition_number(matrix) -> float:
     entries = np.asarray(matrix, float)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError("condition number needs a square matrix")
-    if np.allclose(entries, entries.T, rtol=0.0, atol=1e-12):
-        mags = np.abs(np.linalg.eigvalsh(entries))
-    else:
-        mags = np.linalg.svd(entries, compute_uv=False)
+    mags = np.linalg.svd(entries, compute_uv=False)
     largest, smallest = mags.max(), mags.min()
     if smallest <= largest * len(entries) * np.finfo(float).eps:
         return math.inf

@@ -140,11 +140,11 @@ class Schema:
             offs.append(offs[-1] + s)
         return tuple(offs)
 
-    def attribute_index(self, name: str) -> int:
-        for j, a in enumerate(self.attributes):
-            if a.name == name:
-                return j
-        raise ValueError(f"schema {self.name!r} has no attribute {name!r}")
+    @cached_property
+    def item_labels(self) -> tuple[str, ...]:
+        """``name=label`` of each bit of the boolean expansion, in its order:
+        the text of an item in bit-table headers and itemset labels."""
+        return tuple(f"{a.name}={c}" for a in self.attributes for c in a.categories)
 
     def validate_record(self, values: Sequence[int]) -> Record:
         if len(values) != self.n_attributes:
@@ -164,7 +164,6 @@ class Dataset:
 
     schema: Schema
     codes: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self) -> None:
         codes = np.ascontiguousarray(self.codes, dtype=np.int32)
@@ -194,7 +193,6 @@ class BooleanDataset:
 
     schema: Schema
     bits: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self) -> None:
         bits = np.ascontiguousarray(self.bits, dtype=bool)
@@ -412,8 +410,7 @@ def ingest_csv(
     with open(path, newline="") as fh, _csv_errors(path):
         first = next(csv.reader(fh), None)
         if first is None:
-            return Dataset(schema, np.empty((0, schema.n_attributes), dtype=np.int32),
-                           provenance=f"csv:{path} (empty)")
+            return Dataset(schema, np.empty((0, schema.n_attributes), dtype=np.int32))
         has_header, cols = _resolve_columns(first, schema, column_map)
         blocks = _blocks(fh)
         if not has_header:
@@ -456,7 +453,7 @@ def ingest_csv(
     if skipped:
         logger.warning("%s: skipped %d rows with missing or unparseable values", path, skipped)
     codes = np.frombuffer(out, dtype=np.int32).reshape(-1, schema.n_attributes)
-    return Dataset(schema, codes, provenance=f"csv:{path} (rows={len(codes)}, skipped={skipped})")
+    return Dataset(schema, codes)
 
 
 def _blocks(lines):
@@ -583,15 +580,13 @@ def write_csv(dataset: Dataset, path: str) -> None:
 
 
 def write_boolean_csv(data: BooleanDataset, path: str) -> None:
-    """Write a boolean-cube dataset as a 0/1 CSV, one column per category bit."""
-    header = [
-        f"{a.name}={c}" for a in data.schema.attributes for c in a.categories
-    ]
+    """Write a boolean-cube dataset as a 0/1 CSV, one column per category bit,
+    under a header of the schema's item labels."""
     # one row of text is 2 * width bytes: a digit, then ',' or the final '\n'
     line = np.full(2 * data.schema.boolean_width, ord(","), dtype=np.uint8)
     line[-1] = ord("\n")
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
+        csv.writer(fh).writerow(data.schema.item_labels)
         for lo in range(0, data.n_records, BLOCK_ROWS):
             bits = data.bits[lo:lo + BLOCK_ROWS]
             text = np.tile(line, (len(bits), 1))
@@ -600,15 +595,18 @@ def write_boolean_csv(data: BooleanDataset, path: str) -> None:
 
 
 def read_boolean_csv(path: str, schema: Schema) -> BooleanDataset:
-    """Read a 0/1 CSV as written by ``write_boolean_csv``. A row that is not
-    one 0 or 1 cell per category bit raises a ValueError naming it."""
+    """Read a 0/1 CSV as written by ``write_boolean_csv``. A header that is
+    not the schema's item labels (cells stripped), or a row that is not one 0
+    or 1 cell per category bit, raises a ValueError naming the file."""
     width = schema.boolean_width
     line = 2 * width  # characters per row: digits, commas, '\n'
     blocks = []
     with open(path, newline="") as fh, _csv_errors(path):
-        header = csv.reader(fh)
-        next(header, None)
-        row_no = header.line_num + 1
+        reader = csv.reader(fh)
+        if [c.strip() for c in next(reader, [])] != list(schema.item_labels):
+            raise ValueError(f"{path}: the header is not the item labels of schema "
+                             f"{schema.name!r}")
+        row_no = reader.line_num + 1
         while chunk := fh.read(BLOCK_ROWS * line):
             text = np.frombuffer(chunk.encode(), dtype=np.uint8)
             if text.size % line == 0:
@@ -627,7 +625,7 @@ def read_boolean_csv(path: str, schema: Schema) -> BooleanDataset:
                                      f"got {row_text!r}")
                 blocks.append(np.array([row]) == "1")
     bits = np.concatenate(blocks) if blocks else np.empty((0, width), dtype=bool)
-    return BooleanDataset(schema, bits, provenance=f"csv:{path}")
+    return BooleanDataset(schema, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -647,14 +645,14 @@ def generate_synthetic(schema: Schema, n: int, distribution, seed: int) -> Datas
         if distribution != "uniform":
             raise ValueError(f"unknown distribution spec {distribution!r}")
         codes = np.column_stack([rng.integers(0, s, size=n) for s in schema.sizes])
-        return Dataset(schema, codes, provenance=f"synthetic:uniform(seed={seed})")
+        return Dataset(schema, codes)
 
     joint = np.asarray(distribution, dtype=float)
     if joint.shape != (schema.domain_size,):
         raise ValueError(f"joint distribution must have length {schema.domain_size}")
     joint = _normalized(joint, "joint distribution")
     idx = rng.choice(schema.domain_size, size=n, p=joint)
-    return Dataset(schema, decode_indices(idx, schema), provenance=f"synthetic:joint(seed={seed})")
+    return Dataset(schema, decode_indices(idx, schema))
 
 
 def _normalized(weights: np.ndarray, what: str) -> np.ndarray:

@@ -1,9 +1,13 @@
 """Shared builders and statistical helpers for the test suite."""
 
+import csv
+import json
+
 import numpy as np
 from hypothesis import settings
 
 from privmine import Attribute, Schema, SubsetMarginalSpec, reconstruct_subset
+from privmine.cli import _read_mining_result
 
 # one profile for every property test: reproducible, no timing flakes, no
 # example database written next to the checkout
@@ -17,6 +21,18 @@ def make_schema(*sizes: int, name: str = "test") -> Schema:
         for j, s in enumerate(sizes)
     )
     return Schema(name=name, attributes=attrs)
+
+
+def read_labels(directory, schema: Schema, labels):
+    """What ``evaluate`` reads from a result directory whose itemsets.csv
+    holds ``labels``, each at support 0.5 and filed under its item count."""
+    directory.mkdir(exist_ok=True)
+    (directory / "summary.json").write_text(json.dumps({"sup_min": 0.5, "mechanism": "x"}))
+    with open(directory / "itemsets.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("itemset", "length", "support"))
+        writer.writerows((label, label.count(";") + 1, 0.5) for label in labels)
+    return _read_mining_result(directory, schema)
 
 
 def reconstruct_all(Y: np.ndarray, spec) -> np.ndarray:

@@ -27,6 +27,8 @@ from privmine import (
 )
 from privmine.cli import main
 
+from helpers import make_schema
+
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 ADULT_COLUMN_MAP = "age=0,fnlwgt=2,hours-per-week=12,race=8,sex=9,native-country=13"
 
@@ -449,7 +451,8 @@ def test_malformed_schema_yaml_is_validation_error(tmp_path, capsys):
 
 
 def test_evaluate_reads_reordered_and_default_labels(tmp_path, capsys, plain_csv):
-    # labels in another attribute order, and a category only the default maps
+    # labels in another attribute order read back; an item is read exactly, so
+    # a category only ingest's default would map is an error
     truth = tmp_path / "truth"
     assert run(capsys, "mine", "--schema", "census", "--input", str(plain_csv),
                "--sup-min", "0.05", "--out", str(truth))[0] == 0
@@ -457,24 +460,26 @@ def test_evaluate_reads_reordered_and_default_labels(tmp_path, capsys, plain_csv
     shutil.copytree(truth, found)
     with open(truth / "itemsets.csv", newline="") as fh:
         rows = list(csv.reader(fh))
-    relabelled = [rows[0]]
-    for label, length, support in rows[1:]:
-        parts = label.split(";")[::-1]
-        parts = ["native-country=Atlantis" if p == "native-country=Other" else p for p in parts]
-        relabelled.append([";".join(parts), length, support])
+    reordered = [rows[0]] + [[";".join(label.split(";")[::-1]), length, support]
+                             for label, length, support in rows[1:]]
+    assert any(";" in row[0] for row in reordered[1:])
     with open(found / "itemsets.csv", "w", newline="") as fh:
-        csv.writer(fh).writerows(relabelled)
-    assert any("Atlantis" in row[0] for row in relabelled)
+        csv.writer(fh).writerows(reordered)
     code, stdout, _ = run(capsys, "evaluate", "--schema", "census", "--found", str(found),
                           "--truth", str(truth), "--out", str(tmp_path / "report"))
     assert code == 0
     assert "support error 0.00%, false positives 0.00%, false negatives 0.00%" in stdout
-    with open(found / "itemsets.csv", "a", newline="") as fh:
-        csv.writer(fh).writerow(["sex=Female;colour=blue", "2", "0.5"])
-    code, _, err = run(capsys, "evaluate", "--schema", "census", "--found", str(found),
-                       "--truth", str(truth), "--out", str(tmp_path / "report"))
-    assert code == 1
-    assert "no attribute 'colour'" in err
+    for item in ("native-country=Atlantis", "sex=Male;colour=blue"):
+        relabelled = [[label.replace("native-country=Other", item), *rest]
+                      for label, *rest in reordered]
+        assert relabelled != reordered
+        with open(found / "itemsets.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(relabelled)
+        code, _, err = run(capsys, "evaluate", "--schema", "census", "--found", str(found),
+                           "--truth", str(truth), "--out", str(tmp_path / "bad"))
+        assert code == 1
+        assert f"unknown item {item.split(';')[-1]!r}" in err, err
+        assert not (tmp_path / "bad").exists()
 
 
 def test_mine_rejects_empty_dataset(tmp_path, capsys):
@@ -508,6 +513,22 @@ def test_mine_rejects_header_only_boolean_table(tmp_path, capsys):
                            "--out", str(tmp_path / "out"))
     assert code == 1
     assert "empty dataset" in err
+
+
+@pytest.mark.parametrize("header", ["none", "foreign"])
+def test_mine_rejects_a_bit_table_without_the_schemas_header(tmp_path, capsys, header):
+    # read as a header, a header-less table's first record would be lost
+    bits, meta = _mask_tables(tmp_path, capsys)
+    lines = bits.read_text().splitlines()
+    foreign = make_schema(*builtin_schema("census").sizes).item_labels  # the same width
+    lines[0:1] = [] if header == "none" else [",".join(foreign)]
+    bits.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, "mine", "--schema", "census", "--input", str(bits),
+                       "--metadata", str(meta), "--sup-min", "0.1",
+                       "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err.startswith(f"error: {bits}: the header is not the item labels of schema"), err
+    assert not (tmp_path / "out").exists()
 
 
 def test_mine_rejects_boolean_cell_other_than_0_1(tmp_path, capsys):
@@ -728,7 +749,8 @@ _BAD_ITEMSET_ROWS = [
     ("BDDAY12=>60,1", " row 3: not enough values to unpack"),
     ("BDDAY12=>60,2,0.5", ": itemset ((1, 4),) filed under length 2"),
     ("BDDAY12=>60,x,0.5", " row 3: invalid literal for int()"),
-    ("BDDAY12=none,1,0.5", " row 3: attribute 'BDDAY12': unknown category 'none'"),
+    ("BDDAY12=none,1,0.5", " row 3: unknown item 'BDDAY12=none'"),
+    ("AGE=(20-40],1,0.99", " row 3: itemset 'AGE=(20-40]' repeated"),
 ]
 
 

@@ -53,11 +53,14 @@ CSV_BODIES = {
     "quotes": 'colour,size\n"red",4\n"gre""en",5\n"other","11"\n"red, green",3\n',
     "crlf": "colour,size\r\ngreen,(0-10]\r\nred,25\r\nother,15\r\n",
 }
+# bit tables under the drawn schema's item labels ({header}), and one under
+# another header of the same width
 BITS_BODIES = {
-    "bits": "h\n1,0,0,0,0,0,1,0\n0,1,0,0,0,1,0,0\n0,0,0,0,1,0,0,1\n1,0,0,0,0,0,1,1\n",
-    "header-only": "c1,c2,c3,c4,c5,s1,s2,s3\n",
-    "bad-cells": "h\n1,0,2,0,0,0,1,0\n",
-    "crlf": "h\r\n1, 0, 0, 0, 0, 0, 1, 0\r\n",
+    "bits": "{header}\n1,0,0,0,0,0,1,0\n0,1,0,0,0,1,0,0\n0,0,0,0,1,0,0,1\n1,0,0,0,0,0,1,1\n",
+    "header-only": "{header}\n",
+    "bad-cells": "{header}\n1,0,2,0,0,0,1,0\n",
+    "crlf": "{header}\r\n1, 0, 0, 0, 0, 0, 1, 0\r\n",
+    "foreign-header": "c1,c2,c3,c4,c5,s1,s2,s3\n1,0,0,0,0,0,1,0\n",
 }
 MECHANISMS = ("det-gd", "ran-gd", "mask", "cut-paste")
 MECHANISM_FLAGS = ("--gamma", "--rho1", "--rho2", "--alpha-frac", "--mask-p", "--cp-k",
@@ -116,6 +119,15 @@ def ingest_flags(draw) -> dict:
     return flags
 
 
+def loaded(schema: str):
+    """The schema ``schema_arg`` drew, or None where it does not load."""
+    try:
+        return builtin_schema(schema) if schema == "census" else load_schema(
+            Path(schema).read_text())
+    except (OSError, ValueError):
+        return None
+
+
 @st.composite
 def metadata_file(draw, tmp: Path, schema: str, mechanism: str) -> str:
     if draw(st.integers(0, 7)) == 0:
@@ -126,12 +138,8 @@ def metadata_file(draw, tmp: Path, schema: str, mechanism: str) -> str:
                              unique=True)):
         meta[key] = draw(st.sampled_from([0, -1, float("nan"), float("inf"), 1e308, 2 ** 64 + 3,
                                           *WRONG_TYPES]))
-    try:
-        loaded = builtin_schema(schema) if schema == "census" else load_schema(
-            Path(schema).read_text())
-        meta["schema_fingerprint"] = schema_fingerprint(loaded)
-    except (OSError, ValueError):
-        meta["schema_fingerprint"] = "none"
+    drawn = loaded(schema)
+    meta["schema_fingerprint"] = "none" if drawn is None else schema_fingerprint(drawn)
     return write(tmp / "metadata.json", json.dumps(meta))
 
 
@@ -182,14 +190,19 @@ def argv_for(draw, tmp: Path) -> list[str]:
                  "--gamma": "19", "--cp-k": "2", "--seed": "7", **out}
     elif command == "mine":
         schema = draw(schema_arg(tmp))
-        flags = {"--schema": schema, "--sup-min": "0.1", **draw(ingest_flags()), **out}
+        flags = {"--schema": schema, "--sup-min": "0.1", **out}
         mechanism = draw(st.sampled_from(MECHANISMS + ("quantum", "plain")))
         if mechanism != "plain":
             flags["--metadata"] = draw(metadata_file(tmp, schema, mechanism))
         # mostly the table kind the mechanism writes, sometimes the other one
         bits = (mechanism in ("mask", "cut-paste")) != (draw(st.integers(0, 3)) == 0)
-        flags["--input"] = (table(draw, tmp / "bits.csv", BITS_BODIES) if bits
-                            else table(draw, tmp / "data.csv", CSV_BODIES))
+        if not bits or draw(st.integers(0, 3)) == 0:  # a bit table refuses them all
+            flags.update(draw(ingest_flags()))
+        drawn = loaded(schema)
+        header = "h" if drawn is None else ",".join(drawn.item_labels)
+        flags["--input"] = (table(draw, tmp / "bits.csv", {
+            kind: body.format(header=header) for kind, body in BITS_BODIES.items()})
+            if bits else table(draw, tmp / "data.csv", CSV_BODIES))
     elif command == "evaluate":
         flags = {"--schema": draw(schema_arg(tmp)), "--found": draw(result_dir(tmp, "found")),
                  "--truth": draw(result_dir(tmp, "truth")), **out}

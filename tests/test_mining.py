@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import PROPERTIES, make_schema
+from helpers import PROPERTIES, make_schema, read_labels
 from privmine import (
     BooleanDataset,
     CutPasteSpec,
@@ -33,7 +33,6 @@ from privmine import (
     mask_dataset,
     mask_pattern_counts,
     mine,
-    parse_itemset,
     perturb_dataset,
     reconstruct_mask_support,
     reconstruct_subset,
@@ -73,14 +72,18 @@ def test_validate_itemset():
         validate_itemset(((2, 0),), sch)
 
 
-def test_itemset_label_roundtrip(census_schema):
+def test_itemset_label_roundtrip(census_schema, tmp_path):
     itemset = ((0, 1), (4, 0), (5, 1))
     label = itemset_label(itemset, census_schema)
     assert label == "age=(35-55];sex=Female;native-country=Other"
-    assert parse_itemset(label, census_schema) == itemset
-    # parser sorts whatever order the label carries
+    subsets = [itemset_label(s, census_schema) for k in (1, 2)
+               for s in itertools.combinations(itemset, k)]
+    assert read_labels(tmp_path / "in-order", census_schema, [*subsets, label]
+                       ).by_length[3] == {itemset: 0.5}
+    # the reader sorts whatever order the label carries
     shuffled = "sex=Female;age=(35-55];native-country=Other"
-    assert parse_itemset(shuffled, census_schema) == itemset
+    assert read_labels(tmp_path / "shuffled", census_schema, [*subsets, shuffled]
+                       ).by_length[3] == {itemset: 0.5}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Schema construction, discretization, encoding, ingestion, synthesis."""
 
 import json
+import logging
 import math
 import re
 
@@ -295,11 +296,13 @@ ADULT_EXPECTED = [
 ]
 
 
-def test_ingest_adult_sample(census_schema, data_dir):
-    ds = ingest_csv(str(data_dir / "adult_sample.csv"), census_schema,
-                    column_map=ADULT_COLUMN_MAP)
+def test_ingest_adult_sample(census_schema, data_dir, caplog):
+    path = str(data_dir / "adult_sample.csv")
+    with caplog.at_level(logging.WARNING, logger="privmine.schema"):
+        ds = ingest_csv(path, census_schema, column_map=ADULT_COLUMN_MAP)
     assert [tuple(r) for r in ds.codes] == ADULT_EXPECTED
-    assert "skipped=2" in ds.provenance
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}: skipped 2 rows with missing or unparseable values"]
 
 
 def test_ingest_adult_clamp_keeps_minor(census_schema, data_dir):
