@@ -1,6 +1,8 @@
-"""Show that the attribute-by-attribute chain sampler reproduces the
-gamma-diagonal transition column exactly, then back it up with an empirical
-frequency check on one record.
+"""Check empirically that the attribute-by-attribute chain sampler draws from
+the gamma-diagonal transition column: perturb many copies of one record
+through the bulk client path and compare the cell frequencies with the
+column. The exact check, every column of every small schema shape against
+the sampler's own factors, is acceptance criterion 05 in the test suite.
 
 The naive sampler would materialize all |S_U| transition probabilities per
 record; the chain walks the attributes once, keeping or switching each value
@@ -11,7 +13,7 @@ Run: python3 demos/chain_sampler_exactness.py
 
 import numpy as np
 
-from privmine import GammaDiagonalSpec, chain_column, encode, perturb_chain
+from privmine import Dataset, GammaDiagonalSpec, encode, encode_rows, perturb_dataset
 from privmine.schema import Attribute, Schema
 
 GAMMA = 19.0
@@ -33,22 +35,15 @@ def main() -> None:
     spec = GammaDiagonalSpec(schema=schema, gamma=GAMMA)
     n = schema.domain_size
     record = (1, 0, 2)
-    print(f"domain size {n}, record {schema.record_label(record)}")
+    label = ";".join(a.categories[v] for a, v in zip(schema.attributes, record))
+    print(f"domain size {n}, record {label}")
     print(f"diagonal gamma*x = {spec.diag:.6f}, off-diagonal x = {spec.x:.6f}")
 
-    col = chain_column(record, spec.diag, spec.x, schema)
     target = np.full(n, spec.x)
     target[encode(record, schema)] = spec.diag
-    print(f"max |chain - gamma-diagonal| over the column: "
-          f"{np.abs(col - target).max():.3e}")
-
     trials = 200_000
-    rng = np.random.default_rng(5)
-    counts = np.zeros(n)
-    for _ in range(trials):
-        out = perturb_chain(record, spec.diag, spec.x, schema, rng)
-        counts[encode(out, schema)] += 1
-    freq = counts / trials
+    perturbed = perturb_dataset(Dataset(schema, np.tile(record, (trials, 1))), spec, seed=5)
+    freq = np.bincount(encode_rows(perturbed.codes, schema), minlength=n) / trials
     dev = np.abs(freq - target)
     sigma = np.sqrt(target * (1 - target) / trials)
     print(f"{trials} sampled perturbations:")

@@ -15,7 +15,7 @@ from privmine import (
     builtin_distribution,
     builtin_schema,
     count_subset,
-    decode,
+    decode_indices,
     generate_synthetic,
     perturb_dataset,
     reconstruct_subset,
@@ -60,8 +60,8 @@ def main() -> None:
     print("(full-domain cells are tiny fractions of N, so per-cell noise")
     print("dominates; the bound above is about the whole vector):")
     top = np.argsort(X)[::-1][:10]
-    for cell in top:
-        label = schema.record_label(decode(int(cell), schema))
+    for cell, codes in zip(top, decode_indices(top, schema)):
+        label = ";".join(a.categories[v] for a, v in zip(schema.attributes, codes))
         print(f"  {label:>70}  {X[cell]:7.0f}  {X_hat[cell]:9.1f}")
 
     subset = (0,)  # age marginal

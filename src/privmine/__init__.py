@@ -23,7 +23,6 @@ from .perturb import (
     GammaDiagonalSpec,
     MaskSpec,
     RandomizedGammaSpec,
-    chain_column,
     condition_number,
     cut_paste_class_matrix,
     cut_paste_dataset,
@@ -62,7 +61,6 @@ from .schema import (
     Schema,
     builtin_distribution,
     builtin_schema,
-    decode,
     decode_indices,
     discretize,
     encode,

@@ -282,14 +282,12 @@ def _config_hash(config: dict) -> str:
 def cmd_privacy(args) -> int:
     gamma = _gamma_value(args)  # --rho1 is required here
     posterior = worst_case_posterior(args.rho1, gamma)
-    print(f"gamma = {gamma:.12g}")
-    print(f"worst-case posterior = {posterior * 100:.4f}%")
-    if args.domain_size is not None:
+    lines = [f"gamma = {gamma:.12g}", f"worst-case posterior = {posterior * 100:.4f}%"]
+    if args.domain_size is not None:  # checked in full before anything is printed
         low, high = posterior_range(args.rho1, gamma, args.alpha_frac, args.domain_size)
-        print(
-            f"posterior range at alpha = {args.alpha_frac:g}*gamma*x, "
-            f"n = {args.domain_size}: [{low * 100:.4f}%, {high * 100:.4f}%]"
-        )
+        lines.append(f"posterior range at alpha = {args.alpha_frac:g}*gamma*x, "
+                     f"n = {args.domain_size}: [{low * 100:.4f}%, {high * 100:.4f}%]")
+    print("\n".join(lines))
     return EXIT_OK
 
 

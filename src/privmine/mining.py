@@ -267,8 +267,8 @@ def mine(estimator: SupportEstimator, sup_min: float) -> MiningResult:
     call. The search stops before a length whose reconstruction condition
     number exceeds ``COND_CEILING``, and raises ``LinAlgError`` if that is
     already length 1."""
-    if not sup_min > 0:
-        raise ValueError(f"sup_min must be positive, got {sup_min}")
+    if not 0 < sup_min < math.inf:
+        raise ValueError(f"sup_min must be a finite number > 0, got {sup_min}")
     schema = estimator.schema
     limit = schema.n_attributes
     by_length: dict[int, dict[Itemset, float]] = {}
@@ -326,8 +326,8 @@ def apriori_reconstructed(
 def brute_force_frequent(dataset: Dataset, sup_min: float) -> MiningResult:
     """Exhaustive enumeration over every attribute subset; oracle for the
     level-wise miner. Exponential in attribute count, fine for small schemas."""
-    if not sup_min > 0:
-        raise ValueError(f"sup_min must be positive, got {sup_min}")
+    if not 0 < sup_min < math.inf:
+        raise ValueError(f"sup_min must be a finite number > 0, got {sup_min}")
     schema = dataset.schema
     n = dataset.n_records
     if n == 0:

@@ -393,32 +393,6 @@ def perturb_chain(
     return tuple(out)
 
 
-def chain_column(record: Record, d: float, o: float, schema: Schema) -> np.ndarray:
-    """Analytic output distribution of perturb_chain for one input record,
-    computed by multiplying the per-attribute conditional probabilities the
-    sampler uses (not by shortcutting to the known column form): keep
-    factors before a cell's first mismatching attribute j, the switch factor
-    at j and 1/s after it make table[j]; table[M] is the record's own cell."""
-    n = schema.domain_size
-    _check_chain_params(d, o, n)
-    values = schema.validate_record(record)
-    D = d - o
-    table, prefix = [], 1.0  # prefix: product of keep factors so far
-    for j, radix in enumerate(schema.radix_prefix[1:]):
-        m_prev, m_j = n // schema.radix_prefix[j], n // radix
-        keep_p = (D + m_j * o) / (D + m_prev * o)
-        switch_p = (m_j * o) / (D + m_prev * o)  # (1 - keep_p)/(s - 1)
-        table.append(math.prod([prefix * switch_p] + [1.0 / s for s in schema.sizes[j + 1:]]))
-        prefix *= keep_p
-    table.append(prefix)
-    probs = np.full(n, table[0])
-    residue = 0  # flat index of the record's first j + 1 digits
-    for j, (v, radix) in enumerate(zip(values, schema.radix_prefix)):
-        residue += v * radix
-        probs.reshape(-1, schema.radix_prefix[j + 1])[:, residue] = table[j + 1]
-    return probs
-
-
 def _chain_bulk(codes: np.ndarray, uniforms: np.ndarray, d: np.ndarray | float,
                 o: np.ndarray | float, schema: Schema) -> np.ndarray:
     """Vectorized chain sampler; row i uses uniforms[i] and (d, o), either

@@ -154,9 +154,6 @@ class Schema:
                 raise ValueError(f"attribute {self.attributes[j].name!r}: index {v} out of range [0,{s})")
         return tuple(int(v) for v in values)
 
-    def record_label(self, values: Sequence[int]) -> str:
-        return ";".join(a.categories[v] for a, v in zip(self.attributes, values))
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -318,17 +315,6 @@ def encode(record: Sequence[int], schema: Schema) -> int:
     values = schema.validate_record(record)
     prefix = schema.radix_prefix
     return sum(v * prefix[j] for j, v in enumerate(values))
-
-
-def decode(index: int, schema: Schema) -> Record:
-    """Inverse of encode."""
-    if not 0 <= index < schema.domain_size:
-        raise ValueError(f"index {index} out of range [0, {schema.domain_size})")
-    values = []
-    for s in schema.sizes:
-        values.append(index % s)
-        index //= s
-    return tuple(values)
 
 
 def encode_rows(codes: np.ndarray, schema: Schema, attrs: Sequence[int] | None = None) -> np.ndarray:

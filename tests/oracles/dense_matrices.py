@@ -69,6 +69,33 @@ def gd_matrix(spec: GammaDiagonalSpec, max_size: int = 4096) -> MaterializedMatr
     return MaterializedMatrix(entries)
 
 
+def chain_matrix(sizes: tuple[int, ...], d: float, o: float) -> MaterializedMatrix:
+    """The chain sampler's whole transition matrix over the attribute
+    ``sizes``, built from the per-attribute conditionals it samples with (not
+    from the known column form). The sampler keeps attribute j with
+    probability keep_j while the prefix still matches the input, switches to
+    each other value with switch_j, and draws uniformly (1/s) after the first
+    mismatch. Those factors do not depend on the input, so entry [v, c] is
+    table[j] for the first attribute j where v and c differ: the keep factors
+    before j, switch_j and 1/s after j. table[M] is the input's own cell."""
+    radix = [1]  # radix[j]: cells per value of attribute j in the flat order
+    for s in sizes:
+        radix.append(radix[-1] * s)
+    n, D = radix[-1], d - o
+    table, prefix = [], 1.0  # prefix: product of keep factors so far
+    for j in range(len(sizes)):
+        m_prev, m_j = n // radix[j], n // radix[j + 1]
+        keep_p = (D + m_j * o) / (D + m_prev * o)
+        switch_p = (m_j * o) / (D + m_prev * o)  # (1 - keep_p)/(s - 1)
+        table.append(math.prod([prefix * switch_p] + [1.0 / s for s in sizes[j + 1:]]))
+        prefix *= keep_p
+    table.append(prefix)
+    # v and c share their first j attributes iff they agree modulo radix[j]
+    flat = np.arange(n)
+    first = sum((flat % r)[:, None] == (flat % r)[None, :] for r in radix[1:])
+    return MaterializedMatrix(np.array(table)[first])
+
+
 def subset_matrix(spec: SubsetMarginalSpec) -> MaterializedMatrix:
     """Dense form of the subset marginal transition matrix."""
     entries = np.full((spec.n_Cs, spec.n_Cs), spec.off)
@@ -160,7 +187,8 @@ def cut_paste_matrix(spec: CutPasteSpec, max_cells: int = 1 << 22) -> Materializ
             if np.isnan(table[qq, ll]):
                 table[qq, ll] = cut_paste_entry(qq, ll, spec)
         entries[:, c] = table[q, l_v]
-    labels = tuple(schema.record_label(r) for r in records)
+    labels = tuple(";".join(a.categories[v] for a, v in zip(schema.attributes, r))
+                   for r in records)
     return MaterializedMatrix(entries, col_labels=labels)
 
 

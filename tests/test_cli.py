@@ -94,6 +94,15 @@ def test_privacy_rejects_non_finite_numbers(capsys, flag, value):
     assert err.startswith("error:") and value in err
 
 
+@pytest.mark.parametrize("extra", [("--domain-size", "1"),
+                                   ("--alpha-frac", "inf", "--domain-size", "10")])
+def test_privacy_checks_before_it_prints(capsys, extra):
+    code, out, err = run(capsys, "privacy", "--rho1", "0.05", "--rho2", "0.5", *extra)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_unknown_subcommand_exits_with_validation_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -379,6 +388,16 @@ def test_mine_missing_input_is_io_error(tmp_path, capsys):
                        "--sup-min", "0.1", "--out", str(tmp_path / "out"))
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("command", ["mine", "compare"])
+def test_sup_min_must_be_finite(tmp_path, capsys, plain_csv, command):
+    code, _, err = run(capsys, command, "--schema", "census", "--input", str(plain_csv),
+                       "--sup-min", "inf", "--out", str(tmp_path / "out"),
+                       *(("--gamma", "19", "--seeds", "1") if command == "compare" else ()))
+    assert code == 1
+    assert err.startswith("error:") and "inf" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_mine_singular_mask_matrix_is_numerical_error(tmp_path, capsys):

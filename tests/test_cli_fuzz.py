@@ -128,12 +128,15 @@ def loaded(schema: str):
         return None
 
 
+# valid values of every mechanism's metadata keys
+META = {"gamma": 19.0, "alpha": 0.001, "mask_p": 0.9, "cp_k": 1, "cp_rho": 0.3}
+
+
 @st.composite
 def metadata_file(draw, tmp: Path, schema: str, mechanism: str) -> str:
     if draw(st.integers(0, 7)) == 0:
         return write(tmp / "metadata.json", draw(st.sampled_from(NOT_OBJECTS)))
-    meta = {"mechanism": mechanism, "gamma": 19.0, "alpha": 0.001, "mask_p": 0.9, "cp_k": 1,
-            "cp_rho": 0.3}
+    meta = {"mechanism": mechanism, **META}
     for key in draw(st.lists(st.sampled_from(sorted(meta.keys() - {"mechanism"})), max_size=2,
                              unique=True)):
         meta[key] = draw(st.sampled_from([0, -1, float("nan"), float("inf"), 1e308, 2 ** 64 + 3,
@@ -151,16 +154,22 @@ CLOSED_BODIES = (
 )
 
 
+def valid_result(path: Path, body: str | None) -> str:
+    """A mining result in ``path`` with a valid summary, over ``body`` under the
+    itemsets header, or over an empty itemsets.csv when ``body`` is None."""
+    write(path / "summary.json", json.dumps({"sup_min": 0.1, "mechanism": path.name}))
+    write(path / "itemsets.csv", "" if body is None else "itemset,length,support\n" + body)
+    return str(path)
+
+
 @st.composite
 def result_dir(draw, tmp: Path, name: str) -> str:
     path = tmp / name
     path.mkdir()
     kind = draw(st.sampled_from(["empty"] + ["closed"] * 3 + ["drawn"] * 2))
     if kind != "drawn":  # a valid summary over an empty itemsets.csv or a closed result
-        write(path / "summary.json", json.dumps({"sup_min": 0.1, "mechanism": name}))
-        write(path / "itemsets.csv", "" if kind == "empty" else
-              "itemset,length,support\n" + draw(st.sampled_from(CLOSED_BODIES)))
-        return str(path)
+        return valid_result(path, None if kind == "empty"
+                            else draw(st.sampled_from(CLOSED_BODIES)))
     summary = {"sup_min": draw(st.sampled_from([0.1, 0.1, float("inf"), -1, *WRONG_TYPES])),
                "mechanism": name}
     write(path / "summary.json", json.dumps(summary) if draw(st.integers(0, 7))
@@ -183,7 +192,7 @@ def argv_for(draw, tmp: Path) -> list[str]:
     if command == "privacy":
         flags = {"--rho1": "0.05", "--rho2": "0.5"}
         if draw(st.booleans()):
-            flags["--domain-size"] = "9"
+            flags["--domain-size"] = "20"
     elif command == "perturb":
         flags = {"--schema": draw(schema_arg(tmp)), **draw(data_flags(tmp)),
                  **draw(ingest_flags()), "--mechanism": draw(st.sampled_from(MECHANISMS)),
@@ -242,3 +251,41 @@ def test_cli_exit_codes_on_edge_arguments(data):
         assert "Traceback" not in err.getvalue(), argv
         if code == 1:
             assert not (tmp / "out").exists(), argv
+
+
+def test_cli_succeeds_on_the_well_formed_inputs():
+    """The fuzz's well-formed inputs reach every subcommand's success path; the
+    fuzz itself redraws its examples whenever its source changes."""
+    with tempfile.TemporaryDirectory() as scratch:
+        tmp = Path(scratch)
+        schema = write(tmp / "schema.yaml", SCHEMA.format(edge="20"))
+        drawn = loaded(schema)
+        labels = write(tmp / "data.csv", CSV_BODIES["labels"])
+        bits = write(tmp / "bits.csv",
+                     BITS_BODIES["bits"].format(header=",".join(drawn.item_labels)))
+        for name, body in (("found", CLOSED_BODIES[1]), ("truth", CLOSED_BODIES[2])):
+            (tmp / name).mkdir()
+            valid_result(tmp / name, body)
+        runs = [
+            ["privacy", "--rho1", "0.05", "--rho2", "0.5", "--domain-size", "20"],
+            ["mine", "--schema", schema, "--input", labels, "--sup-min", "0.1"],
+            ["evaluate", "--schema", schema, "--found", str(tmp / "found"),
+             "--truth", str(tmp / "truth")],
+            ["compare", "--schema", schema, "--input", labels,
+             "--mechanisms", ",".join(MECHANISMS), "--gamma", "19", "--cp-k", "2",
+             "--sup-min", "0.1", "--seeds", "1,2"],
+        ]
+        for mechanism in MECHANISMS:
+            runs.append(["perturb", "--schema", schema, "--input", labels,
+                         "--mechanism", mechanism, "--gamma", "19", "--cp-k", "2", "--seed", "7"])
+            meta = {"mechanism": mechanism, **META,
+                    "schema_fingerprint": schema_fingerprint(drawn)}
+            runs.append(["mine", "--schema", schema, "--sup-min", "0.1",
+                         "--metadata", write(tmp / f"{mechanism}.json", json.dumps(meta)),
+                         "--input", bits if mechanism in ("mask", "cut-paste") else labels])
+        for i, argv in enumerate(runs):
+            if argv[0] != "privacy":
+                argv += ["--out", str(tmp / f"out{i}")]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, (argv, err.getvalue())

@@ -131,6 +131,10 @@ def test_sup_min_must_be_positive():
         mine(SupportEstimator(toy_dataset()), -0.1)
     with pytest.raises(ValueError):
         brute_force_frequent(toy_dataset(), 0.0)
+    with pytest.raises(ValueError):
+        mine(SupportEstimator(toy_dataset()), math.inf)
+    with pytest.raises(ValueError):
+        brute_force_frequent(toy_dataset(), math.inf)
 
 
 def test_threshold_is_inclusive():

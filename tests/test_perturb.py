@@ -14,6 +14,7 @@ from helpers import PROPERTIES, FixedUniformRng, gof_chisq, make_schema, two_sam
 from oracles.cut_paste_classes import class_matrix
 from oracles.dense_matrices import (
     _bits_to_ints,
+    chain_matrix,
     cut_paste_entry,
     cut_paste_matrix,
     gd_entry,
@@ -30,7 +31,6 @@ from privmine import (
     MaskSpec,
     RandomizedGammaSpec,
     builtin_schema,
-    chain_column,
     condition_number,
     cut_paste_class_matrix,
     cut_paste_dataset,
@@ -148,8 +148,7 @@ def test_draw_client_params_statistics():
 def test_chain_column_values():
     # tests/oracles/chain_probability_oracle.py: schema [2,3], gamma=19,
     # input (1,2) -> flat 5 gets 19/24, the other five cells get 1/24
-    sch = make_schema(2, 3)
-    col = chain_column((1, 2), 19.0 / 24.0, 1.0 / 24.0, sch)
+    col = chain_matrix((2, 3), 19.0 / 24.0, 1.0 / 24.0).entries[:, 5]
     expect = np.full(6, 1.0 / 24.0)
     expect[5] = 19.0 / 24.0
     assert col == pytest.approx(expect, abs=1e-15)
@@ -160,22 +159,16 @@ def test_chain_column_matches_gd_everywhere():
     for sizes in ((2,), (5,), (2, 2), (4, 5), (2, 3, 4), (3, 3, 3, 3)):
         sch = make_schema(*sizes)
         spec = GammaDiagonalSpec(gamma=7.0, schema=sch)
-        for flat in range(0, sch.domain_size, max(1, sch.domain_size // 7)):
-            record = tuple(int(v) for v in np.unravel_index(flat, sizes))
-            col = chain_column(record, spec.diag, spec.off, sch)
-            expect = np.full(sch.domain_size, spec.off)
-            expect[encode(record, sch)] = spec.diag
-            assert np.abs(col - expect).max() < 1e-15
+        chain = chain_matrix(sizes, spec.diag, spec.off).entries
+        assert np.abs(chain - gd_matrix(spec).entries).max() < 1e-15
 
 
 def test_chain_param_validation():
     sch = make_schema(2, 3)
     with pytest.raises(ValueError):
-        chain_column((0, 0), 0.5, 0.5, sch)  # d + 5*o != 1
+        perturb_chain((0, 0), 0.5, 0.5, sch, np.random.default_rng(0))  # d + 5*o != 1
     with pytest.raises(ValueError):
-        chain_column((0, 0), -0.25, 0.25, sch)
-    with pytest.raises(ValueError):
-        perturb_chain((0, 0), 0.5, 0.5, sch, np.random.default_rng(0))
+        perturb_chain((0, 0), -0.25, 0.25, sch, np.random.default_rng(0))
 
 
 def test_perturb_chain_forced_draws():
@@ -196,7 +189,7 @@ def test_perturb_chain_consumes_one_uniform_per_attribute():
 
 
 def test_chain_monte_carlo_matches_column():
-    # 1e6 draws over the [4,5] domain against the analytic column
+    # 1e6 draws over the [4,5] domain against the gamma-diagonal column
     sch = make_schema(4, 5)
     spec = GammaDiagonalSpec(gamma=19.0, schema=sch)
     record = (2, 3)
@@ -206,7 +199,8 @@ def test_chain_monte_carlo_matches_column():
     out = _chain_bulk(codes, rng.random((n, 2)),
                       np.full(n, spec.diag), np.full(n, spec.off), sch)
     counts = np.bincount(encode_rows(out, sch), minlength=20)
-    expected = chain_column(record, spec.diag, spec.off, sch) * n
+    expected = np.full(20, spec.off * n)
+    expected[encode(record, sch)] = spec.diag * n
     assert gof_chisq(counts, expected) < CHI2_999_DF19
 
 
