@@ -23,13 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .perturb import (
-    CutPasteSpec,
-    GammaDiagonalSpec,
-    MaskSpec,
-    RandomizedGammaSpec,
-    mask_expand_many,
-)
+from .perturb import MECHANISMS, mask_expand_many
 from .reconstruct import count_subset
 
 # Unused here since supports come from the count lattice: perfbench's tracer
@@ -60,6 +54,12 @@ def validate_itemset(itemset: Itemset, schema: Schema) -> None:
             raise ValueError(f"category {c} out of range for attribute {a}")
 
 
+def check_sup_min(sup_min: float) -> None:
+    """A support threshold is a finite number above 0."""
+    if not 0 < sup_min < math.inf:
+        raise ValueError(f"sup_min must be a finite number > 0, got {sup_min}")
+
+
 def itemset_label(itemset: Itemset, schema: Schema) -> str:
     labels, offsets = schema.item_labels, schema.boolean_offsets
     return ";".join(labels[offsets[a] + c] for a, c in itemset)
@@ -88,6 +88,7 @@ class MiningResult:
     stop_reason: str = ""
 
     def __post_init__(self) -> None:
+        check_sup_min(self.sup_min)
         for length, level in self.by_length.items():
             for itemset, support in level.items():
                 if len(itemset) != length:
@@ -135,12 +136,11 @@ class SupportEstimator:
     """Support estimates for one mechanism over one table, from one count lattice.
 
     This is where a table meets its mechanism. ``spec`` is the one the
-    clients used (None: the table is unperturbed and the estimate is the
-    true relative support); the randomized gamma-diagonal spec reconstructs
-    with its base's expected matrix. A gamma-diagonal spec takes a label
-    table, a MASK or cut-and-paste spec a bit table, and the spec's schema
-    must be the table's: anything else is a ValueError here, before any
-    counting. ``mechanism`` names the pair in mining results.
+    clients used, an instance of one of ``MECHANISMS`` (None: the table is
+    unperturbed and the estimate is the true relative support). The table
+    must be of the spec's ``table`` kind and on its schema: anything else is
+    a ValueError here, before any counting. ``mechanism`` names the pair in
+    mining results.
 
     A mechanism's support estimate for an itemset I is a function of the
     all-present counts c(S), for S a subset of I, of I's positions in the boolean
@@ -151,20 +151,13 @@ class SupportEstimator:
     candidate, so within ``mine`` each candidate costs one new count."""
 
     def __init__(self, data: Dataset | BooleanDataset, spec=None):
-        if isinstance(spec, RandomizedGammaSpec):
-            spec = spec.base
-        if spec is None:
-            self.mechanism = "plain"
-        elif isinstance(spec, GammaDiagonalSpec) and isinstance(data, Dataset):
-            self.mechanism = f"gamma-diagonal(gamma={spec.gamma:g})"
-        elif isinstance(spec, MaskSpec) and isinstance(data, BooleanDataset):
-            self.mechanism = f"mask(p={spec.p:g})"
-        elif isinstance(spec, CutPasteSpec) and isinstance(data, BooleanDataset):
-            self.mechanism = f"cut-paste(K={spec.K}, rho={spec.rho_cp:g})"
-        else:
-            raise ValueError(f"cannot mine a {type(data).__name__} with a {type(spec).__name__}")
-        if spec is not None and spec.schema != data.schema:
-            raise ValueError("the mechanism's schema is not the table's")
+        if spec is not None:
+            if not (isinstance(spec, MECHANISMS) and isinstance(data, spec.table)):
+                raise ValueError(f"cannot mine a {type(data).__name__} "
+                                 f"with a {type(spec).__name__}")
+            if spec.schema != data.schema:
+                raise ValueError("the mechanism's schema is not the table's")
+        self.mechanism = "plain" if spec is None else spec.label
         if data.n_records == 0:
             raise ValueError("cannot mine an empty dataset")
         bits = data.bits if isinstance(data, BooleanDataset) else mask_expand_many(
@@ -267,8 +260,7 @@ def mine(estimator: SupportEstimator, sup_min: float) -> MiningResult:
     call. The search stops before a length whose reconstruction condition
     number exceeds ``COND_CEILING``, and raises ``LinAlgError`` if that is
     already length 1."""
-    if not 0 < sup_min < math.inf:
-        raise ValueError(f"sup_min must be a finite number > 0, got {sup_min}")
+    check_sup_min(sup_min)
     schema = estimator.schema
     limit = schema.n_attributes
     by_length: dict[int, dict[Itemset, float]] = {}
@@ -311,13 +303,13 @@ def apriori_plain(dataset: Dataset, sup_min: float) -> MiningResult:
 def apriori_reconstructed(
     perturbed: Dataset | BooleanDataset,
     schema: Schema,
-    spec: GammaDiagonalSpec | RandomizedGammaSpec | MaskSpec | CutPasteSpec,
+    spec,
     sup_min: float,
 ) -> MiningResult:
     """Mining over a perturbed database with per-pass support reconstruction.
 
-    The spec must be the one used by the clients (its public part: the
-    randomized variant reconstructs with the expected matrix)."""
+    The spec, one of ``MECHANISMS``, must be the one used by the clients (its
+    public part: the randomized variant reconstructs with the expected matrix)."""
     if perturbed.schema != schema:
         raise ValueError("perturbed data schema does not match the mining schema")
     return mine(SupportEstimator(perturbed, spec), sup_min)
@@ -326,8 +318,7 @@ def apriori_reconstructed(
 def brute_force_frequent(dataset: Dataset, sup_min: float) -> MiningResult:
     """Exhaustive enumeration over every attribute subset; oracle for the
     level-wise miner. Exponential in attribute count, fine for small schemas."""
-    if not 0 < sup_min < math.inf:
-        raise ValueError(f"sup_min must be a finite number > 0, got {sup_min}")
+    check_sup_min(sup_min)
     schema = dataset.schema
     n = dataset.n_records
     if n == 0:

@@ -6,18 +6,29 @@ materializes A: a dependent per-attribute chain sampler draws from the exact
 column distribution in O(sum of attribute sizes) work per record. MASK and
 cut-and-paste operate on the boolean expansion of records.
 
+Each spec class states all that the CLI, the miner and ``perturb_tables``
+ask about its mechanism, and ``MECHANISMS`` lists the classes: ``name`` (on
+the command line and in metadata.json), ``table`` (the kind its clients send:
+``Dataset`` labels or ``BooleanDataset`` bits), ``keys`` (metadata.json keys
+beyond gamma and their JSON types; ``float`` takes any number), ``options``
+and ``from_metadata`` (those keys from the CLI options, and the spec from
+them; ``base`` is the gamma-diagonal spec of the run's gamma and schema),
+``label`` (for mining results), ``condition_number`` and ``lattice_weights``
+(the miner's inverse), ``draws`` and ``sample`` (uniform draws per record,
+and the block sampler). A new mechanism is one class and its tuple entry.
+
 Randomness contract: record i of a dataset-level operation draws from numpy's
 PCG64 seeded by SeedSequence(seed, spawn_key=(i,)), so its output depends
 only on (seed, i): results are reproducible and independent of record order.
 ``record_rng`` is the scalar definition of that stream. Each mechanism takes
-a fixed number of ``random()`` doubles from it: det-gd M (one per attribute
+``draws`` ``random()`` doubles from it: det-gd M (one per attribute
 for the chain sampler); ran-gd 1 + M (the client's shift r, then the chain);
 MASK M_b (one flip test per bit); cut-and-paste 1 + M_b + M (the cut count,
 one fresh-bit test per bit, one rank per original item): a prefix of the
 stream, so ``perturb_tables`` perturbs under several specs in one pass. It
 derives every record's PCG64 state and increment in bulk as two uint64
 arrays, high and low halves (``_record_states``), steps them one block at a
-time to the widest spec's width (``_uniform_blocks``) and gives the scalar
+time to the most draws of its specs (``_uniform_blocks``) and gives the scalar
 samplers' bytes. It hashes only the index word, for all records at once.
 """
 
@@ -45,9 +56,25 @@ class GammaDiagonalSpec:
     gamma: float
     schema: Schema
 
+    name = "det-gd"
+    table = Dataset
+    keys = {}
+
     def __post_init__(self) -> None:
         if not 1 < self.gamma < math.inf:
             raise ValueError(f"gamma must be a finite number > 1, got {self.gamma}")
+
+    @classmethod
+    def options(cls, base: GammaDiagonalSpec, args) -> dict:
+        return {}
+
+    @classmethod
+    def from_metadata(cls, base: GammaDiagonalSpec, meta: dict) -> GammaDiagonalSpec:
+        return base
+
+    @property
+    def label(self) -> str:
+        return f"gamma-diagonal(gamma={self.gamma:g})"
 
     @property
     def n(self) -> int:
@@ -74,21 +101,54 @@ class GammaDiagonalSpec:
         """c(I) alone (N_k), less its subset marginal's (n // cells)·x, over (gamma - 1)·x."""
         return np.eye(k + 1)[k], (self.n // cells) * self.x, (self.gamma - 1) * self.x
 
+    @property
+    def draws(self) -> int:
+        return self.schema.n_attributes
+
+    def sample(self, codes: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return _chain_bulk(codes, u, self.diag, self.off, self.schema)
+
 
 @dataclass(frozen=True)
 class RandomizedGammaSpec:
     """Gamma-diagonal mechanism where each client privately shifts the
     diagonal by r ~ Uniform[-alpha, alpha], off-diagonal by -r/(n-1), keeping
     every realized matrix column-stochastic with expectation equal to the
-    base matrix."""
+    base matrix. The miner inverts the base matrix: this spec gives its
+    base's schema, condition number, lattice weights and label.
+
+    Each client draws its r independently, and the chain sampler's output
+    law is linear in (d, o), so a perturbed table has exactly the base's
+    distribution: ran-gd and det-gd estimates differ only by sampling noise."""
 
     base: GammaDiagonalSpec
     alpha: float
+
+    name = "ran-gd"
+    table = Dataset
+    keys = {"alpha": float}
 
     def __post_init__(self) -> None:
         lim = self.max_alpha(self.base)
         if not 0 <= self.alpha <= lim + 1e-15:
             raise ValueError(f"alpha must lie in [0, {lim:.6g}], got {self.alpha}")
+
+    @classmethod
+    def options(cls, base: GammaDiagonalSpec, args) -> dict:
+        return {"alpha_fraction": args.alpha_frac,
+                "alpha": cls.from_fraction(base, args.alpha_frac).alpha}
+
+    @classmethod
+    def from_metadata(cls, base: GammaDiagonalSpec, meta: dict) -> RandomizedGammaSpec:
+        return cls(base, meta["alpha"])
+
+    @property
+    def schema(self) -> Schema:
+        return self.base.schema
+
+    @property
+    def label(self) -> str:
+        return self.base.label
 
     @staticmethod
     def max_alpha(base: GammaDiagonalSpec) -> float:
@@ -105,8 +165,21 @@ class RandomizedGammaSpec:
         return cls(base, alpha_fraction * base.gamma * base.x)
 
     def condition_number(self, length: int = 1) -> float:
-        """The base's: the miner reconstructs with the expected matrix."""
         return self.base.condition_number(length)
+
+    def lattice_weights(self, k: int, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        return self.base.lattice_weights(k, cells)
+
+    @property
+    def draws(self) -> int:
+        return 1 + self.base.draws
+
+    def sample(self, codes: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Draw 0 is the client's r, the rest the chain's."""
+        base = self.base
+        r = self.alpha * (2.0 * u[:, 0] - 1.0)
+        return _chain_bulk(codes, u[:, 1:], base.gamma * base.x + r, base.x - r / (base.n - 1),
+                           base.schema)
 
 
 @dataclass(frozen=True)
@@ -117,9 +190,28 @@ class MaskSpec:
     p: float
     schema: Schema
 
+    name = "mask"
+    table = BooleanDataset
+    keys = {"mask_p": float}
+
     def __post_init__(self) -> None:
         if not 0.5 <= self.p < 1:
             raise ValueError(f"retention probability must lie in [0.5, 1), got {self.p}")
+
+    @classmethod
+    def options(cls, base: GammaDiagonalSpec, args) -> dict:
+        """--mask-p, else the least p that meets the gamma bound."""
+        p = args.mask_p
+        return {"mask_p": mask_p_for_gamma(base.gamma, base.schema.n_attributes)
+                if p is None else p}
+
+    @classmethod
+    def from_metadata(cls, base: GammaDiagonalSpec, meta: dict) -> MaskSpec:
+        return cls(meta["mask_p"], base.schema)
+
+    @property
+    def label(self) -> str:
+        return f"mask(p={self.p:g})"
 
     @property
     def M_b(self) -> int:
@@ -138,6 +230,14 @@ class MaskSpec:
         l = np.arange(k + 1)
         return self.p ** l * (self.p - 1) ** (k - l), 0.0, (2 * self.p - 1) ** k
 
+    @property
+    def draws(self) -> int:
+        return self.M_b
+
+    def sample(self, codes: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Draw j flips bit j when it is p or more."""
+        return mask_expand_many(codes, self.schema) ^ (u >= self.p)
+
 
 @dataclass(frozen=True)
 class CutPasteSpec:
@@ -149,11 +249,27 @@ class CutPasteSpec:
     rho_cp: float
     schema: Schema
 
+    name = "cut-paste"
+    table = BooleanDataset
+    keys = {"cp_k": int, "cp_rho": float}
+
     def __post_init__(self) -> None:
         if not 0 <= self.K <= self.M:
             raise ValueError(f"K must lie in [0, {self.M}], got {self.K}")
         if not 0 <= self.rho_cp <= 1:
             raise ValueError(f"rho_cp must lie in [0, 1], got {self.rho_cp}")
+
+    @classmethod
+    def options(cls, base: GammaDiagonalSpec, args) -> dict:
+        return {"cp_k": args.cp_k, "cp_rho": args.cp_rho}
+
+    @classmethod
+    def from_metadata(cls, base: GammaDiagonalSpec, meta: dict) -> CutPasteSpec:
+        return cls(meta["cp_k"], meta["cp_rho"], base.schema)
+
+    @property
+    def label(self) -> str:
+        return f"cut-paste(K={self.K}, rho={self.rho_cp:g})"
 
     @property
     def M(self) -> int:
@@ -177,6 +293,25 @@ class CutPasteSpec:
     def lattice_weights(self, k: int, cells: np.ndarray) -> tuple[np.ndarray, float, float]:
         """The inverse overlap-class matrix's last row, entry l for a record with l of k bits."""
         return np.linalg.solve(cut_paste_class_matrix(self, k).T, np.eye(k + 1)[k]), 0.0, 1.0
+
+    @property
+    def draws(self) -> int:
+        return 1 + self.M_b + self.M
+
+    def sample(self, codes: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """As ``cut_paste_perturb``: draw 0 gives the cut count j, draws 1..M_b
+        the fresh bits, the last M rank the record's ones."""
+        K, M_b = self.K, self.M_b
+        w = np.minimum((u[:, 0] * (K + 1)).astype(np.int64), K)  # K <= M
+        rank = np.argsort(np.argsort(u[:, 1 + M_b:], axis=1, kind="stable"), axis=1)
+        block = u[:, 1:1 + M_b] < self.rho_cp
+        ones = np.asarray(self.schema.boolean_offsets) + codes  # the record's ones, in bit order
+        kept = np.take_along_axis(block, ones, 1) | (rank < w[:, None])
+        np.put_along_axis(block, ones, kept, 1)
+        return block
+
+
+MECHANISMS = (GammaDiagonalSpec, RandomizedGammaSpec, MaskSpec, CutPasteSpec)
 
 
 # ---------------------------------------------------------------------------
@@ -286,52 +421,21 @@ def _uniform_blocks(seed: int, n_records: int, width: int):
         yield slice(start, stop), draws.T
 
 
-def _kernel(dataset: Dataset, spec):
-    """One spec's share of a pass, ``(width, fill, table)``: ``fill(rows, u)``
-    perturbs the records ``rows`` from ``u``, their first ``width`` draws."""
-    schema, codes = dataset.schema, dataset.codes
-    base = spec.base if isinstance(spec, RandomizedGammaSpec) else spec
-    if base.schema is not schema and base.schema != schema:
-        raise ValueError("mechanism schema does not match dataset schema")
-    if isinstance(base, GammaDiagonalSpec):
-        randomized, out = base is not spec, np.empty_like(codes)
-
-        def fill(rows, u):
-            d, o = base.diag, base.off
-            if randomized:
-                r = spec.alpha * (2.0 * u[:, 0] - 1.0)
-                d, o = base.gamma * base.x + r, base.x - r / (base.n - 1)
-            out[rows] = _chain_bulk(codes[rows], u[:, randomized:], d, o, schema)
-        return schema.n_attributes + randomized, fill, lambda: Dataset(schema, out)
-    out = np.empty((dataset.n_records, spec.M_b), dtype=bool)
-    if isinstance(spec, MaskSpec):
-        def fill(rows, u):
-            out[rows] = mask_expand_many(codes[rows], schema) ^ (u >= spec.p)
-        width = spec.M_b
-    else:
-        K, M_b, offsets = spec.K, spec.M_b, np.asarray(schema.boolean_offsets)
-
-        def fill(rows, u):
-            w = np.minimum((u[:, 0] * (K + 1)).astype(np.int64), K)  # K <= M
-            rank = np.argsort(np.argsort(u[:, 1 + M_b:], axis=1, kind="stable"), axis=1)
-            block = out[rows]
-            np.less(u[:, 1:1 + M_b], spec.rho_cp, out=block)
-            ones = offsets + codes[rows]  # the record's ones, in bit order
-            kept = np.take_along_axis(block, ones, 1) | (rank < w[:, None])
-            np.put_along_axis(block, ones, kept, 1)
-        width = 1 + M_b + spec.M
-    return width, fill, lambda: BooleanDataset(schema, out)
-
-
 def perturb_tables(dataset: Dataset, specs, seed: int) -> list[Dataset | BooleanDataset]:
     """``dataset`` perturbed under each spec with ``seed`` in one pass: table k
     is byte-equal to perturbing under ``specs[k]`` alone. Each block draws its
-    streams once, to the widest width; every spec's schema must be the table's."""
-    kernels = [_kernel(dataset, spec) for spec in specs]
-    for rows, u in _uniform_blocks(seed, dataset.n_records, max(w for w, _, _ in kernels)):
-        for w, fill, _ in kernels:
-            fill(rows, u[:, :w])
-    return [table() for _, _, table in kernels]
+    streams once, to the most ``draws``; every spec's schema must be the table's."""
+    schema, codes = dataset.schema, dataset.codes
+    outs = []
+    for spec in specs:
+        if spec.schema is not schema and spec.schema != schema:
+            raise ValueError("mechanism schema does not match dataset schema")
+        empty = spec.sample(codes[:0], np.empty((0, spec.draws)))  # the row width and dtype
+        outs.append(np.empty((dataset.n_records, *empty.shape[1:]), empty.dtype))
+    for rows, u in _uniform_blocks(seed, dataset.n_records, max(spec.draws for spec in specs)):
+        for spec, out in zip(specs, outs):
+            out[rows] = spec.sample(codes[rows], u[:, :spec.draws])
+    return [spec.table(schema, out) for spec, out in zip(specs, outs)]
 
 
 # ---------------------------------------------------------------------------

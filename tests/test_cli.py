@@ -14,7 +14,10 @@ import pytest
 
 import privmine
 from privmine import (
+    CutPasteSpec,
     GammaDiagonalSpec,
+    MaskSpec,
+    RandomizedGammaSpec,
     builtin_schema,
     generate_synthetic,
     ingest_csv,
@@ -26,6 +29,7 @@ from privmine import (
     write_csv,
 )
 from privmine.cli import main
+from privmine.perturb import MECHANISMS, perturb_tables
 
 from helpers import make_schema
 
@@ -722,6 +726,33 @@ def test_mine_names_a_missing_metadata_key(tmp_path, capsys, mechanism, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("mechanism", ["det-gd", "ran-gd", "mask", "cut-paste"])
+def test_metadata_rebuilds_the_spec_perturb_used(tmp_path, capsys, mechanism):
+    # the miner's spec, rebuilt from metadata.json, is the client's: equal to
+    # the one built here from the same options, and perturbing with that one
+    # writes the same table
+    schema = builtin_schema("census")
+    base = GammaDiagonalSpec(19.0, schema)
+    used = {"det-gd": base, "ran-gd": RandomizedGammaSpec.from_fraction(base, 0.3),
+            "mask": MaskSpec(mask_p_for_gamma(19.0, schema.n_attributes), schema),
+            "cut-paste": CutPasteSpec(2, 0.25, schema)}[mechanism]
+    out = tmp_path / "pert"
+    assert run(capsys, "perturb", "--schema", "census", "--synthetic", "uniform",
+               "--n-records", "300", "--data-seed", "4", "--mechanism", mechanism,
+               "--gamma", "19", "--alpha-frac", "0.3", "--cp-k", "2", "--cp-rho", "0.25",
+               "--seed", "8", "--out", str(out))[0] == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    (kind,) = [m for m in MECHANISMS if m.name == meta["mechanism"]]
+    rebuilt = kind.from_metadata(GammaDiagonalSpec(meta["gamma"], schema), meta)
+    assert type(rebuilt) is type(used) and rebuilt == used
+    expect = perturb_tables(generate_synthetic(schema, 300, "uniform", 4), [used], 8)[0]
+    if rebuilt.table is privmine.Dataset:
+        assert (ingest_csv(str(out / "perturbed.csv"), schema).codes == expect.codes).all()
+    else:
+        bits = privmine.read_boolean_csv(str(out / "perturbed_bits.csv"), schema).bits
+        assert (bits == expect.bits).all()
+
+
 def test_evaluate_rejects_non_object_summary(tmp_path, capsys, plain_csv):
     truth = tmp_path / "truth"
     assert run(capsys, "mine", "--schema", "census", "--input", str(plain_csv),
@@ -758,6 +789,23 @@ def test_evaluate_names_a_missing_summary_key(tmp_path, capsys, key):
                        "--truth", str(found), "--out", str(tmp_path / "out"))
     assert code == 1
     assert err == f'error: {found / "summary.json"} lacks "{key}"\n'
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sup_min", ["-1", "0", "Infinity", "NaN"])
+def test_evaluate_rejects_a_threshold_mine_would_reject(tmp_path, capsys, sup_min):
+    # a result's sup_min obeys mine's rule, 0 < sup_min < inf, even where no
+    # itemset is there to break it
+    for name in ("found", "truth"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "summary.json").write_text(
+            f'{{"sup_min": {sup_min}, "mechanism": "x"}}\n')
+        (tmp_path / name / "itemsets.csv").write_text("itemset,length,support\n")
+    code, _, err = run(capsys, "evaluate", "--schema", "census", "--found",
+                       str(tmp_path / "found"), "--truth", str(tmp_path / "truth"),
+                       "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err.startswith(f"error: {tmp_path / 'found' / 'summary.json'}: sup_min must be"), err
     assert not (tmp_path / "out").exists()
 
 

@@ -101,3 +101,67 @@ def test_support_estimate_holds_no_mechanism_formula():
                 for alias in node.names}
     assert "_overlap_transform" not in defined
     assert "cut_paste_class_matrix" not in imported
+
+
+MECHANISM_NAMES = {"det-gd", "ran-gd", "mask", "cut-paste"}
+# the places that may still ask which mechanism a spec is, each with its reason
+MECHANISM_BRANCHES = {
+    # perfbench's tracer counts perturb_dataset, mask_dataset and
+    # cut_paste_dataset calls through their names bound in privmine.cli, and
+    # tests/test_bench_contract.py requires them to be called
+    ("cli.py", "_perturb"),
+    # a reference path for the subset-marginal inverse, bound for tests/oracles/
+    ("reconstruct.py", "SubsetMarginalSpec.for_subset"),
+}
+
+
+def _mechanism_branches(path: pathlib.Path, specs: set[str]) -> set[tuple[str, str]]:
+    """(file, qualified function) of each isinstance or issubclass call, or
+    comparison, that names a spec class or compares with a mechanism name."""
+    found = set()
+
+    def asks(node) -> bool:
+        if isinstance(node, ast.Call):
+            if not (isinstance(node.func, ast.Name) and node.func.id in ("isinstance", "issubclass")):
+                return False
+        elif not isinstance(node, ast.Compare):
+            return False
+        return any(isinstance(sub, ast.Name) and sub.id in specs
+                   or isinstance(sub, ast.Constant) and sub.value in MECHANISM_NAMES
+                   for sub in ast.walk(node))
+
+    def visit(node, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if asks(child):
+                found.add((path.name, scope))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def test_only_the_spec_classes_know_their_mechanism():
+    """One statement of the mechanisms: each spec class in perturb.py says
+    all that the loop asks about it, and ``MECHANISMS`` lists the classes.
+    No module tests which spec class it has or compares with a mechanism
+    name, except at MECHANISM_BRANCHES; perturb.py's own loop does not either."""
+    perturb = ast.parse((PACKAGE / "perturb.py").read_text())
+    specs = {node.name for node in perturb.body
+             if isinstance(node, ast.ClassDef) and node.name.endswith("Spec")}
+    branches = set().union(*(_mechanism_branches(path, specs) for path in MODULES))
+    assert branches == MECHANISM_BRANCHES
+    from privmine.perturb import MECHANISMS
+
+    assert {m.__name__ for m in MECHANISMS} == specs
+    assert {m.name for m in MECHANISMS} == MECHANISM_NAMES
+    defined = {name for path in MODULES for node in ast.parse(path.read_text()).body
+               for name in ([node.name] if isinstance(node, ast.FunctionDef) else
+                            [t.id for t in getattr(node, "targets", []) if isinstance(t, ast.Name)])}
+    assert not defined & {"SPEC_KEYS", "_params", "_kernel"}
+    mining = ast.parse((PACKAGE / "mining.py").read_text())
+    imported = {alias.name for node in ast.walk(mining) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert not imported & specs
