@@ -46,6 +46,7 @@ from .perturb import (
 )
 from .privacy import PrivacyTarget, gamma_for, posterior_range, worst_case_posterior
 from .schema import (
+    BitTableError,
     BooleanDataset,
     Dataset,
     Schema,
@@ -379,7 +380,11 @@ def cmd_mine(args) -> int:
         _require(meta, path, mechanism.keys)
         spec = mechanism.from_metadata(GammaDiagonalSpec(meta["gamma"], schema), meta)
         if spec.table is Dataset:
-            perturbed: Dataset | BooleanDataset = _ingest(args, schema)
+            try:
+                perturbed: Dataset | BooleanDataset = _ingest(args, schema)
+            except BitTableError as exc:
+                raise ValueError(f"{exc}, and {path} names mechanism {spec.name!r}, "
+                                 "whose tables are label tables") from None
         elif (args.column_map, args.on_error, args.clamp) != (None, "skip", False):
             raise ValueError("--column-map, --on-error and --clamp apply to label tables "
                              f"only, not to {spec.name} bit tables")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import itertools
 import logging
 from dataclasses import dataclass
@@ -83,6 +84,18 @@ class Attribute:
     @property
     def size(self) -> int:
         return len(self.categories)
+
+    @cached_property
+    def _reads_numbers(self) -> bool:
+        """Binned, with no label that parses as a number: every text that
+        parses as one is a raw value to discretize."""
+        if self.bin_edges is None:
+            return False
+        for label in self.categories:
+            with contextlib.suppress(ValueError):
+                float(label)
+                return False
+        return True
 
     def index_of(self, label: str) -> int:
         try:
@@ -303,7 +316,7 @@ def discretize(raw_value: float, attribute: Attribute, clamp: bool = False) -> i
         raise ValueError(f"attribute {attribute.name!r} has no discretization rules")
     [idx] = _discretize_many(np.array([raw_value], dtype=np.float64), attribute, clamp)
     if idx >= 0:
-        return idx
+        return int(idx)
     if not np.isfinite(raw_value):
         raise ValueError(f"attribute {attribute.name!r}: non-finite value {raw_value!r}")
     side = "below first" if raw_value <= attribute.bin_edges[0] else "above last"
@@ -348,6 +361,10 @@ def decode_indices(indices: np.ndarray, schema: Schema) -> np.ndarray:
 BLOCK_ROWS = 4096  # rows held in memory at once while reading or writing a CSV
 
 
+class BitTableError(ValueError):
+    """A label-table read found a bit table: a header of the schema's item labels."""
+
+
 @contextlib.contextmanager
 def _csv_errors(path: str):
     """Re-raise ``csv.Error`` (a field past ``csv.field_size_limit()``, say)
@@ -386,9 +403,12 @@ def ingest_csv(
     blocks of ``BLOCK_ROWS`` lines, and each distinct line is parsed once: a
     block of which at most half the lines are new parses only those, so a
     label table (at most one distinct line per domain cell) parses a few
-    thousand lines in all. Other blocks are parsed one column at a time, each
-    distinct text once. From the first block holding a ``"`` on, rows come
-    from ``csv.reader``, so quoted commas and line breaks read as before.
+    thousand lines in all. Other blocks are parsed one column at a time: a
+    binned column of numbers only converts in one step, by ``float``'s rules;
+    any other column goes one distinct text at a time. From the first block
+    holding a ``"`` on, rows come from ``csv.reader``, so quoted commas and
+    line breaks read as before. A first row of the schema's item labels (a
+    bit table) raises ``BitTableError``.
     """
     if on_error not in ("skip", "abort"):
         raise ValueError(f"on_error must be 'skip' or 'abort', got {on_error!r}")
@@ -397,6 +417,9 @@ def ingest_csv(
         first = next(csv.reader(fh), None)
         if first is None:
             return Dataset(schema, np.empty((0, schema.n_attributes), dtype=np.int32))
+        if [f.strip() for f in first] == list(schema.item_labels):
+            raise BitTableError(f"{path} is a bit table, not a label table: its first row "
+                                f"is the item labels of schema {schema.name!r}")
         has_header, cols = _resolve_columns(first, schema, column_map)
         blocks = _blocks(fh)
         if not has_header:
@@ -501,9 +524,18 @@ def _block_codes(block, cols, attrs, tables, clamp) -> np.ndarray:
 
 
 def _column_codes(col, attribute: Attribute, table: dict, clamp: bool) -> np.ndarray:
-    """One column's codes, -1 where ``_parse_field`` raises. ``table`` keeps
-    each distinct text's code for the whole file, except raw numbers, which
-    can be as many as the rows: they are discretized per block, vectorized."""
+    """One column's codes, -1 where ``_parse_field`` raises. A binned column
+    whose every text is a number (or None, a short row's) converts in one
+    step, as ``float`` parses. Any other column goes text by text: ``table``
+    keeps each distinct text's code for the whole file, except raw numbers,
+    which can be as many as the rows: they are discretized per block."""
+    if attribute._reads_numbers:
+        try:
+            values = np.array(col, dtype=np.float64)
+        except ValueError:  # a label, a missing token, a typo: text by text
+            pass
+        else:
+            return _discretize_many(values, attribute, clamp).astype(np.int32)
     numbers: dict[str, float] = {}
     for raw in set(col).difference(table):
         text = raw.strip()
@@ -520,11 +552,11 @@ def _column_codes(col, attribute: Attribute, table: dict, clamp: bool) -> np.nda
     if numbers:
         codes = _discretize_many(np.fromiter(numbers.values(), np.float64, len(numbers)),
                                  attribute, clamp)
-        table = {**table, **dict(zip(numbers, codes))}
+        table = {**table, **dict(zip(numbers, codes.tolist()))}
     return np.fromiter(map(table.__getitem__, col), np.int32, len(col))
 
 
-def _discretize_many(values: np.ndarray, attribute: Attribute, clamp: bool) -> list[int]:
+def _discretize_many(values: np.ndarray, attribute: Attribute, clamp: bool) -> np.ndarray:
     """``discretize`` over many values at once, -1 where it raises."""
     idx = np.searchsorted(np.asarray(attribute.bin_edges, dtype=np.float64), values) - 1
     last = attribute.size - 1
@@ -533,7 +565,7 @@ def _discretize_many(values: np.ndarray, attribute: Attribute, clamp: bool) -> l
     if clamp:
         np.maximum(idx, 0, out=idx)
     idx[~np.isfinite(values) | (idx < 0) | (idx > last)] = -1
-    return idx.tolist()
+    return idx
 
 
 def _parse_field(field_text: str | None, attribute: Attribute, clamp: bool) -> int:
@@ -555,14 +587,49 @@ def _parse_field(field_text: str | None, attribute: Attribute, clamp: bool) -> i
 
 
 def write_csv(dataset: Dataset, path: str) -> None:
-    """Write a dataset as a header + category-label CSV."""
-    labels = [np.asarray(a.categories, dtype=object) for a in dataset.schema.attributes]
+    """Write a dataset as a header + category-label CSV.
+
+    Rows are written in blocks of ``BLOCK_ROWS``, and each distinct row is
+    rendered once, the reader's rule mirrored: a block of which at most half
+    the rows are new renders only those, through the same ``csv.writer``, and
+    writes the kept lines in row order; so a perturbed label table (at most
+    one distinct row per domain cell) renders a few thousand lines in all.
+    A block of mostly new rows is written row by row and not kept.
+    """
+    attrs = dataset.schema.attributes
+    labels = [np.asarray(a.categories, dtype=object) for a in attrs]
+    codes = dataset.codes
+    key = np.dtype((np.void, codes.itemsize * codes.shape[1]))  # a code row as one bytes key
+
+    def label_rows(block):
+        return zip(*(lab[block[:, j]].tolist() for j, lab in enumerate(labels)))
+
+    memo: dict[bytes, str] = {}  # distinct code row -> its CSV line
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([a.name for a in dataset.schema.attributes])
+        writer.writerow([a.name for a in attrs])
         for lo in range(0, dataset.n_records, BLOCK_ROWS):
-            block = dataset.codes[lo:lo + BLOCK_ROWS]
-            writer.writerows(zip(*(lab[block[:, j]].tolist() for j, lab in enumerate(labels))))
+            block = codes[lo:lo + BLOCK_ROWS]
+            keys = block.view(key).ravel().tolist()
+            new = set(keys)
+            new.difference_update(memo)
+            if 2 * len(new) > len(keys):  # mostly new rows: not worth a memo entry
+                writer.writerows(label_rows(block))
+                continue
+            if new:
+                new = list(new)  # one order for the codes and their lines
+                new_codes = np.frombuffer(b"".join(new), codes.dtype).reshape(len(new), -1)
+                memo.update(zip(new, _csv_lines(label_rows(new_codes))))
+            fh.write("".join(map(memo.__getitem__, keys)))
+
+
+def _csv_lines(rows) -> list[str]:
+    """Each row's line as ``csv.writer`` writes it, cut at the character
+    counts ``writerow`` returns."""
+    buf = io.StringIO(newline="")
+    ends = list(itertools.accumulate(map(csv.writer(buf).writerow, rows)))
+    text = buf.getvalue()
+    return [text[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def write_boolean_csv(data: BooleanDataset, path: str) -> None:

@@ -566,6 +566,28 @@ def test_mine_rejects_boolean_cell_other_than_0_1(tmp_path, capsys):
     assert "row 4: expected 23 cells of 0 or 1" in err
 
 
+@pytest.mark.parametrize("metadata", [None, "det-gd", "ran-gd"])
+def test_mine_names_a_bit_table_read_as_a_label_table(tmp_path, capsys, metadata):
+    # every row of it used to be skipped, ending in "cannot mine an empty dataset"
+    bits, _ = _mask_tables(tmp_path, capsys)
+    argv = ["mine", "--schema", "census", "--input", str(bits), "--sup-min", "0.1",
+            "--out", str(tmp_path / "out")]
+    expect = f"error: {bits} is a bit table, not a label table"
+    if metadata is not None:
+        gd = tmp_path / metadata
+        assert run(capsys, "perturb", "--schema", "census", "--synthetic", "uniform",
+                   "--n-records", "5", "--mechanism", metadata, "--gamma", "19",
+                   "--seed", "1", "--out", str(gd))[0] == 0
+        argv += ["--metadata", str(gd / "metadata.json")]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith(expect), err
+    assert "schema 'census'" in err
+    if metadata is not None:
+        assert f"{gd / 'metadata.json'} names mechanism '{metadata}'" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_mine_metadata_label_table_honours_ingest_flags(tmp_path, capsys):
     pert = tmp_path / "pert"
     assert run(capsys, "perturb", "--schema", "census", "--synthetic", "uniform",

@@ -32,7 +32,7 @@ from privmine import (
     write_csv,
 )
 from privmine import schema as schema_module
-from privmine.schema import BLOCK_ROWS, BooleanDataset
+from privmine.schema import BLOCK_ROWS, MISSING_TOKENS, BooleanDataset
 
 # ---------------------------------------------------------------------------
 # differential: block parser vs row parser on a file with edge rows around
@@ -332,6 +332,113 @@ def test_each_distinct_label_line_is_parsed_once(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# binned columns: the one-step number conversion against _parse_field
+# ---------------------------------------------------------------------------
+
+AGE, W = EDGE_SCHEMA.attributes[:2]  # open upper bin; closed bins with a fractional edge
+NUMBER_SCHEMA = Schema("numbers", (AGE, W))
+NON_ASCII_ZEROS = ("\u0660", "\u06f0", "\u0966", "\uff10")  # Arabic-Indic, Persian, Devanagari, fullwidth
+EDGE_NUMBERS = (
+    *(t for a in (AGE, W) for e in a.bin_edges for t in (*_ulps(e), f"{e:g}")),
+    "-0", "1_000", "1_0.5", "nan", "-nan", "NaN", "inf", "-inf", "+inf", "Infinity",
+    "1e400", "-1e400", "1e-320",
+)
+OTHER_TEXTS = (*sorted(MISSING_TOKENS), *AGE.categories, *W.categories,
+               "abc", "1.2.3", "0x10", "1__0", "_1", "1e", "snan")
+
+
+def _non_ascii(n, zero):
+    return "".join(chr(ord(zero) + int(d)) for d in str(n))
+
+
+def _padded(texts):
+    pad = st.sampled_from(["", " ", "  ", "\t", "\xa0", "\u2003"])
+    return st.builds(lambda left, text, right: left + text + right, pad, texts, pad)
+
+
+NUMBER_TEXTS = _padded(st.one_of(
+    st.integers(-100, 10**6).map(str),
+    st.builds("{}e{}".format, st.integers(-99, 99), st.integers(-3, 3)),
+    st.floats(-200, 200).map(repr),
+    st.sampled_from(EDGE_NUMBERS),
+    st.builds(_non_ascii, st.integers(0, 200), st.sampled_from(NON_ASCII_ZEROS)),
+))
+
+
+@st.composite
+def binned_columns(draw):
+    """A column of number texts and short rows' None; in some draws, a few
+    texts that are not numbers (missing tokens, bin labels, typos) are put
+    in at random places."""
+    col = draw(st.lists(st.one_of(NUMBER_TEXTS, NUMBER_TEXTS, st.none()),
+                        min_size=1, max_size=40))
+    for text in draw(st.lists(_padded(st.sampled_from(OTHER_TEXTS)), max_size=2)):
+        col.insert(draw(st.integers(0, len(col))), text)
+    return col
+
+
+def _field_code(text, attribute, clamp):
+    try:
+        return schema_module._parse_field(text, attribute, clamp)
+    except ValueError:
+        return -1
+
+
+@PROPERTIES
+@given(col=binned_columns(), attribute=st.sampled_from([AGE, W]), clamp=st.booleans())
+@example(col=["35", " 1_000 ", None, "\u0661\u0665"], attribute=AGE, clamp=False)
+@example(col=["1e400", "-inf", "nan", "0"], attribute=W, clamp=True)
+@example(col=["3", " (35-55] ", "4"], attribute=AGE, clamp=False)
+def test_binned_column_codes_match_parse_field(col, attribute, clamp):
+    codes = schema_module._column_codes(tuple(col), attribute, {None: -1}, clamp)
+    assert codes.dtype == np.int32
+    assert codes.tolist() == [_field_code(text, attribute, clamp) for text in col]
+
+
+def _assert_ingest_like_rows(path, schema, **kwargs):
+    """ingest_csv and the row oracle give equal codes, or the same error."""
+    try:
+        codes, _ = row_ingest(str(path), schema, **kwargs)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            ingest_csv(str(path), schema, **kwargs)
+        assert str(got.value) == str(exc)
+        return
+    assert ingest_csv(str(path), schema, **kwargs).codes.tolist() == [list(r) for r in codes]
+
+
+@PROPERTIES
+@given(ages=binned_columns(), ws=binned_columns(), on_error=st.sampled_from(["skip", "abort"]),
+       clamp=st.booleans())
+@example(ages=["20", "?"], ws=["5", "5"], on_error="abort", clamp=False)
+def test_binned_file_ingest_matches_row_ingest(ages, ws, on_error, clamp):
+    # a None ends its row there: a short row
+    lines = ["age,w\n"]
+    for age, w in zip(ages, ws):
+        fields = list(itertools.takewhile(lambda f: f is not None, (age, w)))
+        lines.append(",".join(fields) + "\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_lines(Path(tmp) / "numbers.csv", lines)
+        _assert_ingest_like_rows(path, NUMBER_SCHEMA, on_error=on_error, clamp=clamp)
+
+
+@pytest.mark.parametrize("on_error", ["skip", "abort"])
+@pytest.mark.parametrize("clamp", [False, True])
+def test_all_number_block_then_a_block_with_a_label(tmp_path, on_error, clamp):
+    rng = np.random.default_rng(8)
+    lines = ["age,w\n"] + [f"{rng.integers(16, 100)},{rng.uniform(0.01, 10.0)!r}\n"
+                            for _ in range(2 * BLOCK_ROWS)]
+    lines[BLOCK_ROWS + 30] = "(35-55],1e9\n"  # a label in block two; 1e9 is past the last bin
+    lines[BLOCK_ROWS + 900] = "77, (1-2.5] \n"
+    lines[BLOCK_ROWS + 901] = "NA,2\n"
+    path = _write_lines(tmp_path / "numbers.csv", lines)
+    _assert_ingest_like_rows(path, NUMBER_SCHEMA, on_error=on_error, clamp=clamp)
+    if clamp:  # the label rows are read as labels, next to raw numbers
+        codes = ingest_csv(str(path), NUMBER_SCHEMA, clamp=True).codes
+        assert codes[[BLOCK_ROWS + 29, BLOCK_ROWS + 899]].tolist() == [[1, 2], [3, 1]]
+
+
+# ---------------------------------------------------------------------------
 # writers: byte identity with the row-at-a-time writers, across blocks
 # ---------------------------------------------------------------------------
 
@@ -369,6 +476,42 @@ def test_writers_match_row_writers_across_blocks(tmp_path, health_schema):
     assert _text(tmp_path / "bits.csv") == _savetxt_boolean_csv(bits)
     assert np.array_equal(read_boolean_csv(str(tmp_path / "bits.csv"), health_schema).bits,
                           bits.bits)
+
+
+QUOTING_SCHEMA = Schema("quoting", tuple(
+    Attribute(f"a{j}", ("plain", 'say "hi"', "a,b", "x\ny", "l\r\nm", '",\n"')[j % 3:][:4])
+    for j in range(6)))  # 4**6 cells, so a block of 4096 rows can be all distinct
+HUGE_SCHEMA = make_schema(*[2] * 64)  # 2**64 cells: past int64
+
+
+def _writer_blocks(schema, seed=0):
+    """Codes of five blocks: all distinct, then rows of 40 cells, those 40
+    and 10 more, all distinct again, then a short block of the first 40."""
+    rng = np.random.default_rng(seed)
+    sizes = np.asarray(schema.sizes)
+
+    def cells(n):
+        return (rng.random((n, len(sizes))) * sizes).astype(np.int32)
+
+    few = cells(40)
+    more = np.concatenate([few, cells(10)])
+    if schema.domain_size == BLOCK_ROWS:
+        distinct = [np.stack(np.unravel_index(rng.permutation(BLOCK_ROWS), sizes), axis=1)
+                    for _ in range(2)]
+    else:
+        distinct = [cells(BLOCK_ROWS) for _ in range(2)]
+    return np.concatenate([distinct[0], few[rng.integers(0, 40, BLOCK_ROWS)],
+                           more[rng.integers(0, 50, BLOCK_ROWS)], distinct[1],
+                           few[rng.integers(0, 40, 100)]])
+
+
+@pytest.mark.parametrize("schema", [QUOTING_SCHEMA, HUGE_SCHEMA], ids=["quoting", "huge"])
+def test_write_csv_distinct_rows_new_repeated_new(tmp_path, schema):
+    data = Dataset(schema, _writer_blocks(schema))
+    path = tmp_path / "labels.csv"
+    write_csv(data, str(path))
+    assert _text(path) == _row_write_csv(data)
+    assert np.array_equal(ingest_csv(str(path), schema).codes, data.codes)
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +663,7 @@ def _codes(schema, n_rows, seed):
 @example(spec=(("a0", ("", "b"), "nominal"),), n_rows=3, seed=0)    # read as missing
 @example(spec=(("a0", ("?", "7"), "closed"), ("a1", ("x\ny", 'q"'), "nominal")),
          n_rows=40, seed=1)
+@example(spec=(("a0", ("2", "1"), "closed"),), n_rows=40, seed=0)  # labels win over numbers
 def test_write_csv_then_ingest_csv_roundtrip(spec, n_rows, seed):
     schema = _schema_or_none(spec)
     if schema is None:

@@ -5,8 +5,11 @@ of the same code, so a change to both at once passes them. This test pins
 SHA-256 digests of what the CLI writes for one fixed census table and seed:
 the perturbed table and ``metadata.json`` of every mechanism, and the
 ``itemsets.csv`` of plain, det-gd and ran-gd mining, plus the mechanism label
-each ``summary.json`` states. A change that alters any of these bytes must
-say so and update the digests.
+each ``summary.json`` states. A second input holds the same kind of records
+as a user would: binned attributes as raw integers, over more than one
+``BLOCK_ROWS`` block; its plain ``itemsets.csv`` and its det-gd and ran-gd
+perturbed tables and metadata are pinned too. A change that alters any of
+these bytes must say so and update the digests.
 
 The input table is built by integer arithmetic, not by numpy's ``Generator``,
 whose streams numpy does not promise to keep. ``--mask-p`` is given, since
@@ -22,8 +25,10 @@ import json
 
 from privmine import builtin_schema
 from privmine.cli import main
+from privmine.schema import BLOCK_ROWS
 
 N_RECORDS = 3000
+N_RAW_RECORDS = 5000  # more than BLOCK_ROWS: two blocks for ingest and for the writer
 SEED = str(2**32 + 11)  # a seed of two 32-bit words
 PERTURB = ("--gamma", "19", "--alpha-frac", "0.3", "--mask-p", "0.9", "--seed", SEED)
 
@@ -40,6 +45,13 @@ DIGESTS = {
     "cut-paste/perturbed_bits.csv": "068ef215bc2ffdf55d2099bfbbbe6ba55287482ac32ed42f06866f6815a4f002",
     "cut-paste/metadata.json": "4fb3101102394ad2a390adb0e5033a6dd9937393606fd1036a2a48fb562e9cdc",
 }
+RAW_DIGESTS = {
+    "plain/itemsets.csv": "c7c8fb5d27b5dedf210ea071d74110274a67def1db7825346459665869040061",
+    "det-gd/perturbed.csv": "487ec82b955169844402e97cac31f56d824458de0d605cf51350ce7622d883d8",
+    "det-gd/metadata.json": "e737fce16403bcb176d43ddf4b438c22ffe40a5f4e50c91320a17cf49c0cfa00",
+    "ran-gd/perturbed.csv": "493d5400ba69e950bc3035976048760c041005a9ba5c70cec969be44667d44c6",
+    "ran-gd/metadata.json": "3167524f87c69903771aa676e87ebbc90c113c38d34643e63c9019f394f24baf",
+}
 LABELS = {
     "det-gd": "gamma-diagonal(gamma=19)",
     "ran-gd": "gamma-diagonal(gamma=19)",
@@ -48,21 +60,53 @@ LABELS = {
 }
 
 
-def _census_rows():
-    """Category labels of N_RECORDS census records from a 64-bit LCG: a third
-    of the records are one of three prototypes, the rest draw each attribute
-    from the generator's high bits."""
+def _lcg(state: int) -> int:
+    return (state * 6364136223846793005 + 1442695040888963407) % 2**64
+
+
+def _census_codes(n: int) -> list:
+    """Category codes of n census records from a 64-bit LCG: a third of the
+    records are one of three prototypes, the rest draw each attribute from
+    the generator's high bits."""
     attributes = builtin_schema("census").attributes
     prototypes = [(0, 0, 1, 0, 1, 0), (1, 1, 1, 0, 1, 0), (0, 0, 1, 4, 0, 0)]
     state, rows = 12345, []
-    for _ in range(N_RECORDS):
+    for _ in range(n):
         codes = []
         for attribute in attributes:
-            state = (state * 6364136223846793005 + 1442695040888963407) % 2**64
+            state = _lcg(state)
             codes.append((state >> 33) % attribute.size)
         if state >> 62 == 0:
             codes = prototypes[(state >> 40) % 3]
-        rows.append([a.categories[c] for a, c in zip(attributes, codes)])
+        rows.append(codes)
+    return rows
+
+
+def _census_rows():
+    """Category labels of N_RECORDS census records."""
+    attributes = builtin_schema("census").attributes
+    rows = [[a.categories[c] for a, c in zip(attributes, codes)]
+            for codes in _census_codes(N_RECORDS)]
+    return [a.name for a in attributes], rows
+
+
+def _raw_census_rows():
+    """N_RAW_RECORDS census records with each binned attribute as an integer
+    inside the record's (lo, hi] bin; the open bin is as wide as the last
+    closed one. The integers come from a second LCG."""
+    attributes = builtin_schema("census").attributes
+    state, rows = 67890, []
+    for codes in _census_codes(N_RAW_RECORDS):
+        row = []
+        for a, c in zip(attributes, codes):
+            if a.bin_edges is None:
+                row.append(a.categories[c])
+                continue
+            edges = [int(e) for e in a.bin_edges]
+            edges.append(2 * edges[-1] - edges[-2])
+            state = _lcg(state)
+            row.append(edges[c] + 1 + (state >> 33) % (edges[c + 1] - edges[c]))
+        rows.append(row)
     return [a.name for a in attributes], rows
 
 
@@ -74,12 +118,15 @@ def _run(*argv) -> None:
     assert main([str(arg) for arg in argv]) == 0, argv
 
 
+def _write_table(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    return path
+
+
 def _outputs(tmp_path) -> tuple[dict, dict]:
     """The digests and labels that DIGESTS and LABELS pin, written under ``tmp_path``."""
-    header, rows = _census_rows()
-    plain = tmp_path / "plain.csv"
-    with open(plain, "w", newline="") as fh:
-        csv.writer(fh).writerows([header, *rows])
+    plain = _write_table(tmp_path / "plain.csv", *_census_rows())
     _run("mine", "--schema", "census", "--input", plain, "--sup-min", "0.02",
          "--out", tmp_path / "plain")
     digests = {"plain/itemsets.csv": _digest(tmp_path / "plain" / "itemsets.csv")}
@@ -103,3 +150,17 @@ def test_cli_outputs_match_their_pinned_digests(tmp_path):
     digests, labels = _outputs(tmp_path)
     assert labels == LABELS
     assert digests == DIGESTS
+
+
+def test_raw_number_input_outputs_match_their_pinned_digests(tmp_path):
+    assert N_RAW_RECORDS > BLOCK_ROWS
+    plain = _write_table(tmp_path / "raw.csv", *_raw_census_rows())
+    _run("mine", "--schema", "census", "--input", plain, "--sup-min", "0.02",
+         "--out", tmp_path / "plain")
+    names = [tmp_path / "plain" / "itemsets.csv"]
+    for mechanism in ("det-gd", "ran-gd"):
+        out = tmp_path / mechanism
+        _run("perturb", "--schema", "census", "--input", plain, "--mechanism", mechanism,
+             *PERTURB, "--out", out)
+        names += [out / "perturbed.csv", out / "metadata.json"]
+    assert {str(p.relative_to(tmp_path)): _digest(p) for p in names} == RAW_DIGESTS
