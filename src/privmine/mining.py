@@ -3,9 +3,9 @@
 The miner never sees original records. Every mechanism estimates a k-itemset
 I's support as (sum_l w[l]·N_l(I)/N - offset(I)) / scale, where N_l(I) counts
 the records carrying exactly l of I's k bits; the mechanisms differ only in
-these parameters (each spec's ``lattice_weights``). N_l follows exactly from
-the all-present counts c(S), S a subset of I, that one estimator keeps (the
-count lattice), for a whole Apriori level at once. Ground truth is c(I)/N.
+these parameters (each spec's ``class_weights``). One estimator counts N_l
+straight from the table's packed bit columns, for a whole Apriori level at
+once, and keeps no counts between levels. Ground truth is N_k(I)/N.
 
 The level loop stops before a length whose reconstruction condition number
 exceeds ``COND_CEILING``: estimates there are amplified rounding noise.
@@ -26,8 +26,8 @@ import numpy as np
 from .perturb import MECHANISMS, mask_expand_many
 from .reconstruct import count_subset
 
-# Unused here since supports come from the count lattice: perfbench's tracer
-# wraps these names in this module, and drops them once its metrics are
+# Unused here since supports come from direct overlap-class counts: perfbench's
+# tracer wraps these names in this module, and drops them once its metrics are
 # renamed (ROADMAP item 1).
 from .reconstruct import (  # noqa: F401
     cut_paste_supports,
@@ -125,15 +125,15 @@ class MiningResult:
 
 
 # ---------------------------------------------------------------------------
-# support estimation from the count lattice
+# support estimation from overlap-class counts
 # ---------------------------------------------------------------------------
 
 COND_CEILING = 1e12  # a length whose reconstruction is worse conditioned is not mined
-_BLOCK_BYTES = 1 << 16  # column bytes gathered per counting block
+_BLOCK_BYTES = 1 << 18  # column bytes gathered per counting block
 
 
 class SupportEstimator:
-    """Support estimates for one mechanism over one table, from one count lattice.
+    """Support estimates for one mechanism over one table, from its overlap classes.
 
     This is where a table meets its mechanism. ``spec`` is the one the
     clients used, an instance of one of ``MECHANISMS`` (None: the table is
@@ -142,13 +142,10 @@ class SupportEstimator:
     a ValueError here, before any counting. ``mechanism`` names the pair in
     mining results.
 
-    A mechanism's support estimate for an itemset I is a function of the
-    all-present counts c(S), for S a subset of I, of I's positions in the boolean
-    expansion (the one-hot expansion of a categorical table). The table is
-    kept as packed bit columns and the counts in a dict keyed by bit
-    positions, with c(()) = N; a missing count is one AND of its columns and
-    a popcount. Apriori makes every proper subset of a candidate an earlier
-    candidate, so within ``mine`` each candidate costs one new count."""
+    An itemset's positions are its bits in the boolean (one-hot) expansion,
+    kept as packed bit columns. Every count is a pass over its candidates'
+    columns, so an estimate depends on its own itemset alone and the
+    estimator's state never changes once built."""
 
     def __init__(self, data: Dataset | BooleanDataset, spec=None):
         if spec is not None:
@@ -164,46 +161,42 @@ class SupportEstimator:
             data.codes, data.schema)
         packed = np.packbits(bits, axis=0)
         self.columns = np.zeros((packed.shape[1], -(-len(packed) // 8)), np.uint64)
-        self.columns.view(np.uint8)[:, :len(packed)] = packed.T  # 64 records per word
+        self.columns.view(np.uint8)[:, :len(packed)] = packed.T  # 64 records per word, zero past N
         self.n = data.n_records
         self.schema = data.schema
         sizes = data.schema.sizes
         self.offsets = data.schema.boolean_offsets
         self.bit_sizes = np.repeat(sizes, sizes)  # category count of each bit's attribute
-        self.counts: dict[tuple[int, ...], int] = {(): self.n}
         self.spec = spec
 
-    def count(self, bits: tuple[int, ...]) -> int:
-        """Records carrying every one of ``bits`` (ascending positions)."""
-        c = self.counts.get(bits)
-        if c is None:
-            c = int(self.full_counts(np.array([bits], np.intp))[0])
-        return c
-
     def full_counts(self, bits: np.ndarray) -> np.ndarray:
-        """c(I) for every row of ``bits`` (candidates x ascending positions),
-        counted in blocks and added to the lattice."""
+        """N_k: records carrying all k positions of each row of ``bits``
+        (candidates x ascending positions), counted in blocks."""
         m, k = bits.shape
         out = np.empty(m, dtype=np.int64)
         step = max(1, _BLOCK_BYTES // (k * self.columns[0].nbytes))
         for start in range(0, m, step):
             both = np.bitwise_and.reduce(self.columns[bits[start:start + step]], axis=1)
             out[start:start + step] = np.bitwise_count(both).sum(axis=1)
-        self.counts.update(zip(map(tuple, bits.tolist()), out.tolist()))
         return out
 
-    def lattice(self, bits: np.ndarray) -> np.ndarray:
-        """(candidates, 2^k) counts c(S) of every subset S of each row's
-        positions, the row's j-th position at bit j of the column: column 0
-        holds N and the last column c(I)."""
-        self.full_counts(bits)
-        count, out = self.count, np.empty((len(bits), 1 << bits.shape[1]), dtype=np.int64)
-        for i, row in enumerate(bits.tolist()):
-            keys = [()]
-            for b in row:
-                keys += [key + (b,) for key in keys]
-            out[i] = [count(key) for key in keys]
-        return out
+    def class_counts(self, bits: np.ndarray) -> np.ndarray:
+        """(candidates, k + 1) counts N_l, l = 0..k, of the records carrying
+        exactly l of each row's k positions. Per block, ge[l - 1] marks the
+        records that carry at least l of the columns seen so far; N_0 is what
+        is left of N, so the zero words past record N are never counted."""
+        m, k = bits.shape
+        at_least = np.empty((m, k), dtype=np.int64)  # column l - 1: at least l of the k
+        step = max(1, _BLOCK_BYTES // (k * self.columns[0].nbytes))
+        for start in range(0, m, step):
+            cols = self.columns[bits[start:start + step]]  # (block, k, words)
+            ge = np.zeros((k,) + cols[:, 0].shape, np.uint64)
+            for j in range(k):
+                for l in range(j, 0, -1):  # descending: ge[l - 1] still lacks column j
+                    ge[l] |= ge[l - 1] & cols[:, j]
+                ge[0] |= cols[:, j]
+            at_least[start:start + step] = np.bitwise_count(ge).sum(axis=2).T
+        return -np.diff(at_least, axis=1, prepend=self.n, append=0)
 
     def estimate(self, candidates: list[Itemset]) -> np.ndarray:
         """Support estimates for one Apriori level (candidates of one length k),
@@ -215,12 +208,10 @@ class SupportEstimator:
         if self.spec is None:
             return self.full_counts(bits) / self.n
         k = bits.shape[1]
-        weights, offset, scale = self.spec.lattice_weights(k, self.bit_sizes[bits].prod(axis=1))
-        if weights[:k].any():  # N_l = sum_S (-1)^(|S|-l) C(|S|, l) c(S), exact in integers
-            sizes = np.bitwise_count(np.arange(1 << k)).tolist()
-            signs = [[(-1) ** (s + l) * math.comb(s, l) for l in range(k + 1)] for s in sizes]
-            sums = (self.lattice(bits) @ np.array(signs) * weights).sum(axis=1)  # row by row
-        else:  # N_k is c(I): one count per candidate, no lattice
+        weights, offset, scale = self.spec.class_weights(k, self.bit_sizes[bits].prod(axis=1))
+        if weights[:k].any():
+            sums = (self.class_counts(bits) * weights).sum(axis=1)
+        else:  # weights on N_k alone: one AND per candidate
             sums = self.full_counts(bits) * weights[k]
         return (sums / self.n - offset) / scale
 

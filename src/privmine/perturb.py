@@ -13,7 +13,7 @@ the command line and in metadata.json), ``table`` (the kind its clients send:
 beyond gamma and their JSON types; ``float`` takes any number), ``options``
 and ``from_metadata`` (those keys from the CLI options, and the spec from
 them; ``base`` is the gamma-diagonal spec of the run's gamma and schema),
-``label`` (for mining results), ``condition_number`` and ``lattice_weights``
+``label`` (for mining results), ``condition_number`` and ``class_weights``
 (the miner's inverse), ``draws`` and ``sample`` (uniform draws per record,
 and the block sampler). A new mechanism is one class and its tuple entry.
 
@@ -97,7 +97,7 @@ class GammaDiagonalSpec:
         subset marginal has it too, so it is the same at every itemset length."""
         return (self.gamma + self.n - 1) / (self.gamma - 1)
 
-    def lattice_weights(self, k: int, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    def class_weights(self, k: int, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """c(I) alone (N_k), less its subset marginal's (n // cells)·x, over (gamma - 1)·x."""
         return np.eye(k + 1)[k], (self.n // cells) * self.x, (self.gamma - 1) * self.x
 
@@ -115,7 +115,7 @@ class RandomizedGammaSpec:
     diagonal by r ~ Uniform[-alpha, alpha], off-diagonal by -r/(n-1), keeping
     every realized matrix column-stochastic with expectation equal to the
     base matrix. The miner inverts the base matrix: this spec gives its
-    base's schema, condition number, lattice weights and label.
+    base's schema, condition number, class weights and label.
 
     Each client draws its r independently, and the chain sampler's output
     law is linear in (d, o), so a perturbed table has exactly the base's
@@ -167,8 +167,8 @@ class RandomizedGammaSpec:
     def condition_number(self, length: int = 1) -> float:
         return self.base.condition_number(length)
 
-    def lattice_weights(self, k: int, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        return self.base.lattice_weights(k, cells)
+    def class_weights(self, k: int, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        return self.base.class_weights(k, cells)
 
     @property
     def draws(self) -> int:
@@ -224,7 +224,7 @@ class MaskSpec:
         except (ZeroDivisionError, OverflowError):  # p = 0.5, or within ulps of it
             return math.inf
 
-    def lattice_weights(self, k: int, cells: np.ndarray) -> tuple[np.ndarray, float, float]:
+    def class_weights(self, k: int, cells: np.ndarray) -> tuple[np.ndarray, float, float]:
         """The inverse Kronecker power's all-present row: a record carrying l of
         the k bits weighs p^l (p - 1)^(k - l), over (2p - 1)^k."""
         l = np.arange(k + 1)
@@ -290,7 +290,7 @@ class CutPasteSpec:
         # module's binding (perfbench's tracer) sees the call
         return condition_number(cut_paste_class_matrix(self, length))
 
-    def lattice_weights(self, k: int, cells: np.ndarray) -> tuple[np.ndarray, float, float]:
+    def class_weights(self, k: int, cells: np.ndarray) -> tuple[np.ndarray, float, float]:
         """The inverse overlap-class matrix's last row, entry l for a record with l of k bits."""
         return np.linalg.solve(cut_paste_class_matrix(self, k).T, np.eye(k + 1)[k]), 0.0, 1.0
 

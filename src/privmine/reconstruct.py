@@ -5,9 +5,9 @@ gamma-diagonal family, A over any attribute subset (the full domain is the
 subset of all attributes) has the structure a*I + b*J, so its inverse is
 closed-form and reconstruction costs O(n) instead of O(n^3). MASK
 reconstruction works over the 2^k bit-pattern space of a k-itemset,
-cut-and-paste over its k+1 overlap classes. The miner reconstructs a whole
-Apriori level at once from its count lattice (mining.SupportEstimator); the
-per-itemset paths here (mask_pattern_counts, reconstruct_mask_support,
+cut-and-paste over its k+1 overlap classes. The miner estimates a whole
+Apriori level at once from overlap-class counts (mining.SupportEstimator);
+the per-itemset paths here (mask_pattern_counts, reconstruct_mask_support,
 cut_paste_class_counts, cut_paste_supports) stay as its test references.
 Estimates are intentionally unclamped: negative entries are estimator
 artifacts that downstream consumers may count but must not silently zero

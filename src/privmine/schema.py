@@ -229,9 +229,9 @@ def _bin_labels(edges: Sequence[float], open_upper: bool) -> tuple[str, ...]:
 def load_schema(config_text: str) -> Schema:
     """Parse a YAML schema config into a validated Schema.
 
-    Each attribute entry carries either ``categories`` (list of labels, with
-    optional ``default`` catch-all) or ``bins`` (numeric edges, with optional
-    ``open_upper`` flag adding a final unbounded category).
+    Each attribute entry carries a ``name`` and either ``categories`` (labels,
+    with optional ``default`` catch-all) or ``bins`` (numeric edges, with an
+    optional boolean ``open_upper`` adding a final unbounded category), no other key.
     """
     doc = _parse_yaml(config_text)
     if not isinstance(doc, dict) or "attributes" not in doc:
@@ -253,6 +253,10 @@ def load_schema(config_text: str) -> Schema:
         if has_cats == has_bins:
             raise ValueError(f"attribute {name!r}: exactly one of 'categories'/'bins' required")
         key = "bins" if has_bins else "categories"
+        takes = ("name", "bins", "open_upper") if has_bins else ("name", "categories", "default")
+        if unknown := [k for k in entry if k not in takes]:
+            raise ValueError(f"attribute {name!r}: unknown key {unknown[0]!r}; an attribute "
+                             f"with {key!r} takes {', '.join(takes)}")
         if not isinstance(entry[key], list):
             raise ValueError(f"attribute {name!r}: {key!r} must be a list, got {entry[key]!r}")
         if has_bins:
@@ -261,7 +265,10 @@ def load_schema(config_text: str) -> Schema:
             except (TypeError, ValueError):
                 raise ValueError(f"attribute {name!r}: bins must be numbers, "
                                  f"got {entry['bins']!r}") from None
-            open_upper = bool(entry.get("open_upper", False))
+            open_upper = entry.get("open_upper", False)
+            if not isinstance(open_upper, bool):
+                raise ValueError(f"attribute {name!r}: 'open_upper' must be true or false, "
+                                 f"got {open_upper!r}")
             attributes.append(
                 Attribute(name=name, categories=_bin_labels(edges, open_upper),
                           bin_edges=edges, open_upper=open_upper)
@@ -385,8 +392,8 @@ def ingest_csv(
     """Read a CSV file into a Dataset, discretizing numeric attributes.
 
     Args:
-        path: CSV file path. Fields are stripped of surrounding whitespace,
-            so comma+space formats are accepted.
+        path: UTF-8 CSV file path (a leading byte-order mark is skipped).
+            Fields are stripped of surrounding whitespace.
         schema: target schema.
         column_map: attribute name -> column (header name or 0-based index).
             Defaults to matching header names, or schema order when the file
@@ -413,7 +420,7 @@ def ingest_csv(
     if on_error not in ("skip", "abort"):
         raise ValueError(f"on_error must be 'skip' or 'abort', got {on_error!r}")
     attrs = schema.attributes
-    with open(path, newline="") as fh, _csv_errors(path):
+    with open(path, newline="", encoding="utf-8-sig") as fh, _csv_errors(path):
         first = next(csv.reader(fh), None)
         if first is None:
             return Dataset(schema, np.empty((0, schema.n_attributes), dtype=np.int32))
@@ -587,7 +594,7 @@ def _parse_field(field_text: str | None, attribute: Attribute, clamp: bool) -> i
 
 
 def write_csv(dataset: Dataset, path: str) -> None:
-    """Write a dataset as a header + category-label CSV.
+    """Write a dataset as a header + category-label CSV, in UTF-8.
 
     Rows are written in blocks of ``BLOCK_ROWS``, and each distinct row is
     rendered once, the reader's rule mirrored: a block of which at most half
@@ -605,7 +612,7 @@ def write_csv(dataset: Dataset, path: str) -> None:
         return zip(*(lab[block[:, j]].tolist() for j, lab in enumerate(labels)))
 
     memo: dict[bytes, str] = {}  # distinct code row -> its CSV line
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([a.name for a in attrs])
         for lo in range(0, dataset.n_records, BLOCK_ROWS):
@@ -633,12 +640,12 @@ def _csv_lines(rows) -> list[str]:
 
 
 def write_boolean_csv(data: BooleanDataset, path: str) -> None:
-    """Write a boolean-cube dataset as a 0/1 CSV, one column per category bit,
-    under a header of the schema's item labels."""
+    """Write a boolean-cube dataset as a UTF-8 0/1 CSV, one column per category
+    bit, under a header of the schema's item labels."""
     # one row of text is 2 * width bytes: a digit, then ',' or the final '\n'
     line = np.full(2 * data.schema.boolean_width, ord(","), dtype=np.uint8)
     line[-1] = ord("\n")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(data.schema.item_labels)
         for lo in range(0, data.n_records, BLOCK_ROWS):
             bits = data.bits[lo:lo + BLOCK_ROWS]
@@ -648,13 +655,13 @@ def write_boolean_csv(data: BooleanDataset, path: str) -> None:
 
 
 def read_boolean_csv(path: str, schema: Schema) -> BooleanDataset:
-    """Read a 0/1 CSV as written by ``write_boolean_csv``. A header that is
-    not the schema's item labels (cells stripped), or a row that is not one 0
-    or 1 cell per category bit, raises a ValueError naming the file."""
+    """Read a UTF-8 0/1 CSV as written by ``write_boolean_csv``, skipping a leading BOM.
+    A header that is not the schema's item labels (cells stripped), or a row
+    that is not one 0 or 1 cell per category bit, raises a ValueError naming the file."""
     width = schema.boolean_width
     line = 2 * width  # characters per row: digits, commas, '\n'
     blocks = []
-    with open(path, newline="") as fh, _csv_errors(path):
+    with open(path, newline="", encoding="utf-8-sig") as fh, _csv_errors(path):
         reader = csv.reader(fh)
         if [c.strip() for c in next(reader, [])] != list(schema.item_labels):
             raise ValueError(f"{path}: the header is not the item labels of schema "

@@ -603,6 +603,32 @@ def test_read_boolean_csv_accepts_loose_layouts(tmp_path, census_schema):
         assert np.array_equal(back.bits, bits)
 
 
+def test_byte_order_mark_is_skipped(tmp_path, census_schema, caplog):
+    # a "CSV UTF-8" export starts with a byte-order mark; in a header read as
+    # "\ufefffnlwgt" no attribute would be found, and columns taken in schema
+    # order would read fnlwgt as age
+    text = ("fnlwgt,age,hours-per-week,race,sex,native-country\n"
+            "120000,25,40,White,Male,United-States\n"
+            "350000,60,20,Black,Female,Other\n"
+            "90000,17,45,Asian-Pac-Islander,Male,United-States\n"
+            "250000,44,80,Other,Female,Canada\n"
+            "410000,80,10,White,Male,United-States\n")
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text(text, encoding="utf-8", newline="")
+    bom.write_text("\ufeff" + text, encoding="utf-8", newline="")
+    with caplog.at_level(logging.WARNING, logger="privmine.schema"):
+        expected = ingest_csv(str(plain), census_schema).codes
+        found = ingest_csv(str(bom), census_schema).codes
+    assert not caplog.records
+    assert expected[:, :2].tolist() == [[0, 1], [2, 3], [0, 0], [1, 2], [3, 4]]
+    assert np.array_equal(found, expected)
+    bits = np.random.default_rng(9).random((5, census_schema.boolean_width)) < 0.5
+    path = tmp_path / "bits.csv"
+    write_boolean_csv(BooleanDataset(census_schema, bits), str(path))
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert np.array_equal(read_boolean_csv(str(path), census_schema).bits, bits)
+
+
 # ---------------------------------------------------------------------------
 # round-trip invariants over random schemas
 # ---------------------------------------------------------------------------

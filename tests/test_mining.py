@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -225,7 +226,7 @@ def test_noiseless_estimator_is_support_neutral():
             out = []
             for itemset in candidates:
                 sub = SubsetMarginalSpec.for_subset(spec, tuple(a for a, _ in itemset))
-                count = self.count(tuple(self.offsets[a] + c for a, c in itemset))
+                count = self.full_counts(np.array([[self.offsets[a] + c for a, c in itemset]]))[0]
                 expected = (sub.diag - sub.off) * (count / self.n) + sub.off
                 out.append((expected - sub.off) / ((sub.base.gamma - 1) * sub.base.x))
             return np.array(out)
@@ -517,7 +518,7 @@ def test_mask_closed_form_matches_exact_kronecker_inverse():
 
 
 # ---------------------------------------------------------------------------
-# the count lattice against the per-itemset reference paths
+# overlap-class counts against the per-itemset reference paths
 # ---------------------------------------------------------------------------
 
 def _close(found: float, expected: float, tol: float) -> bool:
@@ -528,8 +529,8 @@ def _close(found: float, expected: float, tol: float) -> bool:
 @given(sizes=st.lists(st.integers(2, 6), min_size=1, max_size=5), n_rows=st.integers(1, 300),
        seed=st.integers(0, 2**32 - 1), gamma=st.floats(1.01, 100.0), p=st.floats(0.55, 0.95),
        rho_cp=st.floats(0.05, 0.95), k_pick=st.integers(0, 4), density=st.floats(0.0, 1.0))
-def test_lattice_matches_reference_paths_property(sizes, n_rows, seed, gamma, p, rho_cp,
-                                                  k_pick, density):
+def test_class_counts_match_reference_paths_property(sizes, n_rows, seed, gamma, p, rho_cp,
+                                                     k_pick, density):
     # one level per length: an itemset on every attribute subset, random categories
     sch = make_schema(*sizes)
     rng = np.random.default_rng(seed)
@@ -545,21 +546,17 @@ def test_lattice_matches_reference_paths_property(sizes, n_rows, seed, gamma, p,
                  for attrs in itertools.combinations(range(len(sizes)), k)]
         positions = np.array([[sch.boolean_offsets[a] + c for a, c in itemset]
                               for itemset in level])
-        lattice = on_bits.lattice(positions)
-        for row, pos in zip(lattice, positions):
-            for code in range(1 << k):
-                subset = [pos[j] for j in range(k) if code >> j & 1]
-                assert row[code] == bits.bits[:, subset].all(axis=1).sum()
-        # records carrying exactly l of the k bits: sum_S (-1)^(|S|-l) C(|S|, l) c(S)
-        overlap = np.array([[(-1) ** (s + l) * math.comb(s, l) for l in range(k + 1)]
-                            for s in (bin(code).count("1") for code in range(1 << k))])
-        classes = lattice @ overlap
+        classes = on_bits.class_counts(positions)
+        assert np.array_equal(on_bits.full_counts(positions), classes[:, k])
         plain = SupportEstimator(data).estimate(level)
         gd_est = SupportEstimator(data, gd).estimate(level)
         mask_est = mask_on_bits.estimate(level)
         cp_est = cp_on_bits.estimate(level) if k <= cp.K else None
         for i, (itemset, pos) in enumerate(zip(level, positions.tolist())):
             attrs = tuple(a for a, _ in itemset)
+            # records carrying exactly l of the k bits
+            overlap = bits.bits[:, pos].sum(axis=1)
+            assert np.array_equal(classes[i], np.bincount(overlap, minlength=k + 1))
             assert np.array_equal(classes[i], cut_paste_class_counts(bits.bits, tuple(pos)))
             rel = count_subset(data, attrs) / n_rows
             cell = np.ravel_multi_index([c for _, c in itemset], [sizes[a] for a in attrs],
@@ -576,10 +573,10 @@ def test_lattice_matches_reference_paths_property(sizes, n_rows, seed, gamma, p,
                 assert cp_est[i] == cp_on_bits.estimate([itemset])[0]
 
 
-def test_gamma_diagonal_and_plain_mining_build_no_lattice(monkeypatch):
-    # the gamma-diagonal weights count c(I) alone, so gd mining keeps one
-    # count per candidate: on 12 attributes it reaches length 6 or 7 without
-    # a single subset lattice
+def test_gamma_diagonal_and_plain_mining_count_no_classes(monkeypatch):
+    # the gamma-diagonal weights sit on N_k alone, so gd mining keeps one
+    # AND per candidate: on 12 attributes it reaches length 6 or 7 without
+    # counting a single candidate's overlap classes
     sch = make_schema(*[10] * 12)
     data = generate_synthetic(sch, 5000, "uniform", seed=1)
     gd = GammaDiagonalSpec(gamma=19.0, schema=sch)
@@ -591,13 +588,51 @@ def test_gamma_diagonal_and_plain_mining_build_no_lattice(monkeypatch):
     expected = [run() for run in runs]
     assert [result.stop_length for result in expected] == [3, 6, 7]
 
-    def no_lattice(self, bits):
-        raise AssertionError(f"a lattice was built for {len(bits)} candidates")
+    def no_classes(self, bits):
+        raise AssertionError(f"overlap classes were counted for {len(bits)} candidates")
 
-    monkeypatch.setattr(SupportEstimator, "lattice", no_lattice)
+    monkeypatch.setattr(SupportEstimator, "class_counts", no_classes)
     for run, result in zip(runs, expected):
         found = run()
         assert (found.by_length, found.levels) == (result.by_length, result.levels)
+
+
+def _estimators(n_records: int, seed: int):
+    """Plain and all four mechanisms on one 5 x 4-category schema: random
+    labels for plain and the gamma-diagonal pair, random bits for MASK and
+    cut-and-paste."""
+    sch = make_schema(4, 4, 4, 4, 4)
+    rng = np.random.default_rng(seed)
+    data = Dataset(sch, rng.integers(0, 4, (n_records, 5)))
+    bits = BooleanDataset(sch, rng.random((n_records, sch.boolean_width)) < 0.3)
+    gd = GammaDiagonalSpec(gamma=19.0, schema=sch)
+    return [SupportEstimator(data), SupportEstimator(data, gd),
+            SupportEstimator(data, RandomizedGammaSpec.from_fraction(gd, 0.5)),
+            SupportEstimator(bits, MaskSpec(p=0.8, schema=sch)),
+            SupportEstimator(bits, CutPasteSpec(K=3, rho_cp=0.3, schema=sch))]
+
+
+def test_estimates_do_not_depend_on_counting_blocks(monkeypatch):
+    # 5000 records are 78 full words and 8 records more; at the default block
+    # size a 3-level's 640 candidates span several blocks, the last one short
+    estimators = _estimators(5000, seed=17)
+    levels = [[tuple(zip(attrs, cats)) for attrs in itertools.combinations(range(5), k)
+               for cats in itertools.product(range(4), repeat=k)] for k in (1, 2, 3)]
+    assert [len(level) for level in levels] == [20, 160, 640]
+    default = [[est.estimate(level) for level in levels] for est in estimators]
+    monkeypatch.setattr(mining, "_BLOCK_BYTES", 1)  # one candidate per block
+    for est, expected in zip(estimators, default):
+        for level, found in zip(levels, expected):
+            assert est.estimate(level).tobytes() == found.tobytes(), est.mechanism
+
+
+def test_mining_leaves_the_estimator_as_built():
+    # no counts are kept between levels: a whole run changes none of its state
+    estimators = _estimators(700, seed=5)
+    for est in estimators:
+        before = pickle.dumps(vars(est))
+        assert mine(est, 0.05).stop_length >= 2, est.mechanism
+        assert pickle.dumps(vars(est)) == before, est.mechanism
 
 
 @PROPERTIES

@@ -48,6 +48,7 @@ from privmine import (
     perturb_dataset,
     record_rng,
 )
+from privmine import perturb as perturb_module
 from privmine.perturb import (
     _BLOCK,
     _chain_bulk,
@@ -139,6 +140,36 @@ def test_draw_client_params_statistics():
     assert abs(d.mean() - base.diag) < 4 * sigma
     assert d.min() >= base.diag - spec.alpha - 1e-15
     assert d.max() <= base.diag + spec.alpha + 1e-15
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.5, 11 / 19])  # 11/19: the largest for n = 12
+def test_randomized_table_has_the_base_distribution(fraction, monkeypatch):
+    # a client's r is uniform on [-alpha, alpha] and independent of its
+    # record, and the chain's matrix is linear in (d, o): the shifts r and -r
+    # average to the base matrix, so a ran-gd table has det-gd's law
+    sizes = (2, 3, 2)
+    base = GammaDiagonalSpec(gamma=19.0, schema=make_schema(*sizes))
+    ran = RandomizedGammaSpec.from_fraction(base, fraction)
+    alpha, x, n = ran.alpha, base.x, base.n
+    assert alpha == pytest.approx(fraction * 19 * x, abs=1e-15)
+    shifted = [chain_matrix(sizes, 19 * x + r, x - r / (n - 1)).entries for r in (alpha, -alpha)]
+    assert np.abs((shifted[0] + shifted[1]) / 2
+                  - chain_matrix(sizes, 19 * x, x).entries).max() <= 1e-15
+    # draw 0 is the client's r: 0 maps to -alpha, the largest double below 1 to +alpha
+    seen = []
+
+    def capture(codes, u, d, o, schema):
+        seen.append((d, o))
+        return codes
+
+    monkeypatch.setattr(perturb_module, "_chain_bulk", capture)
+    u = np.full((2, 1 + len(sizes)), 0.5)
+    u[:, 0] = 0.0, np.nextafter(1.0, 0.0)
+    ran.sample(np.zeros((2, len(sizes)), dtype=np.int64), u)
+    (d, o), = seen
+    assert (d[0], o[0]) == (19 * x - alpha, x + alpha / (n - 1))
+    assert d[1] == pytest.approx(19 * x + alpha, rel=1e-15, abs=1e-15)
+    assert o[1] == pytest.approx(x - alpha / (n - 1), rel=1e-15, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,20 @@ def test_load_schema_errors():
     ("attributes:\n  - name: a\n    bins: 5\n", "attribute 'a': 'bins' must be a list, got 5"),
     ("attributes:\n  - name: a\n    bins: [0, [1], 2]\n", "attribute 'a': bins must be numbers"),
     ("attributes:\n  - name: a\n    bins: [0, one, 2]\n", "attribute 'a': bins must be numbers"),
+    ("attributes:\n  - name: a\n    bins: [0, 1]\n    open_upper: \"false\"\n",
+     "attribute 'a': 'open_upper' must be true or false, got 'false'"),
+    ("attributes:\n  - name: a\n    bins: [0, 1]\n    open_upper: \"no\"\n",
+     "attribute 'a': 'open_upper' must be true or false, got 'no'"),
+    ("attributes:\n  - name: a\n    bins: [0, 1]\n    open_upper: 1\n",
+     "attribute 'a': 'open_upper' must be true or false, got 1"),
+    ("attributes:\n  - name: a\n    bins: [0, 1]\n    open_uper: true\n",
+     "attribute 'a': unknown key 'open_uper'; an attribute with 'bins' takes name, bins, "
+     "open_upper"),
+    ("attributes:\n  - name: a\n    bins: [0, 1]\n    default: x\n",
+     "attribute 'a': unknown key 'default'"),
+    ("attributes:\n  - name: a\n    categories: [x, y]\n    open_upper: true\n",
+     "attribute 'a': unknown key 'open_upper'; an attribute with 'categories' takes name, "
+     "categories, default"),
 ])
 def test_load_schema_rejects_malformed_shapes(config, message):
     with pytest.raises(ValueError, match=re.escape(message)):
