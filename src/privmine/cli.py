@@ -157,7 +157,7 @@ def _fraction_list(text: str) -> list[float]:
 def _read_object(path: Path, kinds: dict[str, type]) -> dict:
     """A JSON object from ``path``; where present, each key of ``kinds``
     holds an integer (kind ``int``) or a number (kind ``float``)."""
-    obj = json.loads(path.read_text())
+    obj = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(obj, dict):
         raise ValueError(f"{path} must hold a JSON object, got {type(obj).__name__}")
     for key, kind in kinds.items():
@@ -176,7 +176,7 @@ def _require(obj: dict, path: Path, keys) -> None:
 def _load_schema_arg(name_or_path: str) -> Schema:
     path = Path(name_or_path)
     if path.suffix in (".yaml", ".yml") or path.exists():
-        return load_schema(path.read_text())
+        return load_schema(path.read_text(encoding="utf-8"))
     return builtin_schema(name_or_path)
 
 
@@ -206,7 +206,7 @@ def _load_dataset(args, schema: Schema) -> Dataset:
         return generate_synthetic(schema, args.n_records, "uniform", args.data_seed)
     path = Path(args.schema)
     if path.exists():
-        dist = load_reference_distribution(path.read_text(), schema)
+        dist = load_reference_distribution(path.read_text(encoding="utf-8"), schema)
     else:
         dist = builtin_distribution(args.schema)
     return generate_synthetic(schema, args.n_records, dist, args.data_seed)
@@ -251,7 +251,7 @@ def _perturb(data: Dataset, spec, seed: int) -> Dataset | BooleanDataset:
 
 
 def _write_rows(path: Path, header: tuple[str, ...], rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -303,7 +303,7 @@ def cmd_perturb(args) -> int:
     else:
         written = out / "perturbed.csv"
         write_csv(perturbed, written)
-    (out / "metadata.json").write_text(json.dumps(meta, indent=2) + "\n")
+    (out / "metadata.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {written} ({data.n_records} records) and metadata.json")
     return EXIT_OK
 
@@ -326,7 +326,7 @@ def _write_mining_result(out: Path, result: MiningResult, schema: Schema, runtim
         "levels": [dataclasses.asdict(level) for level in result.levels],
         "runtime_s": round(runtime, 3),
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
 
 
 def _read_mining_result(directory: Path, schema: Schema) -> MiningResult:
@@ -341,7 +341,7 @@ def _read_mining_result(directory: Path, schema: Schema) -> MiningResult:
                                           for c in range(size))))
     by_length: dict[int, dict] = {}
     path = directory / "itemsets.csv"
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         if next(reader, None) is None:  # the header
             raise ValueError(f"{path} is empty: it has no header row")
@@ -408,7 +408,7 @@ def cmd_evaluate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_rows(out / "accuracy.csv", ("mechanism", "length", "metric", "value"),
                 report.to_csv_rows(found.mechanism))
-    (out / "accuracy.json").write_text(report.to_json() + "\n")
+    (out / "accuracy.json").write_text(report.to_json() + "\n", encoding="utf-8")
     o = report.overall
     print(
         f"overall: support error {_fmt_pct(o.support_error_pct)}, "
@@ -554,7 +554,7 @@ def cmd_compare(args) -> int:
                     ("alpha_fraction", "length", "support_error_pct", "false_positive_pct",
                      "false_negative_pct", "posterior_low_pct", "posterior_high_pct"),
                     sweep_rows)
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     print(f"wrote comparison tables for {', '.join(mechanisms)} to {out}")
     return EXIT_OK
 

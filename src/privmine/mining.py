@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .perturb import MECHANISMS, mask_expand_many
+from .perturb import MECHANISMS
 from .reconstruct import count_subset
 
 # Unused here since supports come from direct overlap-class counts: perfbench's
@@ -143,9 +143,10 @@ class SupportEstimator:
     mining results.
 
     An itemset's positions are its bits in the boolean (one-hot) expansion,
-    kept as packed bit columns. Every count is a pass over its candidates'
-    columns, so an estimate depends on its own itemset alone and the
-    estimator's state never changes once built."""
+    kept as packed bit columns. They are packed along the record axis, 8·k
+    records at a time, so the table's whole expansion is never made. Every
+    count is a pass over its candidates' columns, so an estimate depends on
+    its own itemset alone and the estimator's state never changes once built."""
 
     def __init__(self, data: Dataset | BooleanDataset, spec=None):
         if spec is not None:
@@ -157,14 +158,19 @@ class SupportEstimator:
         self.mechanism = "plain" if spec is None else spec.label
         if data.n_records == 0:
             raise ValueError("cannot mine an empty dataset")
-        bits = data.bits if isinstance(data, BooleanDataset) else mask_expand_many(
-            data.codes, data.schema)
-        packed = np.packbits(bits, axis=0)
-        self.columns = np.zeros((packed.shape[1], -(-len(packed) // 8)), np.uint64)
-        self.columns.view(np.uint8)[:, :len(packed)] = packed.T  # 64 records per word, zero past N
         self.n = data.n_records
         self.schema = data.schema
-        sizes = data.schema.sizes
+        sizes, width = data.schema.sizes, data.schema.boolean_width
+        self.columns = np.zeros((width, -(-self.n // 64)), np.uint64)  # 64 records per word
+        packed = self.columns.view(np.uint8)  # 8 records per byte, zero past N
+        step = 8 * max(1, _BLOCK_BYTES // (8 * width))  # records whose rows fill a block
+        for start in range(0, self.n, step):
+            if isinstance(data, BooleanDataset):
+                rows = np.ascontiguousarray(data.bits[start:start + step].T)
+            else:  # bit offsets[j] + c: the chunk's records whose attribute j is c
+                rows = np.concatenate([data.codes[start:start + step, j] == np.arange(s)[:, None]
+                                       for j, s in enumerate(sizes)])
+            packed[:, start // 8:(start + rows.shape[1] + 7) // 8] = np.packbits(rows, axis=1)
         self.offsets = data.schema.boolean_offsets
         self.bit_sizes = np.repeat(sizes, sizes)  # category count of each bit's attribute
         self.spec = spec

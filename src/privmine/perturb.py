@@ -300,10 +300,16 @@ class CutPasteSpec:
 
     def sample(self, codes: np.ndarray, u: np.ndarray) -> np.ndarray:
         """As ``cut_paste_perturb``: draw 0 gives the cut count j, draws 1..M_b
-        the fresh bits, the last M rank the record's ones."""
+        the fresh bits, the last M rank the record's ones (stable ranks, by pairs)."""
         K, M_b = self.K, self.M_b
         w = np.minimum((u[:, 0] * (K + 1)).astype(np.int64), K)  # K <= M
-        rank = np.argsort(np.argsort(u[:, 1 + M_b:], axis=1, kind="stable"), axis=1)
+        r = u[:, 1 + M_b:]
+        rank = np.zeros(r.shape, np.int64)
+        for a in range(1, self.M):
+            for b in range(a):
+                first = r[:, b] <= r[:, a]  # b < a: a tie ranks b first
+                rank[:, a] += first
+                rank[:, b] += ~first
         block = u[:, 1:1 + M_b] < self.rho_cp
         ones = np.asarray(self.schema.boolean_offsets) + codes  # the record's ones, in bit order
         kept = np.take_along_axis(block, ones, 1) | (rank < w[:, None])

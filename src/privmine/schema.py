@@ -291,7 +291,7 @@ def _builtin_config_text(name: str) -> str:
 
     ref = resources.files(__package__) / "schemas" / f"{name}.yaml"
     try:
-        return ref.read_text()
+        return ref.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ValueError(f"no builtin schema named {name!r}") from None
 

@@ -658,6 +658,35 @@ def test_schema_label_with_itemset_separator_is_rejected(tmp_path, capsys):
     assert "contain ';'" in err
 
 
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    """A schema, table and result files with a non-ASCII label go through
+    ``mine`` and ``evaluate`` under an ASCII locale, to the same bytes as
+    under UTF-8: every file the CLI reads or writes is UTF-8."""
+    (tmp_path / "s.yaml").write_text("attributes:\n"
+                                     "  - name: city\n    categories: [Zürich, Basel]\n"
+                                     "  - name: size\n    categories: [small, large]\n",
+                                     encoding="utf-8")
+    (tmp_path / "t.csv").write_text("city,size\nZürich,small\nZürich,large\nBasel,small\n",
+                                    encoding="utf-8")
+    package_root = str(pathlib.Path(privmine.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join([package_root, *filter(None, [os.environ.get("PYTHONPATH")])])
+    itemsets = []
+    for utf8, locale in (("0", "C"), ("1", "C.UTF-8")):
+        env = dict(os.environ, PYTHONPATH=pythonpath, LC_ALL=locale, PYTHONCOERCECLOCALE="0")
+        out = tmp_path / f"utf8-{utf8}"
+        for argv in (["mine", "--schema", "s.yaml", "--input", "t.csv", "--sup-min", "0.2",
+                      "--out", str(out / "mined")],
+                     ["evaluate", "--schema", "s.yaml", "--found", str(out / "mined"),
+                      "--truth", str(out / "mined"), "--out", str(out / "eval")]):
+            proc = subprocess.run([sys.executable, "-X", f"utf8={utf8}", "-m", "privmine.cli",
+                                   *argv], capture_output=True, text=True, timeout=120,
+                                  env=env, cwd=tmp_path)
+            assert proc.returncode == 0, (locale, proc.stderr)
+        itemsets.append((out / "mined" / "itemsets.csv").read_bytes())
+    assert "city=Zürich,1,".encode() in itemsets[0]
+    assert itemsets[0] == itemsets[1]
+
+
 def test_mine_warns_about_skipped_rows(tmp_path, data_dir):
     """The skipped-rows count reaches stderr with no logging set up: the
     adult sample loses rows 6 (missing race) and 9 (age below the bins)."""

@@ -119,7 +119,7 @@ def _edge_file(path, columns, header, seed=0):
                 continue
             row.update(edge)
         lines.append(_line(row, columns, crlf))
-    path.write_text("".join(lines), newline="")
+    path.write_text("".join(lines), newline="", encoding="utf-8")
 
 
 def _assert_same_ingest(path, caplog, **kwargs):
@@ -179,7 +179,7 @@ def test_abort_names_the_row_at_each_block_boundary(tmp_path, clamp):
         else:
             lines[row_no - 1] = _line({**_valid_row(rng), **bad[n]}, FILE_COLUMNS)
         path = tmp_path / f"bad{n}.csv"
-        path.write_text("".join(lines))
+        path.write_text("".join(lines), encoding="utf-8")
         kwargs = {"column_map": BY_INDEX, "on_error": "abort", "clamp": clamp}
         with pytest.raises(ValueError) as got:
             ingest_csv(str(path), EDGE_SCHEMA, **kwargs)
@@ -193,11 +193,12 @@ def test_abort_names_the_row_at_each_block_boundary(tmp_path, clamp):
 def test_field_past_csv_limit_is_value_error(tmp_path, census_schema, on_error):
     path = tmp_path / "long.csv"
     path.write_text("age,fnlwgt,hours-per-week,race,sex,native-country\n"
-                    f"30,50000,40,{'x' * 140_000},Male,United-States\n")
+                    f"30,50000,40,{'x' * 140_000},Male,United-States\n", encoding="utf-8")
     limit = csv.field_size_limit()
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: field larger than field limit"):
         ingest_csv(str(path), census_schema, on_error=on_error)
-    path.write_text(",".join(["x" * 140_000] * census_schema.boolean_width) + "\n")
+    path.write_text(",".join(["x" * 140_000] * census_schema.boolean_width) + "\n",
+                    encoding="utf-8")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: field larger than field limit"):
         read_boolean_csv(str(path), census_schema)
     assert csv.field_size_limit() == limit
@@ -206,11 +207,11 @@ def test_field_past_csv_limit_is_value_error(tmp_path, census_schema, on_error):
 def test_negative_column_index_too_short_is_a_bad_row(tmp_path, caplog):
     sch = Schema("s", (EDGE_SCHEMA.attributes[3],))
     path = tmp_path / "neg.csv"
-    path.write_text("US,yes\nUK\n")  # ragged block
+    path.write_text("US,yes\nUK\n", encoding="utf-8")  # ragged block
     with caplog.at_level(logging.WARNING, logger="privmine.schema"):
         ds = ingest_csv(str(path), sch, column_map={"country": -2})
         assert ds.codes.tolist() == [[0]]
-        path.write_text("US,yes\nUK,no\n")  # equal widths
+        path.write_text("US,yes\nUK,no\n", encoding="utf-8")  # equal widths
         ds = ingest_csv(str(path), sch, column_map={"country": -3})
         assert ds.n_records == 0
     assert [r.getMessage() for r in caplog.records] == [
@@ -243,7 +244,7 @@ def _write_lines(path, lines, at=None):
     lines = list(lines)
     for row_no, text in (at or {}).items():
         lines[row_no - 1] = text
-    path.write_text("".join(lines), newline="")
+    path.write_text("".join(lines), newline="", encoding="utf-8")
     return path
 
 
@@ -460,7 +461,7 @@ def _savetxt_boolean_csv(data):
 
 
 def _text(path):
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         return fh.read()
 
 
@@ -521,7 +522,7 @@ def test_write_csv_distinct_rows_new_repeated_new(tmp_path, schema):
 def _bits_file(tmp_path, census_schema, body):
     path = tmp_path / "bits.csv"
     header = ",".join(f"{a.name}={c}" for a in census_schema.attributes for c in a.categories)
-    path.write_text(header + "\n" + body, newline="")
+    path.write_text(header + "\n" + body, newline="", encoding="utf-8")
     return str(path)
 
 
@@ -535,11 +536,12 @@ def test_read_boolean_csv_requires_the_schemas_item_labels(tmp_path, census_sche
     path = tmp_path / "bits.csv"
     write_boolean_csv(BooleanDataset(census_schema, bits), str(path))
     header, body = _text(path).split("\n", 1)
-    path.write_text(header.replace(",", " , ") + "\n" + body)  # cells are stripped
+    # cells are stripped
+    path.write_text(header.replace(",", " , ") + "\n" + body, encoding="utf-8")
     assert np.array_equal(read_boolean_csv(str(path), census_schema).bits, bits)
     foreign = ",".join(make_schema(*census_schema.sizes).item_labels)  # the same width
     for text in (body, foreign + "\n" + body, ""):
-        path.write_text(text, newline="")
+        path.write_text(text, newline="", encoding="utf-8")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: the header is not"):
             read_boolean_csv(str(path), census_schema)
 
@@ -583,10 +585,10 @@ def test_read_boolean_csv_past_the_first_block(tmp_path, census_schema):
     k = BLOCK_ROWS + 2  # data row index; file row k + 2
     loose = list(lines)
     loose[k + 1] = loose[k + 1].replace(",", " , ") + "\r"
-    path.write_text("\n".join(loose), newline="")
+    path.write_text("\n".join(loose), newline="", encoding="utf-8")
     assert np.array_equal(read_boolean_csv(str(path), census_schema).bits, bits)
     lines[k + 1] = "2" + lines[k + 1][1:]
-    path.write_text("\n".join(lines), newline="")
+    path.write_text("\n".join(lines), newline="", encoding="utf-8")
     with pytest.raises(ValueError, match=f"row {k + 2}: expected"):
         read_boolean_csv(str(path), census_schema)
 

@@ -4,6 +4,7 @@ import itertools
 import math
 import pickle
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import PROPERTIES, make_schema, read_labels
+from oracles.packed_columns import one_hot, packed_columns
 from privmine import (
     BooleanDataset,
     CutPasteSpec,
@@ -620,10 +622,12 @@ def test_estimates_do_not_depend_on_counting_blocks(monkeypatch):
                for cats in itertools.product(range(4), repeat=k)] for k in (1, 2, 3)]
     assert [len(level) for level in levels] == [20, 160, 640]
     default = [[est.estimate(level) for level in levels] for est in estimators]
-    monkeypatch.setattr(mining, "_BLOCK_BYTES", 1)  # one candidate per block
+    monkeypatch.setattr(mining, "_BLOCK_BYTES", 1)  # one candidate, or 8 records, per block
     for est, expected in zip(estimators, default):
         for level, found in zip(levels, expected):
             assert est.estimate(level).tobytes() == found.tobytes(), est.mechanism
+    for est, rebuilt in zip(estimators, _estimators(5000, seed=17)):
+        assert rebuilt.columns.tobytes() == est.columns.tobytes(), est.mechanism
 
 
 def test_mining_leaves_the_estimator_as_built():
@@ -633,6 +637,66 @@ def test_mining_leaves_the_estimator_as_built():
         before = pickle.dumps(vars(est))
         assert mine(est, 0.05).stop_length >= 2, est.mechanism
         assert pickle.dumps(vars(est)) == before, est.mechanism
+
+
+def _reference_columns(data) -> np.ndarray:
+    """The table's columns packed all at once (tests/oracles/packed_columns.py)."""
+    bits = data.bits if isinstance(data, BooleanDataset) else one_hot(data.codes, data.schema.sizes)
+    return packed_columns(bits)
+
+
+def _tables(sch, n_records: int, seed: int):
+    rng = np.random.default_rng(seed)
+    return (Dataset(sch, np.column_stack([rng.integers(0, s, n_records) for s in sch.sizes])),
+            BooleanDataset(sch, rng.random((n_records, sch.boolean_width)) < 0.3))
+
+
+def test_columns_are_packed_in_chunks_of_whole_bytes(census_schema, monkeypatch):
+    # the build packs a fixed multiple of 8 records per chunk, whose one-hot
+    # rows fill at most _BLOCK_BYTES; the chunk size is read off the calls
+    shapes = []
+    packbits = np.packbits
+
+    def spy(rows, axis):
+        shapes.append(rows.shape)
+        return packbits(rows, axis=axis)
+
+    label, bits = _tables(census_schema, 50_000, seed=2)
+    monkeypatch.setattr(np, "packbits", spy)
+    for data in (label, bits):
+        shapes.clear()
+        SupportEstimator(data)
+        chunk = shapes[0][1]
+        assert chunk % 8 == 0
+        assert mining._BLOCK_BYTES - 8 * census_schema.boolean_width < (
+            chunk * census_schema.boolean_width) <= mining._BLOCK_BYTES
+        assert {w for _, w in shapes[:-1]} == {chunk} and 0 < shapes[-1][1] <= chunk
+        assert {rows for rows, _ in shapes} == {census_schema.boolean_width}
+        assert sum(w for _, w in shapes) == 50_000
+
+
+def test_columns_equal_the_whole_table_packing(census_schema):
+    # record counts around a word and around a build chunk, for both table
+    # kinds; the zero words past the last record included
+    chunk = 8 * (mining._BLOCK_BYTES // (8 * census_schema.boolean_width))
+    assert chunk > 65
+    for n in (1, 7, 8, 9, 63, 64, 65, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+        for data in _tables(census_schema, n, seed=n):
+            columns = SupportEstimator(data).columns
+            assert columns.shape == (census_schema.boolean_width, -(-n // 64))
+            assert columns.tobytes() == _reference_columns(data).tobytes(), (type(data), n)
+
+
+@PROPERTIES
+@given(sizes=st.lists(st.integers(2, 6), min_size=1, max_size=5), n_rows=st.integers(1, 300),
+       block_bytes=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
+def test_columns_equal_the_whole_table_packing_property(sizes, n_rows, block_bytes, seed):
+    # small blocks put several chunk boundaries, a byte's or a word's width
+    # apart or not, into a few hundred records
+    label, bits = _tables(make_schema(*sizes), n_rows, seed)
+    with mock.patch.object(mining, "_BLOCK_BYTES", block_bytes):
+        for data in (label, bits):
+            assert SupportEstimator(data).columns.tobytes() == _reference_columns(data).tobytes()
 
 
 @PROPERTIES

@@ -754,6 +754,38 @@ def test_cut_paste_dataset_deterministic():
         assert np.array_equal(a.bits[i], cut_paste_perturb(bits[i], spec, record_rng(6, i)))
 
 
+def test_cut_paste_ranks_break_ties_toward_the_lower_position():
+    # forced ties among the rank draws: all equal, each pair of positions
+    # equal, and all equal to the cut draw; K = M, so every rank is compared
+    sch = make_schema(2, 3, 2, 4, 2)
+    spec = CutPasteSpec(K=5, rho_cp=0.3, schema=sch)
+    M, M_b = spec.M, spec.M_b
+    rng = np.random.default_rng(8)
+    cases = []
+    for a, b in [(None, None), *((a, b) for a in range(M) for b in range(a + 1, M))]:
+        u = rng.random((60, spec.draws))
+        if a is None:
+            u[:30, 1 + M_b:] = u[:30, :1]  # the cut draw's value
+            u[30:, 1 + M_b:] = 0.5
+        else:
+            u[:, 1 + M_b + b] = u[:, 1 + M_b + a]
+        cases.append(u)
+    u = np.concatenate(cases)
+    codes = np.column_stack([rng.integers(0, s, len(u)) for s in sch.sizes])
+    found = spec.sample(codes, u)
+    # the oracle: stable ranks by a double argsort; the w = j lowest are kept
+    w = np.minimum((u[:, 0] * (spec.K + 1)).astype(np.int64), spec.K)
+    rank = np.argsort(np.argsort(u[:, 1 + M_b:], axis=1, kind="stable"), axis=1)
+    expect = u[:, 1:1 + M_b] < spec.rho_cp
+    rows, positions = np.nonzero(rank < w[:, None])
+    expect[rows, (np.asarray(sch.boolean_offsets) + codes)[rows, positions]] = True
+    assert 0 < ((w > 0) & (w < M)).mean() < 1
+    assert np.array_equal(found, expect)
+    bits = mask_expand_many(codes, sch)
+    for i in range(len(u)):
+        assert np.array_equal(cut_paste_perturb(bits[i], spec, FixedUniformRng(*u[i])), found[i])
+
+
 def test_cut_paste_perturb_needs_one_item_per_attribute():
     spec = _cp_spec()
     bits = mask_expand(CP_RECORD, spec.schema)
