@@ -200,7 +200,7 @@ def _ingest(args, schema: Schema) -> Dataset:
 def _load_dataset(args, schema: Schema) -> Dataset:
     if args.input:
         return _ingest(args, schema)
-    if not 1 <= args.n_records <= 2 ** 32:  # the per-record stream index bound
+    if not 1 <= args.n_records <= 2 ** 32:  # a bound on the size of a synthetic table
         raise ValueError(f"record count must lie in [1, 2**32], got {args.n_records}")
     if args.synthetic == "uniform":
         return generate_synthetic(schema, args.n_records, "uniform", args.data_seed)

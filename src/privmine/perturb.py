@@ -17,19 +17,20 @@ them; ``base`` is the gamma-diagonal spec of the run's gamma and schema),
 (the miner's inverse), ``draws`` and ``sample`` (uniform draws per record,
 and the block sampler). A new mechanism is one class and its tuple entry.
 
-Randomness contract: record i of a dataset-level operation draws from numpy's
-PCG64 seeded by SeedSequence(seed, spawn_key=(i,)), so its output depends
-only on (seed, i): results are reproducible and independent of record order.
-``record_rng`` is the scalar definition of that stream. Each mechanism takes
-``draws`` ``random()`` doubles from it: det-gd M (one per attribute
-for the chain sampler); ran-gd 1 + M (the client's shift r, then the chain);
-MASK M_b (one flip test per bit); cut-and-paste 1 + M_b + M (the cut count,
-one fresh-bit test per bit, one rank per original item): a prefix of the
-stream, so ``perturb_tables`` perturbs under several specs in one pass. It
-derives every record's PCG64 state and increment in bulk as two uint64
-arrays, high and low halves (``_record_states``), steps them one block at a
-time to the most draws of its specs (``_uniform_blocks``) and gives the scalar
-samplers' bytes. It hashes only the index word, for all records at once.
+Randomness contract: record i of a dataset-level operation takes its draws
+4j..4j+3 from ``Generator(Philox(key=k_j, counter=i)).random(4)``, where
+``k_j = SeedSequence(seed, spawn_key=(j,)).generate_state(2, np.uint64)``, so
+its output depends only on (seed, i): results are reproducible and
+independent of record order. ``record_rng`` is the scalar definition of
+that stream. Each mechanism takes ``draws`` ``random()`` doubles from it:
+det-gd M (one per attribute for the chain sampler); ran-gd 1 + M (the
+client's shift r, then the chain); MASK M_b (one flip test per bit);
+cut-and-paste 1 + M_b + M (the cut count, one fresh-bit test per bit, one
+rank per original item): a prefix of the stream, so ``perturb_tables``
+perturbs under several specs in one pass. Its blocks of records take one
+Philox generator per key, counter at the block's first record, drawing to the
+most draws of its specs (``_uniform_blocks``), and give the scalar samplers'
+bytes.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schema import BooleanDataset, Dataset, Record, Schema
+from .schema import BLOCK_ROWS, BooleanDataset, Dataset, Record, Schema
 
 
 # ---------------------------------------------------------------------------
@@ -324,107 +325,55 @@ MECHANISMS = (GammaDiagonalSpec, RandomizedGammaSpec, MaskSpec, CutPasteSpec)
 # per-record random streams, and one pass over them for several specs
 # ---------------------------------------------------------------------------
 
-def record_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent, reproducible stream for one record, order-independent."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+def _key(seed: int, j: int) -> np.ndarray:
+    """The Philox key of draws 4j..4j+3 of every record under ``seed``."""
+    seq = np.random.SeedSequence(operator.index(seed), spawn_key=(j,))
+    return seq.generate_state(2, np.uint64)
 
 
-# numpy's SeedSequence hash constants; PCG64's multiplier as halves MH, ML
-_M32 = 0xFFFFFFFF
-_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
-_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
-_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
-_MH, _ML = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
-_ML1, _ML0 = np.uint64(0x4385DF64), np.uint64(0x9FCCF645)  # ML's 32-bit halves
-_U32, _S1, _S11, _S32, _S58, _S63 = map(np.uint64, (_M32, 1, 11, 32, 58, 63))
-_BLOCK = 4096  # records per bulk derivation; bounds the per-block temporaries
+def _draws(keys, start: int, n: int) -> np.ndarray:
+    """(4 * len(keys), n) uniforms: entry [4j + c, r] is draw 4j + c of record
+    start + r, from ``Generator(Philox(key=keys[j], counter=start + r)).random(4)``."""
+    out = np.empty((4 * len(keys), n))
+    for j, key in enumerate(keys):
+        bits = np.random.Philox(key=key, counter=start)
+        out[4 * j:4 * j + 4] = np.random.Generator(bits).random((n, 4)).T
+    return out
 
 
-def _hashmix(value, const: list[int], mult: int):
-    """SeedSequence's hashmix on 32-bit words (mult _SS_MULT_A; generate_state
-    mixes its output words the same way with _SS_MULT_B); advances const[0]."""
-    value = value ^ const[0]
-    const[0] = const[0] * mult & _M32
-    value = value * const[0] & _M32
-    return value ^ (value >> 16)
+class _RecordStream:
+    """``record_rng``'s stream: ``random()`` and ``random(n)`` read one
+    record's draws in order, deriving each block of four when it is reached."""
+
+    def __init__(self, seed: int, index: int) -> None:
+        self._seed, self._index = seed, index
+        self._drawn = _draws([_key(seed, 0)], index, 1)[:, 0]
+        self._read = 0
+
+    def random(self, size: int | None = None):
+        stop = self._read + (1 if size is None else size)
+        while len(self._drawn) < stop:
+            key = _key(self._seed, len(self._drawn) // 4)
+            self._drawn = np.concatenate([self._drawn, _draws([key], self._index, 1)[:, 0]])
+        out = self._drawn[self._read:stop]
+        self._read = stop
+        return float(out[0]) if size is None else out
 
 
-def _mix(x, y):
-    r = (_SS_MIX_L * x - _SS_MIX_R * y) & _M32
-    return r ^ (r >> 16)
-
-
-def _pcg_step(state: np.ndarray, inc: np.ndarray) -> None:
-    """One PCG64 step in place, state = state * MULT + inc mod 2**128, on (2, n)
-    uint64 (hi, lo) halves. lo * ML wraps in one multiply; only its high word,
-    mulhi(lo, ML), goes through 32-bit parts (four products)."""
-    hi, lo = state
-    lo0, lo1 = lo & _U32, lo >> _S32
-    t = lo1 * _ML0 + (lo0 * _ML0 >> _S32)
-    w = lo0 * _ML1 + (t & _U32)
-    hi *= _ML
-    hi += lo * _MH + lo1 * _ML1 + (t >> _S32) + (w >> _S32) + inc[0]
-    lo *= _ML
-    lo += inc[1]
-    hi += lo < inc[1]  # carry out of the low half
-
-
-def _record_states(seed: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """PCG64 ``(state, inc)`` that ``record_rng(seed, i)`` starts from, for
-    i in [start, stop): two (2, stop - start) uint64 arrays, rows (hi, lo).
-
-    numpy's ``SeedSequence(seed)`` mixes the seed's 32-bit words into its
-    pool, making four hashmix calls per word (at least 16, as the words are
-    zero-padded to four); the bulk path hashes only the index word, from that
-    hash constant on. generate_state yields four uint64 words g; PCG64's
-    srandom takes initstate = g0 << 64 | g1 and inc = (g2 << 64 | g3) << 1 | 1,
-    steps once from state 0 (giving inc), adds initstate with a carry between
-    the halves and steps once more.
-    """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    if not 0 <= start <= stop <= 1 << 32:
-        raise ValueError(f"record indices must lie in [0, 2**32), got [{start}, {stop})")
-    n_words = max(4, -(-seed.bit_length() // 32))
-    const = [_SS_INIT_A * pow(_SS_MULT_A, 4 * n_words, 1 << 32) & _M32]
-    index = np.arange(start, stop, dtype=np.uint64)
-    pool = [_mix(p, _hashmix(index, const, _SS_MULT_A))
-            for p in np.random.SeedSequence(seed).pool.tolist()]
-    const = [_SS_INIT_B]
-    v = np.stack([_hashmix(pool[k % 4], const, _SS_MULT_B) for k in range(8)])
-    g = v[::2] | v[1::2] << _S32  # generate_state(4, uint64) from its 32-bit words
-    inc = g[2:] << _S1
-    inc[0] |= g[3] >> _S63
-    inc[1] |= _S1
-    state = g[:2] + inc
-    state[0] += state[1] < inc[1]
-    _pcg_step(state, inc)
-    return state, inc
+def record_rng(seed: int, index: int) -> _RecordStream:
+    """Record ``index``'s stream under ``seed``: the scalar definition that the
+    block path (``_uniform_blocks``) draws in bulk."""
+    return _RecordStream(seed, index)
 
 
 def _uniform_blocks(seed: int, n_records: int, width: int):
-    """(rows, uniforms) for consecutive blocks of at most _BLOCK records;
-    uniforms[r] equals record_rng(seed, rows.start + r).random(width). It is
-    the transposed view of a (width, n) array filled one draw (row) at a time."""
-    for start in range(0, n_records, _BLOCK):
-        stop = min(start + _BLOCK, n_records)
-        state, inc = _record_states(seed, start, stop)
-        hi, lo = state
-        x, rot, y = np.empty((3, stop - start), dtype=np.uint64)
-        draws = np.empty((width, stop - start))
-        for k in range(width):
-            _pcg_step(state, inc)
-            np.bitwise_xor(hi, lo, out=x)  # XSL-RR: hi ^ lo rotated right by hi >> 58
-            np.right_shift(hi, _S58, out=rot)
-            np.right_shift(x, rot, out=y)
-            np.negative(rot, out=rot)
-            rot &= _S63
-            x <<= rot
-            x |= y
-            x >>= _S11  # random(): the top 53 bits times 2**-53
-            np.multiply(x, 2.0 ** -53, out=draws[k])
-        yield slice(start, stop), draws.T
+    """(rows, uniforms) for consecutive blocks of at most ``BLOCK_ROWS``
+    records; uniforms[r] equals record_rng(seed, rows.start + r).random(width).
+    It is the transposed view of a (width, n) array, one Generator per key."""
+    keys = [_key(seed, j) for j in range(-(-width // 4))]
+    for start in range(0, n_records, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n_records)
+        yield slice(start, stop), _draws(keys, start, stop - start)[:width].T
 
 
 def perturb_tables(dataset: Dataset, specs, seed: int) -> list[Dataset | BooleanDataset]:

@@ -1022,18 +1022,21 @@ def test_compare_runs_each_distinct_spec_once(tmp_path, capsys, monkeypatch):
 
 def test_compare_draws_each_block_of_streams_once_per_seed(tmp_path, capsys, monkeypatch):
     """Every mechanism reads a prefix of the record's stream, so each seed
-    derives each 4096-record block's states once for all four mechanisms:
-    2 seeds x 2 blocks, not 2 x 2 per mechanism."""
-    calls = []
-    states = privmine.perturb._record_states
-    monkeypatch.setattr(privmine.perturb, "_record_states",
-                        lambda *a: calls.append(a) or states(*a))
+    derives its keys once and draws each 4096-record block once for all four
+    mechanisms, to cut-and-paste's 30 census draws (eight keys): 2 seeds x 2
+    blocks, not 2 x 2 per mechanism."""
+    keys, blocks = [], []
+    key, draws = privmine.perturb._key, privmine.perturb._draws
+    monkeypatch.setattr(privmine.perturb, "_key", lambda *a: keys.append(a) or key(*a))
+    monkeypatch.setattr(privmine.perturb, "_draws",
+                        lambda k, *a: blocks.append((len(k), *a)) or draws(k, *a))
     code, _, err = run(capsys, "compare", "--schema", "census", "--synthetic", "uniform",
                        "--n-records", "5000", "--gamma", "19", "--sup-min", "0.05",
                        "--mechanisms", "det-gd,ran-gd,mask,cut-paste", "--seeds", "1,2",
                        "--out", str(tmp_path / "cmp"))
     assert code == 0, err
-    assert calls == [(1, 0, 4096), (1, 4096, 5000), (2, 0, 4096), (2, 4096, 5000)]
+    assert keys == [(seed, j) for seed in (1, 2) for j in range(8)]
+    assert blocks == [(8, 0, 4096), (8, 4096, 904)] * 2
 
 
 def test_alpha_sweep_posterior_columns_need_rho1(tmp_path, capsys):

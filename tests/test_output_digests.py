@@ -34,22 +34,22 @@ PERTURB = ("--gamma", "19", "--alpha-frac", "0.3", "--mask-p", "0.9", "--seed", 
 
 DIGESTS = {
     "plain/itemsets.csv": "7d6891c2ce9707fd356f3255f33cd7275b3a9ff3048b8956ac2c7a7725897619",
-    "det-gd/perturbed.csv": "72454c5e711a4bc375f0231076e320893bd80b323569381750964aea6edf2a66",
+    "det-gd/perturbed.csv": "e41c2e543a86bf2475ec01dd34d36da0b5a830a81f4605d7ace29395b759b765",
     "det-gd/metadata.json": "7b897a141f0db1634bc17b2a08c5acfd917cf002e717302217c27abd4a6086e2",
-    "det-gd/mined/itemsets.csv": "3e08ed6dcf6888a71f8d077527195fa0fd8626c75be732f1f948bf001a147432",
-    "ran-gd/perturbed.csv": "5b51eddef7cdffa4565cdecf2c881a33ace0e6745e551e583c49ebe851b1accf",
+    "det-gd/mined/itemsets.csv": "96c9173d6dec86c7ce70ab733bcc70fae1a5332c91f60e9eea07a474fd4a5481",
+    "ran-gd/perturbed.csv": "de6e5e75d2ac512934c82ad52bcf85491623598713392f1915bad09a7a269678",
     "ran-gd/metadata.json": "57c0df993f960e93e3b48562e47d63f6d4ee9305f925b3fe285bd73c6a1ca46f",
-    "ran-gd/mined/itemsets.csv": "988afe33e1f070b97a6486d6333984eab93a4c8ccc3f92e1c763b3436ed216d3",
-    "mask/perturbed_bits.csv": "8f1652d62ba14532a45211eaebca726447c8475815e3a7e3ceb29f250305ad2e",
+    "ran-gd/mined/itemsets.csv": "4672eace3198b93c315bdaf8dd248866fb1b392db4e1f47b4fb6002483cba735",
+    "mask/perturbed_bits.csv": "95129e083cffeb339e21ca94b56792d86b1562b4ae4e4f2faa6a052ecd97470a",
     "mask/metadata.json": "85ee5d9062c1a50d6d8ecd2d844843e84167e82f0a3400c797b347ab17445dee",
-    "cut-paste/perturbed_bits.csv": "068ef215bc2ffdf55d2099bfbbbe6ba55287482ac32ed42f06866f6815a4f002",
+    "cut-paste/perturbed_bits.csv": "ce48dd89dfee45a4890d11c212b6d706ad3f2a416e9e0da10cb12b351620542c",
     "cut-paste/metadata.json": "4fb3101102394ad2a390adb0e5033a6dd9937393606fd1036a2a48fb562e9cdc",
 }
 RAW_DIGESTS = {
     "plain/itemsets.csv": "c7c8fb5d27b5dedf210ea071d74110274a67def1db7825346459665869040061",
-    "det-gd/perturbed.csv": "487ec82b955169844402e97cac31f56d824458de0d605cf51350ce7622d883d8",
+    "det-gd/perturbed.csv": "f6d64bed510abf7b047893e9a0dad9667f13409c8e62edf4a021a1f1479ebcc4",
     "det-gd/metadata.json": "e737fce16403bcb176d43ddf4b438c22ffe40a5f4e50c91320a17cf49c0cfa00",
-    "ran-gd/perturbed.csv": "493d5400ba69e950bc3035976048760c041005a9ba5c70cec969be44667d44c6",
+    "ran-gd/perturbed.csv": "d050c8e0c48b6660cb7f65b8c9779cef509f239563d3476956678576f888b4a9",
     "ran-gd/metadata.json": "3167524f87c69903771aa676e87ebbc90c113c38d34643e63c9019f394f24baf",
 }
 LABELS = {

@@ -50,13 +50,12 @@ from privmine import (
 )
 from privmine import perturb as perturb_module
 from privmine.perturb import (
-    _BLOCK,
     _chain_bulk,
-    _record_states,
     _uniform_blocks,
     mask_expand_many,
     perturb_tables,
 )
+from privmine.schema import BLOCK_ROWS
 
 CHI2_999_DF5 = 20.515006    # tests/oracles/critical_values_oracle.py
 CHI2_999_DF19 = 43.820196
@@ -363,57 +362,79 @@ def test_boolean_dataset_schema_mismatch(dataset_fn, table_schema, spec_schema):
 # ---------------------------------------------------------------------------
 
 ORACLE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 3)
-BLOCK_EDGE_ROWS = (0, 1, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 2)
+BLOCK_EDGE_ROWS = (0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS - 1, 2 * BLOCK_ROWS,
+                   2 * BLOCK_ROWS + 2)
 
 
-def _limbs_to_ints(limbs):
-    """128-bit ints from a (2, n) array of 64-bit limbs, high half first."""
-    return [h << 64 | l for h, l in zip(limbs[0].tolist(), limbs[1].tolist())]
+def _philox_draws(seed, index, n):
+    """Record ``index``'s first n draws by the stated formula, from numpy alone."""
+    blocks = [np.random.Generator(np.random.Philox(
+        key=np.random.SeedSequence(seed, spawn_key=(j,)).generate_state(2, np.uint64),
+        counter=index)).random(4) for j in range(-(-n // 4))]
+    return np.concatenate(blocks)[:n]
 
 
 # seeds of 1, 2, 3, exactly 4, 5 and 7 words: numpy pads the seed to four words
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**127 + 99, 2**130 + 7,
                                   2**200 + 5])
-def test_record_states_match_numpy_seeding(seed):
-    # fails if numpy changes SeedSequence mixing or PCG64 seeding
-    for i in (0, 1, 4097, 2**32 - 1):
-        state, inc = _record_states(seed, i, i + 1)
-        expect = record_rng(seed, i).bit_generator.state["state"]
-        got = {"state": _limbs_to_ints(state)[0], "inc": _limbs_to_ints(inc)[0]}
-        assert got == expect, (
-            f"bulk PCG64 seeding no longer matches numpy's SeedSequence/PCG64 "
-            f"for seed={seed}, index={i}"
-        )
+def test_record_rng_matches_numpy_philox(seed):
+    # fails if numpy changes SeedSequence's generate_state or Philox's output
+    for i in (0, 1, 4097, 2**32, 2**64):
+        assert np.array_equal(record_rng(seed, i).random(9), _philox_draws(seed, i, 9)), (
+            f"record_rng no longer matches numpy's SeedSequence/Philox for seed={seed}, index={i}")
 
 
-def test_record_states_reject_indices_past_32_bits():
-    state, _ = _record_states(0, 2**32 - 1, 2**32)  # the last valid index
-    assert state.shape == (2, 1)
-    with pytest.raises(ValueError, match="2\\*\\*32"):
-        _record_states(0, 2**32 - 1, 2**32 + 1)
-    with pytest.raises(ValueError):
-        _record_states(-1, 0, 1)
+def test_record_rng_reads_draws_in_order():
+    # k scalar draws, then m at once, are the first k + m draws
+    for k in (0, 1, 3, 4, 5, 9):
+        for m in (0, 1, 4, 11):
+            stream = record_rng(2**64 + 3, 4097)
+            scalars = [stream.random() for _ in range(k)]
+            assert all(type(x) is float for x in scalars)
+            assert np.array_equal([*scalars, *stream.random(m)],
+                                  record_rng(2**64 + 3, 4097).random(k + m)), (k, m)
 
 
 @pytest.mark.parametrize("seed", ORACLE_SEEDS)
 @pytest.mark.parametrize("width", [1, 7, 35])  # 35: cut-paste's health width
 def test_uniform_blocks_match_record_rng(seed, width):
     n = max(BLOCK_EDGE_ROWS) + 1
-    for start, stop in ((0, n), (2**32 - 3, 2**32)):
-        for halves in _record_states(seed, start, stop):
-            assert halves.dtype == np.uint64 and halves.shape == (2, stop - start)
     blocks = list(_uniform_blocks(seed, n, width))
-    assert [rows.start for rows, _ in blocks] == list(range(0, n, _BLOCK))
+    assert [rows.start for rows, _ in blocks] == list(range(0, n, BLOCK_ROWS))
     uniforms = np.concatenate([u for _, u in blocks])
     assert uniforms.dtype == np.float64 and uniforms.shape == (n, width)
     for r in BLOCK_EDGE_ROWS:
         assert np.array_equal(uniforms[r], record_rng(seed, r).random(width)), r
 
 
+@pytest.mark.parametrize("start", [2**32 + 1, 2**64 - 3])  # the second: a counter carry
+def test_block_draws_past_32_bit_record_indices(start):
+    # a block of six records as the bulk path draws it, far past the first 2**32
+    width = 10
+    keys = [perturb_module._key(5, j) for j in range(3)]
+    uniforms = perturb_module._draws(keys, start, 6)[:width].T
+    for r in range(6):
+        assert np.array_equal(uniforms[r], record_rng(5, start + r).random(width)), r
+
+
+def test_record_streams_share_no_draws():
+    # every key and every counter gives fresh draws: 60000 distinct doubles
+    uniforms = np.concatenate([u for _, u in _uniform_blocks(21, 5000, 12)])
+    assert uniforms.shape == (5000, 12)
+    assert len(np.unique(uniforms)) == uniforms.size
+
+
+@pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError), ("3", TypeError)])
+def test_perturb_tables_reject_bad_seeds(census_schema, seed, error):
+    data = generate_synthetic(census_schema, 3, "uniform", seed=0)
+    with pytest.raises(error):
+        perturb_tables(data, [GammaDiagonalSpec(gamma=19.0, schema=census_schema)], seed)
+
+
 @pytest.fixture(scope="module")
 def block_data(census_schema):
     # two full blocks plus three records
-    return generate_synthetic(census_schema, 2 * _BLOCK + 3, "uniform", seed=8)
+    return generate_synthetic(census_schema, 2 * BLOCK_ROWS + 3, "uniform", seed=8)
 
 
 @pytest.mark.parametrize("seed", ORACLE_SEEDS)
@@ -487,7 +508,8 @@ def _pass_menu(sch):
 @settings(PROPERTIES, max_examples=60)
 @given(name=st.sampled_from(sorted(_PASS_TABLES)),
        picks=st.lists(st.integers(0, 5), min_size=1, max_size=6, unique=True),
-       n_records=st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1]) | st.integers(1, 9000),
+       n_records=st.sampled_from([1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+       | st.integers(1, 9000),
        seed=st.sampled_from([0, 2**32, 2**64 + 3]))
 def test_one_pass_equals_each_spec_alone_property(name, picks, n_records, seed):
     # a shared pass draws to the widest spec's width; each spec reads its prefix
