@@ -444,6 +444,7 @@ def _seed_runs(data: Dataset, specs, seeds: list[int], truth: MiningResult, sup_
         share = (time.perf_counter() - started) / len(specs)
         for spec, (reports, outcomes, perturb_s, mine_s) in runs.items():
             mined_from = time.perf_counter()
+            # pop, not zip: each perturbed table is freed once it is mined
             result = apriori_reconstructed(tables.pop(0), data.schema, spec, sup_min)
             perturb_s.append(share)
             mine_s.append(time.perf_counter() - mined_from)

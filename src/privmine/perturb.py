@@ -35,6 +35,7 @@ bytes.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -325,10 +326,13 @@ MECHANISMS = (GammaDiagonalSpec, RandomizedGammaSpec, MaskSpec, CutPasteSpec)
 # per-record random streams, and one pass over them for several specs
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=256, typed=True)  # typed: a float seed still raises
 def _key(seed: int, j: int) -> np.ndarray:
-    """The Philox key of draws 4j..4j+3 of every record under ``seed``."""
-    seq = np.random.SeedSequence(operator.index(seed), spawn_key=(j,))
-    return seq.generate_state(2, np.uint64)
+    """The Philox key of draws 4j..4j+3 of every record under ``seed``; read-only,
+    as it is memoized: ``record_rng`` asks for the same keys for every record."""
+    key = np.random.SeedSequence(operator.index(seed), spawn_key=(j,)).generate_state(2, np.uint64)
+    key.flags.writeable = False
+    return key
 
 
 def _draws(keys, start: int, n: int) -> np.ndarray:
@@ -391,6 +395,16 @@ def perturb_tables(dataset: Dataset, specs, seed: int) -> list[Dataset | Boolean
         for spec, out in zip(specs, outs):
             out[rows] = spec.sample(codes[rows], u[:, :spec.draws])
     return [spec.table(schema, out) for spec, out in zip(specs, outs)]
+
+
+def perturb_dataset(dataset: Dataset, spec, seed: int) -> Dataset | BooleanDataset:
+    """``dataset`` perturbed under one spec of any mechanism: row i is that
+    mechanism's scalar sampler on record i with ``record_rng(seed, i)``; for
+    cut-and-paste, ``cut_paste_perturb`` on record i's boolean expansion."""
+    return perturb_tables(dataset, [spec], seed)[0]
+
+
+mask_dataset = cut_paste_dataset = perturb_dataset  # the CLI calls each name per mechanism
 
 
 # ---------------------------------------------------------------------------
@@ -477,13 +491,6 @@ def _chain_bulk(codes: np.ndarray, uniforms: np.ndarray, d: np.ndarray | float,
     return out
 
 
-def perturb_dataset(dataset: Dataset, spec: GammaDiagonalSpec | RandomizedGammaSpec,
-                    seed: int) -> Dataset:
-    """Perturb every record through the gamma-diagonal family: record i's stream
-    supplies the client's r draw (randomized spec only), then the chain's."""
-    return perturb_tables(dataset, [spec], seed)[0]
-
-
 # ---------------------------------------------------------------------------
 # MASK
 # ---------------------------------------------------------------------------
@@ -509,11 +516,6 @@ def mask_perturb(bits: np.ndarray, p: float, rng: np.random.Generator) -> np.nda
     if not 0 < p <= 1:
         raise ValueError(f"retention probability must lie in (0, 1], got {p}")
     return bits ^ (rng.random(len(bits)) >= p)
-
-
-def mask_dataset(dataset: Dataset, spec: MaskSpec, seed: int) -> BooleanDataset:
-    """Expand every record to its boolean form and flip bits independently."""
-    return perturb_tables(dataset, [spec], seed)[0]
 
 
 def mask_p_for_gamma(gamma: float, M: int) -> float:
@@ -574,12 +576,6 @@ def cut_paste_perturb(bits: np.ndarray, spec: CutPasteSpec, rng: np.random.Gener
     out = u[1:1 + M_b] < spec.rho_cp
     out[ones[np.argsort(u[1 + M_b:], kind="stable")[:w]]] = True
     return out
-
-
-def cut_paste_dataset(dataset: Dataset, spec: CutPasteSpec, seed: int) -> BooleanDataset:
-    """Cut-and-paste every record; row i equals ``cut_paste_perturb`` on
-    record i's expansion with ``record_rng(seed, i)``."""
-    return perturb_tables(dataset, [spec], seed)[0]
 
 
 # ---------------------------------------------------------------------------

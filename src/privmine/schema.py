@@ -657,10 +657,13 @@ def write_boolean_csv(data: BooleanDataset, path: str) -> None:
 def read_boolean_csv(path: str, schema: Schema) -> BooleanDataset:
     """Read a UTF-8 0/1 CSV as written by ``write_boolean_csv``, skipping a leading BOM.
     A header that is not the schema's item labels (cells stripped), or a row
-    that is not one 0 or 1 cell per category bit, raises a ValueError naming the file."""
+    that is not one 0 or 1 cell per category bit, raises a ValueError naming the file.
+    The bits grow one buffer, as ``ingest_csv``'s codes do: a block of
+    ``BLOCK_ROWS`` rows in that layout at a time, then row by row from the
+    first block in any other (spaces around cells, CRLF line ends)."""
     width = schema.boolean_width
     line = 2 * width  # characters per row: digits, commas, '\n'
-    blocks = []
+    out = bytearray()  # the bits read so far, one byte per bit, grown in place
     with open(path, newline="", encoding="utf-8-sig") as fh, _csv_errors(path):
         reader = csv.reader(fh)
         if [c.strip() for c in next(reader, [])] != list(schema.item_labels):
@@ -674,7 +677,7 @@ def read_boolean_csv(path: str, schema: Schema) -> BooleanDataset:
                 cells = text[:, 0::2]
                 if ((text[:, 1:-1:2] == ord(",")).all() and (text[:, -1] == ord("\n")).all()
                         and ((cells == ord("0")) | (cells == ord("1"))).all()):
-                    blocks.append(cells == ord("1"))
+                    out += (cells == ord("1")).tobytes()
                     row_no += len(text)
                     continue
             # any other layout: spaces around cells and CRLF line ends still parse
@@ -683,9 +686,8 @@ def read_boolean_csv(path: str, schema: Schema) -> BooleanDataset:
                 if len(row) != width or not set(row) <= {"0", "1"}:
                     raise ValueError(f"{path} row {row_no}: expected {width} cells of 0 or 1, "
                                      f"got {row_text!r}")
-                blocks.append(np.array([row]) == "1")
-    bits = np.concatenate(blocks) if blocks else np.empty((0, width), dtype=bool)
-    return BooleanDataset(schema, bits)
+                out += bytes(c == "1" for c in row)
+    return BooleanDataset(schema, np.frombuffer(out, dtype=bool).reshape(-1, width))
 
 
 # ---------------------------------------------------------------------------

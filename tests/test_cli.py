@@ -66,6 +66,14 @@ def test_privacy_posterior_range(capsys):
     assert 60.0 < high * 100 < 60.5
 
 
+def test_privacy_posterior_range_up_to_one(capsys):
+    # at alpha = (n-1)*x the off-diagonal entry reaches 0 and the posterior 1
+    code, out, _ = run(capsys, "privacy", "--rho1", "0.05", "--gamma", "19",
+                       "--alpha-frac", "0.05263157894736842", "--domain-size", "2")
+    assert code == 0
+    assert "n = 2: [32.1429%, 100.0000%]" in out
+
+
 def test_privacy_from_gamma(capsys):
     code, out, _ = run(capsys, "privacy", "--rho1", "0.01", "--gamma", "19")
     assert code == 0

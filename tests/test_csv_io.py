@@ -6,9 +6,12 @@ import io
 import itertools
 import logging
 import math
+import os
 import re
 import string
 import tempfile
+import threading
+import tracemalloc
 import unittest
 import warnings
 from pathlib import Path
@@ -603,6 +606,38 @@ def test_read_boolean_csv_accepts_loose_layouts(tmp_path, census_schema):
                  "\n".join(l.replace(",", ", ") for l in lines)):  # spaces after commas
         back = read_boolean_csv(_bits_file(tmp_path, census_schema, body), census_schema)
         assert np.array_equal(back.bits, bits)
+
+
+def test_read_boolean_csv_holds_the_bits_about_once(tmp_path, census_schema):
+    # one growing buffer holds the bits (1x, with at most 1/8 over-allocation),
+    # and a block's text and masks come on top; a list of blocks concatenated
+    # at the end would hold the bits twice
+    bits = np.random.default_rng(8).random((200_000, census_schema.boolean_width)) < 0.5
+    path = str(tmp_path / "bits.csv")
+    write_boolean_csv(BooleanDataset(census_schema, bits), path)
+    tracemalloc.start()
+    try:
+        back = read_boolean_csv(path, census_schema)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.bits, bits)
+    assert peak < 1.5 * bits.nbytes, f"traced peak {peak / bits.nbytes:.2f}x the bits"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_read_boolean_csv_from_a_pipe(tmp_path, census_schema):
+    # a pipe (mine --input <(...)) has no size to size the table from
+    bits = np.random.default_rng(9).random((BLOCK_ROWS + 5, census_schema.boolean_width)) < 0.5
+    path, pipe = tmp_path / "bits.csv", tmp_path / "pipe"
+    write_boolean_csv(BooleanDataset(census_schema, bits), str(path))
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=lambda: pipe.write_bytes(path.read_bytes()), daemon=True)
+    writer.start()
+    back = read_boolean_csv(str(pipe), census_schema)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert np.array_equal(back.bits, bits)
 
 
 def test_byte_order_mark_is_skipped(tmp_path, census_schema, caplog):

@@ -344,14 +344,16 @@ def test_perturb_dataset_schema_mismatch():
         perturb_dataset(data, spec, seed=0)
 
 
-@pytest.mark.parametrize("dataset_fn", [mask_dataset, cut_paste_dataset])
+# mask_dataset and cut_paste_dataset are one function: the id names the call
+@pytest.mark.parametrize("dataset_fn, mask", [(mask_dataset, True), (cut_paste_dataset, False)],
+                         ids=["mask_dataset", "cut_paste_dataset"])
 @pytest.mark.parametrize("table_schema, spec_schema", [
     (builtin_schema("census"), builtin_schema("health")),
     (make_schema(4, 5), make_schema(5, 4)),  # the same widths, another schema
 ], ids=["census-health", "same-widths"])
-def test_boolean_dataset_schema_mismatch(dataset_fn, table_schema, spec_schema):
+def test_boolean_dataset_schema_mismatch(dataset_fn, mask, table_schema, spec_schema):
     data = generate_synthetic(table_schema, 100, "uniform", seed=0)
-    spec = (MaskSpec(p=0.9, schema=spec_schema) if dataset_fn is mask_dataset
+    spec = (MaskSpec(p=0.9, schema=spec_schema) if mask
             else CutPasteSpec(K=1, rho_cp=0.3, schema=spec_schema))
     with pytest.raises(ValueError, match="mechanism schema does not match dataset schema"):
         dataset_fn(data, spec, seed=0)

@@ -53,6 +53,15 @@ def test_posterior_range_degenerate_at_zero_alpha():
     assert low == high == worst_case_posterior(0.05, 19.0)
 
 
+def test_posterior_range_at_the_off_diagonal_limit():
+    # n=2, x=1/20: alpha_fraction 1/19 gives alpha = (n-1)*x = 1/20, the limit.
+    # r=-alpha gives entries (9/10, 1/10), posterior 9/28; r=+alpha zeroes the
+    # off-diagonal entry, so a perturbed value names its original: posterior 1
+    low, high = posterior_range(0.05, 19.0, 1 / 19, 2)
+    assert low == pytest.approx(9 / 28, abs=1e-12)
+    assert high == 1.0
+
+
 # ---------------------------------------------------------------------------
 # structural properties
 # ---------------------------------------------------------------------------
