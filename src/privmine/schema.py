@@ -410,12 +410,15 @@ def ingest_csv(
     blocks of ``BLOCK_ROWS`` lines, and each distinct line is parsed once: a
     block of which at most half the lines are new parses only those, so a
     label table (at most one distinct line per domain cell) parses a few
-    thousand lines in all. Other blocks are parsed one column at a time: a
-    binned column of numbers only converts in one step, by ``float``'s rules;
-    any other column goes one distinct text at a time. From the first block
-    holding a ``"`` on, rows come from ``csv.reader``, so quoted commas and
-    line breaks read as before. A first row of the schema's item labels (a
-    bit table) raises ``BitTableError``.
+    thousand lines in all. Other blocks are parsed whole. New lines with no
+    ``"`` are split at their commas in one step, so each column is a strided
+    slice of one flat list of fields; they go to ``csv.reader`` only where
+    its rows could differ from that split (see ``_rows``). Columns are then
+    converted one at a time: a binned column of numbers only converts in one
+    step, by ``float``'s rules; any other column goes one distinct text at a
+    time. From the first block holding a ``"`` on, rows come from
+    ``csv.reader``, so quoted commas and line breaks read as before. A first
+    row of the schema's item labels (a bit table) raises ``BitTableError``.
     """
     if on_error not in ("skip", "abort"):
         raise ValueError(f"on_error must be 'skip' or 'abort', got {on_error!r}")
@@ -441,11 +444,11 @@ def ingest_csv(
             if block is None:
                 new = set(lines).difference(memo)
                 if 2 * len(new) > len(lines):  # mostly new lines: not worth a memo entry
-                    block = list(csv.reader(lines))
+                    block = _rows(lines)
             if block is None:  # parse only the lines not seen before
                 if new:
                     memo.update(zip(new, itertools.count(len(memo))))
-                    new_rows = list(csv.reader(new))
+                    new_rows = _rows(new)
                     new_codes = _block_codes(new_rows, cols, attrs, tables, clamp)
                     known = np.concatenate([known, new_codes])
                     flagged_known = np.concatenate([flagged_known,
@@ -485,6 +488,37 @@ def _blocks(lines):
         yield block, None
 
 
+class _Split:
+    """Rows of ``width`` fields each, held back to back in one flat list:
+    row i is ``fields[i * width:(i + 1) * width]`` and column c is
+    ``fields[c::width]``."""
+
+    def __init__(self, fields: list[str], width: int):
+        self.fields, self.width = fields, width
+
+    def __len__(self) -> int:
+        return len(self.fields) // self.width
+
+    def __getitem__(self, i: int) -> list[str]:
+        return self.fields[i * self.width:(i + 1) * self.width]
+
+
+def _rows(lines):
+    """The rows of quote-free lines, as ``csv.reader`` reads them. The lines
+    are split at their commas in one step, into a ``_Split``, unless the
+    split could differ from the reader's rows; then the reader parses them."""
+    text = "".join(lines).replace("\r\n", "\n")
+    commas = set(map(str.count, lines, itertools.repeat(",")))
+    if (len(commas) == 1  # else rows of unequal width
+            and "\r" not in text  # a lone \r ends a line
+            and text.count("\n") == len(lines) - (not text.endswith("\n"))  # only the last unended
+            and "\n" not in lines and "\r\n" not in lines  # a blank line's row is []
+            and "\0" not in text  # Python 3.10's reader raises on a NUL
+            and max(map(len, lines)) <= csv.field_size_limit()):  # it raises on a longer field
+        return _Split(text.removesuffix("\n").replace("\n", ",").split(","), commas.pop() + 1)
+    return list(csv.reader(lines))
+
+
 def _flagged(rows, codes) -> np.ndarray:
     """Rows with a bad field that are not blank: those skipped or aborted on."""
     flagged = ~(codes >= 0).all(axis=1)
@@ -521,12 +555,17 @@ def _field(row: list[str], col: int) -> str | None:
 
 def _block_codes(block, cols, attrs, tables, clamp) -> np.ndarray:
     """(len(block), M) codes of a block of rows, -1 where a field is bad."""
-    widths = set(map(len, block))
-    if len(widths) == 1:
-        width, columns = widths.pop(), list(zip(*block))
-        fields = [columns[c] if -width <= c < width else (None,) * len(block) for c in cols]
-    else:
+    if isinstance(block, _Split):
+        columns = [block.fields[c::block.width] for c in range(block.width)]
+    elif len(set(map(len, block))) == 1:
+        columns = list(zip(*block))
+    else:  # ragged rows
+        columns = None
+    if columns is None:
         fields = [[_field(row, c) for row in block] for c in cols]
+    else:
+        width = len(columns)
+        fields = [columns[c] if -width <= c < width else (None,) * len(block) for c in cols]
     return np.column_stack([_column_codes(*args, clamp) for args in zip(fields, attrs, tables)])
 
 

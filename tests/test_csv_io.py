@@ -12,7 +12,7 @@ import string
 import tempfile
 import threading
 import tracemalloc
-import unittest
+import unittest.mock
 import warnings
 from pathlib import Path
 
@@ -440,6 +440,114 @@ def test_all_number_block_then_a_block_with_a_label(tmp_path, on_error, clamp):
     if clamp:  # the label rows are read as labels, next to raw numbers
         codes = ingest_csv(str(path), NUMBER_SCHEMA, clamp=True).codes
         assert codes[[BLOCK_ROWS + 29, BLOCK_ROWS + 899]].tolist() == [[1, 2], [3, 1]]
+
+
+# ---------------------------------------------------------------------------
+# quote-free blocks split at their commas in one step, against the row
+# reference and against csv.reader row for row
+# ---------------------------------------------------------------------------
+
+RACE = EDGE_SCHEMA.attributes[2]
+SPLIT_SCHEMA = Schema("split", (AGE, W, RACE))
+SPLIT_COLUMNS = {"age": 0, "w": 1, "race": -1}  # by index: no header row
+SPLIT_FIELDS = _padded(st.one_of(
+    st.integers(-5, 120).map(str),
+    st.floats(-1, 12).map(repr),
+    st.sampled_from((*AGE.categories, *W.categories, *RACE.categories, *sorted(MISSING_TOKENS),
+                     "\0", "Whi\0te", "abc")),
+))
+
+
+@st.composite
+def quote_free_lines(draw):
+    """1-16 lines of 0-3 commas each, drawn from a pool of up to 6 line
+    texts, so that a 3-line block is now mostly new, now mostly seen. Half
+    the texts have one comma count, so that many blocks split. Each line
+    ends in \\n, \\r\\n or (less often) \\r, and the last one may have no end."""
+    width = draw(st.integers(1, 4))
+    fields = st.one_of(st.lists(SPLIT_FIELDS, min_size=width, max_size=width),
+                       st.lists(SPLIT_FIELDS, min_size=1, max_size=4))
+    pool = draw(st.lists(fields.map(",".join), min_size=1, max_size=6))
+    texts = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=16))
+    lines = [text + draw(st.sampled_from(["\n", "\r\n", "\n", "\r\n", "\r"]))
+             for text in texts]
+    if draw(st.booleans()):
+        lines[-1] = texts[-1]
+    return lines
+
+
+def _ingest_outcome(ingest, path):
+    """(codes, skipped count) of an ingest, or the message of its ValueError."""
+    try:
+        return ingest(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+@PROPERTIES
+@given(lines=quote_free_lines(), on_error=st.sampled_from(["skip", "abort"]),
+       clamp=st.booleans())
+@example(lines=["20,1,White\n", "3\0,2,Black\n", "40,5,Other\n", "30,1,White\n"],
+         on_error="abort", clamp=False)
+def test_split_blocks_match_row_ingest(lines, on_error, clamp):
+    reader_rows, split = schema_module._rows, []
+
+    def rows(block_lines):  # checked below: ingest_csv turns csv.Error into ValueError
+        got = reader_rows(block_lines)
+        if isinstance(got, schema_module._Split):
+            split.append((block_lines, [got[i] for i in range(len(got))]))
+        return got
+
+    def privmine_ingest(path):
+        warning.reset_mock()
+        codes = ingest_csv(path, SPLIT_SCHEMA, SPLIT_COLUMNS, on_error, clamp).codes.tolist()
+        return codes, warning.call_args.args[2] if warning.called else 0
+
+    def reference_ingest(path):
+        codes, skipped = row_ingest(path, SPLIT_SCHEMA, SPLIT_COLUMNS, on_error, clamp)
+        return [list(r) for r in codes], skipped
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            unittest.mock.patch.object(schema_module, "BLOCK_ROWS", 3), \
+            unittest.mock.patch.object(schema_module, "_rows", rows), \
+            unittest.mock.patch.object(schema_module.logger, "warning") as warning:
+        path = str(_write_lines(Path(tmp) / "split.csv", lines))
+        got = _ingest_outcome(privmine_ingest, path)
+        try:
+            assert got == _ingest_outcome(reference_ingest, path)
+        except csv.Error as exc:  # Python 3.10's reader on a NUL, read before any row
+            if got != f"{path}: {exc}":  # else an abort on a row of a block before the NUL's
+                nul_row = next(i for i, line in enumerate(lines, 1) if "\0" in line)
+                aborted = re.match(f"{re.escape(path)} row ([0-9]+): ", got)
+                # row 1 is read alone, then rows 2-4, 5-7, ... make a block
+                assert on_error == "abort" and (int(aborted[1]) - 2) // 3 < (nul_row - 2) // 3
+    for block_lines, got_rows in split:  # each split block holds csv.reader's rows
+        assert got_rows == list(csv.reader(block_lines))
+
+
+def test_raw_number_blocks_take_no_csv_reader_rows(tmp_path, census_schema, monkeypatch):
+    rng = np.random.default_rng(9)
+    n = 3 * BLOCK_ROWS
+    columns = [rng.integers(16, 90, n), rng.integers(1, 500_000, n), rng.integers(1, 99, n),
+               *(np.asarray(a.categories)[rng.integers(0, a.size, n)]
+                 for a in census_schema.attributes[3:])]
+    path = tmp_path / "raw.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:  # CRLF line ends
+        writer = csv.writer(fh)
+        writer.writerow([a.name for a in census_schema.attributes])
+        writer.writerows(zip(*columns))
+    expected, _ = row_ingest(str(path), census_schema)
+    reader, reader_rows = csv.reader, []
+
+    def counting_reader(*args, **kwargs):
+        for row in reader(*args, **kwargs):
+            reader_rows.append(row)
+            yield row
+
+    monkeypatch.setattr(csv, "reader", counting_reader)
+    codes = ingest_csv(str(path), census_schema).codes
+    assert len(codes) == n and codes.tolist() == [list(r) for r in expected]
+    assert reader_rows == [[a.name for a in census_schema.attributes]]
 
 
 # ---------------------------------------------------------------------------
