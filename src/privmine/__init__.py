@@ -16,7 +16,6 @@ from .mining import (
     brute_force_frequent,
     itemset_label,
     mine,
-    validate_itemset,
 )
 from .perturb import (
     CutPasteSpec,

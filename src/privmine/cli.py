@@ -31,7 +31,6 @@ from .mining import (
     apriori_reconstructed,
     check_sup_min,
     itemset_label,
-    validate_itemset,
 )
 from .perturb import (
     MECHANISMS,
@@ -348,10 +347,12 @@ def _read_mining_result(directory: Path, schema: Schema) -> MiningResult:
         for row, fields in enumerate(reader, 2):  # row 1 is the header
             try:
                 label, length, support = fields
-                if unknown := [part for part in label.split(";") if part not in items]:
+                parts = label.split(";")
+                if unknown := [part for part in parts if part not in items]:
                     raise ValueError(f"unknown item {unknown[0]!r}")
-                itemset = tuple(sorted(items[part] for part in label.split(";")))
-                validate_itemset(itemset, schema)
+                itemset = tuple(sorted(map(items.__getitem__, parts)))
+                if len({a for a, _ in itemset}) < len(itemset):
+                    raise ValueError(f"itemset attributes must be sorted and distinct: {itemset}")
                 level = by_length.setdefault(int(length), {})
                 if itemset in level:
                     raise ValueError(f"itemset {label!r} repeated")

@@ -41,19 +41,6 @@ Item = tuple[int, int]
 Itemset = tuple[Item, ...]
 
 
-def validate_itemset(itemset: Itemset, schema: Schema) -> None:
-    attrs = [a for a, _ in itemset]
-    if len(itemset) == 0:
-        raise ValueError("itemset must be non-empty")
-    if any(b <= a for a, b in zip(attrs, attrs[1:])):
-        raise ValueError(f"itemset attributes must be sorted and distinct: {itemset}")
-    for a, c in itemset:
-        if not 0 <= a < schema.n_attributes:
-            raise ValueError(f"unknown attribute index {a}")
-        if not 0 <= c < schema.sizes[a]:
-            raise ValueError(f"category {c} out of range for attribute {a}")
-
-
 def check_sup_min(sup_min: float) -> None:
     """A support threshold is a finite number above 0."""
     if not 0 < sup_min < math.inf:

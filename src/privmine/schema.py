@@ -411,14 +411,15 @@ def ingest_csv(
     block of which at most half the lines are new parses only those, so a
     label table (at most one distinct line per domain cell) parses a few
     thousand lines in all. Other blocks are parsed whole. New lines with no
-    ``"`` are split at their commas in one step, so each column is a strided
-    slice of one flat list of fields; they go to ``csv.reader`` only where
-    its rows could differ from that split (see ``_rows``). Columns are then
-    converted one at a time: a binned column of numbers only converts in one
-    step, by ``float``'s rules; any other column goes one distinct text at a
-    time. From the first block holding a ``"`` on, rows come from
-    ``csv.reader``, so quoted commas and line breaks read as before. A first
-    row of the schema's item labels (a bit table) raises ``BitTableError``.
+    ``"`` each have their own line end cut and are split at their commas in
+    one step, so each column is a strided slice of one flat list of fields;
+    they go to ``csv.reader`` only where its rows could differ from that
+    split (see ``_rows``). Columns are then converted one at a time: a binned
+    column of numbers only converts in one step, by ``float``'s rules; any
+    other column goes one distinct text at a time. From the first block
+    holding a ``"`` on, rows come from ``csv.reader``, so quoted commas and
+    line breaks read as before. A first row of the schema's item labels (a
+    bit table) raises ``BitTableError``.
     """
     if on_error not in ("skip", "abort"):
         raise ValueError(f"on_error must be 'skip' or 'abort', got {on_error!r}")
@@ -504,18 +505,18 @@ class _Split:
 
 
 def _rows(lines):
-    """The rows of quote-free lines, as ``csv.reader`` reads them. The lines
-    are split at their commas in one step, into a ``_Split``, unless the
+    """The rows of quote-free lines, as ``csv.reader`` reads them. Each line's
+    own end (``\\n``, ``\\r\\n``, ``\\r`` or none) is cut, and the cut lines are
+    joined at commas and split in one step, into a ``_Split``, unless the
     split could differ from the reader's rows; then the reader parses them."""
-    text = "".join(lines).replace("\r\n", "\n")
-    commas = set(map(str.count, lines, itertools.repeat(",")))
+    cut = list(map(str.rstrip, lines, itertools.repeat("\r\n")))
+    text = ",".join(cut)
+    commas = set(map(str.count, cut, itertools.repeat(",")))
     if (len(commas) == 1  # else rows of unequal width
-            and "\r" not in text  # a lone \r ends a line
-            and text.count("\n") == len(lines) - (not text.endswith("\n"))  # only the last unended
-            and "\n" not in lines and "\r\n" not in lines  # a blank line's row is []
+            and "" not in cut  # a blank line's row is [], not ['']
             and "\0" not in text  # Python 3.10's reader raises on a NUL
-            and max(map(len, lines)) <= csv.field_size_limit()):  # it raises on a longer field
-        return _Split(text.removesuffix("\n").replace("\n", ",").split(","), commas.pop() + 1)
+            and max(map(len, cut)) <= csv.field_size_limit()):  # it raises on a longer field
+        return _Split(text.split(","), commas.pop() + 1)
     return list(csv.reader(lines))
 
 
@@ -697,9 +698,10 @@ def read_boolean_csv(path: str, schema: Schema) -> BooleanDataset:
     """Read a UTF-8 0/1 CSV as written by ``write_boolean_csv``, skipping a leading BOM.
     A header that is not the schema's item labels (cells stripped), or a row
     that is not one 0 or 1 cell per category bit, raises a ValueError naming the file.
-    The bits grow one buffer, as ``ingest_csv``'s codes do: a block of
-    ``BLOCK_ROWS`` rows in that layout at a time, then row by row from the
-    first block in any other (spaces around cells, CRLF line ends)."""
+    The bits grow one buffer, as ``ingest_csv``'s codes do, a chunk of the
+    file at a time: ``BLOCK_ROWS`` rows in that layout at once, or a chunk
+    in any other (spaces around cells, CRLF line ends), read on to the end
+    of its last line, row by row."""
     width = schema.boolean_width
     line = 2 * width  # characters per row: digits, commas, '\n'
     out = bytearray()  # the bits read so far, one byte per bit, grown in place
@@ -719,13 +721,16 @@ def read_boolean_csv(path: str, schema: Schema) -> BooleanDataset:
                     out += (cells == ord("1")).tobytes()
                     row_no += len(text)
                     continue
-            # any other layout: spaces around cells and CRLF line ends still parse
-            for row_no, row_text in enumerate((chunk + fh.read()).splitlines(), start=row_no):
+            # any other layout: spaces around cells and CRLF line ends still parse,
+            # the chunk read on to the end of the line it stops in
+            rows = (chunk + fh.readline()).splitlines()
+            for i, row_text in enumerate(rows, start=row_no):
                 row = [c.strip() for c in row_text.split(",")]
                 if len(row) != width or not set(row) <= {"0", "1"}:
-                    raise ValueError(f"{path} row {row_no}: expected {width} cells of 0 or 1, "
+                    raise ValueError(f"{path} row {i}: expected {width} cells of 0 or 1, "
                                      f"got {row_text!r}")
                 out += bytes(c == "1" for c in row)
+            row_no += len(rows)
     return BooleanDataset(schema, np.frombuffer(out, dtype=bool).reshape(-1, width))
 
 

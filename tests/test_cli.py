@@ -877,6 +877,8 @@ _BAD_ITEMSET_ROWS = [
     ("BDDAY12=>60,x,0.5", " row 3: invalid literal for int()"),
     ("BDDAY12=none,1,0.5", " row 3: unknown item 'BDDAY12=none'"),
     ("AGE=(20-40],1,0.99", " row 3: itemset 'AGE=(20-40]' repeated"),
+    ("AGE=(0-20];AGE=(20-40],2,0.5",
+     " row 3: itemset attributes must be sorted and distinct: ((0, 0), (0, 1))"),
 ]
 
 

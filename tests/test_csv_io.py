@@ -489,6 +489,9 @@ def _ingest_outcome(ingest, path):
        clamp=st.booleans())
 @example(lines=["20,1,White\n", "3\0,2,Black\n", "40,5,Other\n", "30,1,White\n"],
          on_error="abort", clamp=False)
+@example(lines=["5\n", "6\n", "\n", "7\r"], on_error="skip", clamp=False)  # a blank line
+@example(lines=["20,1,White\r", "40,5,Other\r", "30,1,Black\r", "50,2,White"],
+         on_error="skip", clamp=False)  # lone CRs, the last line unended
 def test_split_blocks_match_row_ingest(lines, on_error, clamp):
     reader_rows, split = schema_module._rows, []
 
@@ -525,15 +528,17 @@ def test_split_blocks_match_row_ingest(lines, on_error, clamp):
         assert got_rows == list(csv.reader(block_lines))
 
 
-def test_raw_number_blocks_take_no_csv_reader_rows(tmp_path, census_schema, monkeypatch):
+@pytest.mark.parametrize("line_end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_raw_number_blocks_take_no_csv_reader_rows(tmp_path, census_schema, monkeypatch,
+                                                   line_end):
     rng = np.random.default_rng(9)
     n = 3 * BLOCK_ROWS
     columns = [rng.integers(16, 90, n), rng.integers(1, 500_000, n), rng.integers(1, 99, n),
                *(np.asarray(a.categories)[rng.integers(0, a.size, n)]
                  for a in census_schema.attributes[3:])]
     path = tmp_path / "raw.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:  # CRLF line ends
-        writer = csv.writer(fh)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator=line_end)
         writer.writerow([a.name for a in census_schema.attributes])
         writer.writerows(zip(*columns))
     expected, _ = row_ingest(str(path), census_schema)
@@ -731,6 +736,31 @@ def test_read_boolean_csv_holds_the_bits_about_once(tmp_path, census_schema):
         tracemalloc.stop()
     assert np.array_equal(back.bits, bits)
     assert peak < 1.5 * bits.nbytes, f"traced peak {peak / bits.nbytes:.2f}x the bits"
+
+
+def test_read_boolean_csv_parses_a_loose_table_a_chunk_at_a_time(tmp_path, census_schema):
+    # a CRLF table is parsed row by row, one chunk of the file at a time; the
+    # rest of the file read as one string would be held several times over
+    bits = np.random.default_rng(5).random((10 * BLOCK_ROWS, census_schema.boolean_width)) < 0.5
+    path = tmp_path / "bits.csv"
+    write_boolean_csv(BooleanDataset(census_schema, bits), str(path))
+    lines = _text(path).splitlines()
+    path.write_text("\r\n".join([*lines, ""]), newline="", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        back = read_boolean_csv(str(path), census_schema)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.bits, bits)
+    assert peak < 3 * bits.nbytes, f"traced peak {peak / bits.nbytes:.2f}x the bits"
+    # a chunk holds BLOCK_ROWS rows of the written layout, so a little less
+    # than BLOCK_ROWS CRLF rows: data row k is in the third chunk
+    k = 5 * BLOCK_ROWS // 2
+    lines[k + 1] = "2" + lines[k + 1][1:]
+    path.write_text("\r\n".join([*lines, ""]), newline="", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"row {k + 2}: expected"):
+        read_boolean_csv(str(path), census_schema)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")

@@ -103,6 +103,32 @@ def test_support_estimate_holds_no_mechanism_formula():
     assert "cut_paste_class_matrix" not in imported
 
 
+def _unused_imports(path: pathlib.Path) -> list[str]:
+    """Names the module imports and never reads, but for imports whose first
+    line carries ``# noqa: F401``."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {(alias.asname or alias.name).partition(".")[0]: node.lineno
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                and "# noqa: F401" not in lines[node.lineno - 1]
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{lineno} {name}" for name, lineno in imported.items()
+            if name not in read]
+
+
+def test_every_module_uses_what_it_imports():
+    """No linter runs in CI, so this stands in for pyflakes' F401 on
+    src/privmine. ``__init__.py`` is left out: its imports are the exports,
+    which test_every_export_has_a_user_outside_the_tests checks."""
+    assert len(MODULES) > 5
+    unused = [name for path in MODULES for name in _unused_imports(path)]
+    assert not unused, f"imported and never used: {unused}"
+
+
 MECHANISM_NAMES = {"det-gd", "ran-gd", "mask", "cut-paste"}
 # the places that may still ask which mechanism a spec is, each with its reason
 MECHANISM_BRANCHES = {

@@ -39,7 +39,6 @@ from privmine import (
     perturb_dataset,
     reconstruct_mask_support,
     reconstruct_subset,
-    validate_itemset,
     write_csv,
 )
 from privmine import mining
@@ -59,21 +58,6 @@ def toy_dataset():
 # ---------------------------------------------------------------------------
 # itemset plumbing
 # ---------------------------------------------------------------------------
-
-def test_validate_itemset():
-    sch = make_schema(2, 3)
-    validate_itemset(((0, 1), (1, 2)), sch)
-    with pytest.raises(ValueError):
-        validate_itemset((), sch)
-    with pytest.raises(ValueError):
-        validate_itemset(((1, 0), (0, 0)), sch)  # out of order
-    with pytest.raises(ValueError):
-        validate_itemset(((0, 0), (0, 1)), sch)  # same attribute twice
-    with pytest.raises(ValueError):
-        validate_itemset(((0, 2),), sch)  # category out of range
-    with pytest.raises(ValueError):
-        validate_itemset(((2, 0),), sch)
-
 
 def test_itemset_label_roundtrip(census_schema, tmp_path):
     itemset = ((0, 1), (4, 0), (5, 1))
